@@ -10,7 +10,13 @@ import pytest
 from repro.core import ALL_SCHEMES, BusSystem, NetworkSystem, WorkloadParams
 from repro.queueing import DeltaNetwork, closed_loop_utilization, solve_machine_repairman
 from repro.sim import Machine, SimulationConfig
-from repro.trace import TraceConfig, generate_trace, load_trace, save_trace
+from repro.trace import (
+    TraceConfig,
+    collect_stats,
+    generate_trace,
+    load_trace,
+    save_trace,
+)
 
 MIDDLE = WorkloadParams.middle()
 
@@ -49,6 +55,11 @@ def small_trace():
 def test_trace_generation(benchmark):
     config = TraceConfig(cpus=4, records_per_cpu=5_000, seed=1)
     benchmark.pedantic(generate_trace, args=(config,), rounds=3, iterations=1)
+
+
+def test_collect_stats(benchmark, small_trace):
+    stats = benchmark(collect_stats, small_trace)
+    assert stats.run_lengths
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ design space can be measured instead of speculated about:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.trace.records import AccessType, Trace, TraceRecord
 
 __all__ = ["FLUSH_POLICIES", "apply_flush_policy", "implied_apl"]
@@ -121,13 +123,11 @@ def implied_apl(trace: Trace) -> float:
 
     Returns ``inf`` for a trace without flushes.
     """
-    shared = 0
-    flushes = 0
-    for record in trace.records:
-        if record.kind is AccessType.FLUSH:
-            flushes += 1
-        elif record.kind.is_data and trace.is_shared(record.address):
-            shared += 1
+    is_data = (trace.kind == AccessType.LOAD) | (
+        trace.kind == AccessType.STORE
+    )
+    shared = int(np.count_nonzero(is_data & trace.shared_mask()))
+    flushes = int(np.count_nonzero(trace.kind == AccessType.FLUSH))
     if flushes == 0:
         return float("inf")
     return shared / flushes

@@ -9,10 +9,12 @@ in :mod:`repro.sim.measure`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.trace.records import AccessType, Trace
+import numpy as np
+
+from repro.trace.records import ADDRESS_DTYPE, AccessType, Trace
 
 __all__ = ["TraceStats", "collect_stats", "shared_run_lengths"]
 
@@ -94,62 +96,42 @@ class TraceStats:
 
 
 def collect_stats(trace: Trace) -> TraceStats:
-    """Single-pass statistics over a trace.
+    """Whole-trace statistics, computed over the trace's columns.
 
     Run-length accounting follows the paper: for each shared block we
     track the current owning CPU and its consecutive reference count;
     a reference by a different CPU closes the run.  Runs still open at
-    the end of the trace are closed there.
+    the end of the trace are closed there.  ``run_lengths`` and
+    ``write_run_lengths`` list runs in the order they close: a run
+    closed mid-trace at the reference that closes it, then the runs
+    still open at the end, in the order their blocks were first
+    touched.
+
+    Raises:
+        ValueError: if the ``cpu`` column holds an id ``>= trace.cpus``.
     """
-    stats = TraceStats(per_cpu_records=[0] * trace.cpus)
-    block_shift = _infer_block_shift(trace)
-    # shared block -> (owner cpu, run length, run contains a write)
-    open_runs: dict[int, tuple[int, int, bool]] = {}
-    shared_blocks: set[int] = set()
-
-    for cpu, kind, address in trace.records:
-        stats.per_cpu_records[cpu] += 1
-        if kind is AccessType.INST_FETCH:
-            stats.instructions += 1
-            continue
-        if kind is AccessType.FLUSH:
-            stats.flushes += 1
-            continue
-
-        is_store = kind is AccessType.STORE
-        if is_store:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-
-        if not trace.is_shared(address):
-            continue
-        if is_store:
-            stats.shared_stores += 1
-        else:
-            stats.shared_loads += 1
-
-        block = address >> block_shift
-        shared_blocks.add(block)
-        run = open_runs.get(block)
-        if run is None or run[0] != cpu:
-            if run is not None:
-                _close_run(stats, run)
-            open_runs[block] = (cpu, 1, is_store)
-        else:
-            open_runs[block] = (cpu, run[1] + 1, run[2] or is_store)
-
-    for run in open_runs.values():
-        _close_run(stats, run)
-    stats.shared_blocks_touched = len(shared_blocks)
-    return stats
-
-
-def _close_run(stats: TraceStats, run: tuple[int, int, bool]) -> None:
-    _, length, wrote = run
-    stats.run_lengths.append(length)
-    if wrote:
-        stats.write_run_lengths.append(length)
+    if len(trace) and int(trace.cpu.max()) >= trace.cpus:
+        raise ValueError(
+            f"cpu id {int(trace.cpu.max())} out of range for a trace of "
+            f"{trace.cpus} cpus"
+        )
+    kinds = np.bincount(trace.kind, minlength=len(AccessType))
+    runs = _shared_runs(trace)
+    shared_stores = int(runs.stores.sum())
+    closed = np.argsort(runs.close_keys)
+    lengths = runs.lengths[closed]
+    return TraceStats(
+        instructions=int(kinds[AccessType.INST_FETCH]),
+        flushes=int(kinds[AccessType.FLUSH]),
+        loads=int(kinds[AccessType.LOAD]),
+        stores=int(kinds[AccessType.STORE]),
+        shared_loads=int(runs.lengths.sum()) - shared_stores,
+        shared_stores=shared_stores,
+        per_cpu_records=trace.per_cpu_counts(),
+        shared_blocks_touched=int(runs.block_first.sum()),
+        run_lengths=lengths.tolist(),
+        write_run_lengths=lengths[runs.stores[closed] > 0].tolist(),
+    )
 
 
 def shared_run_lengths(trace: Trace) -> dict[int, list[int]]:
@@ -157,25 +139,69 @@ def shared_run_lengths(trace: Trace) -> dict[int, list[int]]:
 
     Returns:
         ``{block_number: [run lengths in order]}`` using 16-byte
-        blocks (or the trace's inferable block size).
+        blocks (or the trace's inferable block size), keyed in the
+        order each block's first run closes.
     """
-    block_shift = _infer_block_shift(trace)
-    runs: dict[int, list[int]] = defaultdict(list)
-    current: dict[int, tuple[int, int]] = {}
-    for cpu, kind, address in trace.records:
-        if not kind.is_data or not trace.is_shared(address):
-            continue
-        block = address >> block_shift
-        owner = current.get(block)
-        if owner is None or owner[0] != cpu:
-            if owner is not None:
-                runs[block].append(owner[1])
-            current[block] = (cpu, 1)
-        else:
-            current[block] = (cpu, owner[1] + 1)
-    for block, (_, length) in current.items():
-        runs[block].append(length)
-    return dict(runs)
+    runs = _shared_runs(trace)
+    firsts = np.flatnonzero(runs.block_first)
+    per_block = np.split(runs.lengths, firsts[1:])
+    return {
+        int(runs.blocks[firsts[index]]): per_block[index].tolist()
+        for index in np.argsort(runs.close_keys[firsts])
+    }
+
+
+class _Runs(NamedTuple):
+    """Every shared-block run of a trace, sorted by (block, start).
+
+    A run is a maximal sequence of one CPU's consecutive data
+    references to one shared block, consecutive among that block's
+    references (other blocks' references may interleave).
+    """
+
+    #: Per run: block number, reference count, store count, whether
+    #: it is its block's first run, and a key that orders runs as the
+    #: per-record accounting closes them.
+    blocks: np.ndarray
+    lengths: np.ndarray
+    stores: np.ndarray
+    block_first: np.ndarray
+    close_keys: np.ndarray
+
+
+def _shared_runs(trace: Trace) -> _Runs:
+    block_shift = ADDRESS_DTYPE(_infer_block_shift(trace))
+    is_data = (trace.kind == AccessType.LOAD) | (
+        trace.kind == AccessType.STORE
+    )
+    positions = np.flatnonzero(is_data & trace.shared_mask())
+    blocks = trace.address[positions] >> block_shift
+    by_block = np.argsort(blocks, kind="stable")
+    ordered = positions[by_block]
+    blocks = blocks[by_block]
+    cpus = trace.cpu[ordered]
+    new_block = np.ones(len(ordered), dtype=bool)
+    new_block[1:] = blocks[1:] != blocks[:-1]
+    run_start = new_block.copy()
+    run_start[1:] |= cpus[1:] != cpus[:-1]
+    heads = np.flatnonzero(run_start)
+    stores = (trace.kind[ordered] == AccessType.STORE).astype(np.int64)
+
+    starts = ordered[heads]
+    block_first = new_block[heads]
+    # A block's last run stays open to the end of the trace, where open
+    # runs close in the order their blocks were first touched; any
+    # other run closes at the first reference of the block's next run.
+    close_keys = len(trace) + starts[block_first][np.cumsum(block_first) - 1]
+    followed = np.flatnonzero(~block_first[1:])
+    close_keys[followed] = starts[followed + 1]
+    return _Runs(
+        blocks=blocks[heads],
+        lengths=np.diff(np.append(heads, len(ordered))),
+        stores=np.add.reduceat(stores, heads),
+        block_first=block_first,
+        close_keys=close_keys,
+    )
 
 
 def _infer_block_shift(trace: Trace) -> int:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace import TraceConfig, generate_trace
+from repro.trace import TraceConfig, generate_trace, preset
 from repro.trace.flushing import (
     FLUSH_POLICIES,
     apply_flush_policy,
@@ -162,3 +162,17 @@ class TestImpliedApl:
             ]
         )
         assert implied_apl(trace) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("policy", FLUSH_POLICIES)
+    def test_matches_record_loop(self, policy):
+        trace = apply_flush_policy(
+            preset("thor").generate(records_per_cpu=2_000), policy
+        )
+        shared = flushes = 0
+        for record in trace.records:
+            if record.kind is F:
+                flushes += 1
+            elif record.kind.is_data and trace.is_shared(record.address):
+                shared += 1
+        expected = shared / flushes if flushes else float("inf")
+        assert implied_apl(trace) == expected
