@@ -107,11 +107,7 @@ def _family_speedup(benchmark, protocol: str) -> None:
     family_seconds = benchmark.stats.stats.min
 
     assert _identical(family, reference)
-    # WTI's default merge is tiered: the saturated pops trace keeps it
-    # on the folded "epoch" tier, but the scan tier is equally valid.
-    assert all(
-        run.engine in ("epoch", "epoch-scan") for run in family.values()
-    )
+    assert all(run.engine == "epoch" for run in family.values())
     speedup = per_config_seconds / family_seconds
     benchmark.extra_info["per_config_seconds"] = per_config_seconds
     benchmark.extra_info["family_seconds"] = family_seconds
@@ -174,10 +170,7 @@ def run_smoke() -> int:
         if not _identical(family, reference):
             print(f"MISMATCH epoch/{protocol}", file=sys.stderr)
             failures += 1
-        if any(
-            run.engine not in ("epoch", "epoch-scan")
-            for run in family.values()
-        ):
+        if any(run.engine != "epoch" for run in family.values()):
             print(f"FAST PATH NOT USED for {protocol}", file=sys.stderr)
             failures += 1
     machine = Machine(_SEGMENT_PROTOCOL, SimulationConfig())

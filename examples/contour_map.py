@@ -4,7 +4,7 @@
 Renders Software-Flush's processing power over a fine (apl, shd) grid
 as a character-shaded contour map — the full continuous version of the
 paper's Figures 8-9, computed in milliseconds through
-``repro.core.batch`` (numpy-vectorised MVA).
+``repro.core.vectorized`` (numpy-vectorised MVA).
 
 Run:  python examples/contour_map.py [processors]
 """
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from repro import DRAGON, SOFTWARE_FLUSH, BusSystem, WorkloadParams
-from repro.core.batch import ParameterGrid, bus_power_grid
+from repro.core.vectorized import ParameterGrid, bus_surface_arrays
 
 SHADES = " .:-=+*#%@"
 
@@ -30,7 +30,9 @@ def main() -> None:
         apl=apl_axis[None, :],
     )
 
-    power = bus_power_grid(SOFTWARE_FLUSH, grid, processors)
+    power = bus_surface_arrays(
+        SOFTWARE_FLUSH, grid, (processors,)
+    ).processing_power[0]
     top = processors
 
     print(
@@ -57,11 +59,11 @@ def main() -> None:
     for shd in (0.05, 0.15, 0.25, 0.35):
         params = WorkloadParams.middle(shd=shd)
         goal = 0.85 * bus.evaluate(DRAGON, params, processors).processing_power
-        column_power = bus_power_grid(
+        column_power = bus_surface_arrays(
             SOFTWARE_FLUSH,
             ParameterGrid.from_params(params, apl=apl_axis),
-            processors,
-        )
+            (processors,),
+        ).processing_power[0]
         viable = np.nonzero(column_power >= goal)[0]
         if viable.size:
             print(f"  shd={shd:4.2f}: apl >= {apl_axis[viable[0]]:6.1f}")

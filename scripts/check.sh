@@ -86,10 +86,4 @@ echo "== bus arbitration disciplines: exactness + overhead smoke =="
 # folded-overhead parity ceiling (1.5x).
 python benchmarks/bench_bus.py --smoke
 
-echo "== wti scan-merge tiers: exactness + speedup smoke =="
-# auto-vs-loop bit-exactness on the reduced sweep, the quiet-trace
-# epoch-scan engagement pin, then the tiered-merge sweep floor
-# (1.05x in smoke; the recorded baseline enforces 1.08x).
-python benchmarks/bench_scan_merge.py --smoke
-
 echo "== all checks passed =="

@@ -38,28 +38,13 @@ merges over one shared classification pass.  Statistics — including
 bit-identical to per-config ``Machine.run`` (enforced by
 ``tests/sim/test_family.py``).
 
-WTI's simulated-time merge is additionally **scan-formulated**
-(:func:`_wti_scan_merge`): WTI never steals cycles, so every merge
-key is a static function of the per-CPU fetch prefix sums, the event
-outcomes, and the per-event bus waits.  The merge then collapses to a
-small fixed point over pure array passes — reconstruct keys by
-segmented cumulative sums, sort events globally by ``(key, cpu)``,
-fold the bus recurrence ``grant[i] = max(ready[i], free[i-1]) + arb``
-into an offset-subtracted running maximum, and repeat until the waits
-(and the coupled-set outcome replay) stop changing.  A converged
-fixed point is provably identical to the greedy dynamic merge, so the
-statistics stay bit-identical; the demand gate
-(:data:`_SCAN_DEMAND_GATE`) and non-convergence within
-:data:`_SCAN_MERGE_CAP` passes fall back loudly to the *folded*
-single-unpack merge (:func:`_wti_folded_merge`,
-``engine="epoch"``, with a recorded ``scan:...`` fallback reason);
-the PR 6 inlined reference loop stays selectable as
-``wti_merge="loop"``.  Scan results carry ``engine="epoch-scan"``.
-The scan pays off only off-saturation: each fixpoint pass resolves
-one wait-dependency hop, so passes-to-converge tracks the
-bus-conflict count, and in write-through WTI write sharing *is*
-bus traffic (see ``benchmarks/bench_scan_merge.py`` for the
-measured regime split).
+WTI's simulated-time merge is **folded** (:func:`_wti_epoch_merge`):
+WTI never steals cycles, so no broadcast perturbs another CPU's merge
+position.  Each outcome's operation list folds into one fcfs grant
+update (``grant = max(ready, free) + arb``), events whose outcome is
+known before the merge take a straight-line branch, and every counter
+is a numpy reduction over the merged per-event outcomes.  Trace-order
+and single-CPU runs share Dragon's event merge (``_merge_and_finish``).
 
 Exactness has the same gates as the one-pass engine (integral costs,
 and integral fcfs arbitration overhead — folded into every merge's
@@ -77,7 +62,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core.operations import CostTable, Operation
-from repro.obs.metrics import note_family_fallback, note_replay
+from repro.obs.metrics import note_replay
 from repro.sim.machine import (
     _DIRTY_VICTIM_OPERATIONS,
     _MISS_OPERATIONS,
@@ -118,20 +103,6 @@ _WTI_OPS = (
     (Operation.WRITE_THROUGH,),                               # store hit
 )
 
-#: Maximum ``(keys, sort, grants)`` passes the WTI scan merge tries
-#: before declaring no fixed point and falling back to the folded
-#: sequential merge.  Low-contention traces converge in a handful of
-#: passes; the cap (with the in-loop futility heuristic) bounds the
-#: contention-driven cascades that would otherwise iterate once per
-#: reordered event.
-_SCAN_MERGE_CAP = 24
-
-#: Estimated bus-demand fraction (optimistic busy cycles over the
-#: no-wait span) above which the scan merge skips the fixed-point
-#: passes entirely: measured cascades reorder only a few events per
-#: pass once waits become steady, so a saturated bus can never settle
-#: within :data:`_SCAN_MERGE_CAP`.
-_SCAN_DEMAND_GATE = 0.15
 
 
 def run_coupled_family(
@@ -140,23 +111,13 @@ def run_coupled_family(
     configs: dict[int, SimulationConfig],
     costs: CostTable,
     order: str,
-    wti_merge: str = "auto",
 ) -> dict[int, SimulationResult]:
     """One-pass cache-size sweep for a geometry-coupled protocol.
 
     Callers (``repro.sim.onepass.run_geometry_family``) have already
     validated the protocol, order, cost integrality, and geometry
-    family.  ``wti_merge`` selects WTI's simulated-time merge:
-    ``"auto"``/``"scan"`` try the vectorized scan formulation first
-    (falling back loudly when it finds no fixed point), ``"loop"``
-    forces the inlined reference loop — the equivalence suites compare
-    the two byte-for-byte.
+    family.
     """
-    if wti_merge not in ("auto", "scan", "loop"):
-        raise ValueError(
-            f"wti_merge must be 'auto', 'scan', or 'loop', "
-            f"got {wti_merge!r}"
-        )
     started = time.perf_counter()
     block_shift = next(iter(configs.values())).geometry.block_shift
     derived = derived_columns(trace, block_shift)
@@ -179,12 +140,11 @@ def run_coupled_family(
         results = {
             size: _run_wti(
                 trace, config, costs, order, derived, spos,
-                contended, contended_sorted, wti_merge,
+                contended, contended_sorted,
             )
             for size, config in configs.items()
         }
-    engines = {result.engine for result in results.values()}
-    note_replay(len(trace), "epoch-scan" if engines == {"epoch-scan"} else "epoch")
+    note_replay(len(trace), "epoch")
     wall = time.perf_counter() - started
     for result in results.values():
         result.run_wall_s = wall
@@ -473,7 +433,6 @@ def _run_wti(
     spos: np.ndarray,
     contended: np.ndarray,
     contended_sorted: np.ndarray,
-    wti_merge: str = "auto",
 ) -> SimulationResult:
     del spos  # WTI lines are never dirty; no interval queries needed
     n = trace.cpus
@@ -517,24 +476,11 @@ def _run_wti(
     code[unc_miss & is_store] = 1
     code[unc & ~cls.miss & is_store] = 2
 
-    if order != "trace" and n > 1 and wti_merge != "loop":
-        # Folding an outcome's operation list into one grant update
-        # (and hoisting the static wait terms out of the merge) reorders
-        # float additions; that is only exact when every cost is an
-        # integer, so the scan path refuses fractional cost tables.
-        if all(
-            float(cost.cpu_cycles).is_integer()
-            and float(cost.channel_cycles).is_integer()
-            for _op, cost in costs.items()
-        ):
-            return _wti_scan_merge(
-                trace, config, costs, derived, sets, ev_mask, code,
-                set_idx, shared_ev, contended_sorted, cls.prev_same,
-                coupled_keys, assoc == 2,
-            )
-        note_family_fallback(
-            "scan:non-integral operation costs cannot be folded "
-            "exactly; inlined merge used"
+    if order != "trace" and n > 1:
+        return _wti_epoch_merge(
+            trace, config, costs, derived, sets, ev_mask, code,
+            set_idx, shared_ev, contended_sorted, cls.prev_same,
+            coupled_keys, assoc == 2,
         )
 
     offsets = derived.offsets
@@ -649,195 +595,17 @@ def _run_wti(
 
         return estatic, resolve
 
-    if order == "trace" or n == 1:
-        return _merge_and_finish(
-            "wti", trace, config, costs, order, derived,
-            epos, ekind, eshared, make_resolver, stats,
-        )
-
-    # Steal-free simulated-time merge, fully inlined.  WTI never
-    # steals, so no broadcast ever perturbs another CPU's merge
-    # position: every key and epoch advance is static.  Each event
-    # carries its *outgoing* key gap (fetch cost to the next event, or
-    # to end-of-stream), its block, and direct references to the
-    # pre-created coupled-set lists it touches — the hot loop does no
-    # function calls and no dict lookups, and the winning key IS the
-    # post-epoch clock.
-    op_info = _operation_info(costs)
-    wti_info = tuple(tuple(op_info[op] for op in ops) for ops in _WTI_OPS)
-    miss_ops, store_miss_ops, store_hit_ops = wti_info
-    prefixes = _cpu_prefixes(derived, n)
-    fetch_prefix = derived.fetch_prefix
-    arb = float(config.bus_arbitration_cycles)
-    # Every coupled (cpu, set) pair gets its [mru, lru] list up front
-    # (an untouched [-1, -1] behaves exactly like a lazily absent one).
-    sim_map = {int(key): [-1, -1] for key in coupled_keys.tolist()}
-    bus_free = 0.0
-    bus_busy = 0.0
-    bus_tx = 0
-    clocks = [0.0] * n
-    waits = [0.0] * n
-    fetch_misses = 0
-    data_misses = 0
-    shared_data_misses = 0
-    dirty_victims = 0
-    invalidations = 0
-    infinity = float("inf")
-    active = []
-    keys = [0.0] * n
-    event_index = [0] * n
-    events = []
-    for cpu in range(n):
-        count = counts[cpu]
-        row_pos = epos[cpu]
-        if not count:
-            events.append([])
-            continue
-        if not row_pos:
-            clocks[cpu] = float(prefixes[cpu][count])
-            events.append([])
-            continue
-        # Gap costs computed on the global fetch prefix directly
-        # (differences cancel the per-CPU base).
-        start = int(offsets[cpu])
-        pos_np = np.asarray(row_pos, dtype=np.int64) + start
-        nxt = np.empty(len(pos_np), dtype=np.int64)
-        nxt[:-1] = fetch_prefix[pos_np[1:]]
-        nxt[-1] = fetch_prefix[start + count]
-        gaps = (nxt - fetch_prefix[pos_np + 1]).tolist()
-        key_base = cpu * sets
-        esim = [sim_map.get(key_base + sid) for sid in eset[cpu]]
-        # Remote coupled-set lists a contended store must scan for
-        # invalidations, resolved per set id once.
-        others_cache: dict[int, tuple] = {}
-        eothers: list = []
-        for sid, cont, kind in zip(eset[cpu], econtended[cpu], ekind[cpu]):
-            if kind == 2 and cont:
-                remote = others_cache.get(sid)
-                if remote is None:
-                    lists = []
-                    for j in cpu_range:
-                        if j != cpu:
-                            other = sim_map.get(j * sets + sid)
-                            if other is not None:
-                                lists.append(other)
-                    remote = tuple(lists)
-                    others_cache[sid] = remote
-                eothers.append(remote)
-            else:
-                eothers.append(None)
-        estat = [wti_info[c] if c < 3 else None for c in ecode[cpu]]
-        events.append(
-            list(
-                zip(
-                    ekind[cpu], eshared[cpu], estat, gaps,
-                    eblock[cpu], esim, eothers,
-                )
-            )
-        )
-        keys[cpu] = float(prefixes[cpu][row_pos[0]])
-        active.append(cpu)
-    while active:
-        best_key = infinity
-        cpu = -1
-        for candidate in active:
-            key = keys[candidate]
-            if key < best_key:
-                best_key = key
-                cpu = candidate
-        i = event_index[cpu]
-        row = events[cpu]
-        kind, shared, operations, gap_out, block, sim, others = row[i]
-        clock = best_key
-        if kind == 0:
-            clock += 1.0
-        if operations is None:
-            # Coupled-set LRU, associativity <= 2 (same discipline as
-            # ``resolve`` above).
-            if kind != 2:
-                if block == sim[0]:
-                    operations = ()
-                elif two_way and block == sim[1]:
-                    sim[1] = sim[0]
-                    sim[0] = block
-                    operations = ()
-                else:
-                    if two_way:
-                        sim[1] = sim[0]
-                    sim[0] = block
-                    operations = miss_ops
-            else:
-                if others is not None:
-                    for other in others:
-                        if other[0] == block:
-                            other[0] = other[1]
-                            other[1] = -1
-                            invalidations += 1
-                        elif other[1] == block:
-                            other[1] = -1
-                            invalidations += 1
-                if block == sim[0]:
-                    operations = store_hit_ops
-                elif two_way and block == sim[1]:
-                    sim[1] = sim[0]
-                    sim[0] = block
-                    operations = store_hit_ops
-                else:
-                    if two_way:
-                        sim[1] = sim[0]
-                    sim[0] = block
-                    operations = store_miss_ops
-        if operations:
-            for cpu_cycles, bus_cycles, is_miss, is_dirty, counter in (
-                operations
-            ):
-                counter[0] += 1
-                if bus_cycles > 0.0:
-                    # TimedBus.transact inlined, arbitration overhead
-                    # folded into the grant (identical arithmetic).
-                    grant = bus_free if bus_free > clock else clock
-                    if arb:
-                        grant += arb
-                    if grant > clock:
-                        waits[cpu] += grant - clock
-                    bus_free = grant + bus_cycles
-                    bus_busy += bus_cycles
-                    bus_tx += 1
-                    clock = grant + cpu_cycles
-                else:
-                    clock += cpu_cycles
-                if is_miss:
-                    if kind == 0:
-                        fetch_misses += 1
-                    else:
-                        data_misses += 1
-                        if shared:
-                            shared_data_misses += 1
-                    if is_dirty:
-                        dirty_victims += 1
-        i += 1
-        event_index[cpu] = i
-        if i < len(row):
-            keys[cpu] = clock + gap_out
-        else:
-            # End-of-stream advance folded into the last event: it has
-            # no side effects, so its merge position relative to other
-            # CPUs' events is immaterial.
-            clocks[cpu] = clock + gap_out
-            active.remove(cpu)
-    stats.invalidations += invalidations
-    return _assemble(
-        "wti", trace, config, derived, op_info, clocks, waits, [0] * n,
-        fetch_misses, data_misses, shared_data_misses, dirty_victims,
-        bus_busy, bus_tx, arb * bus_tx, stats,
+    return _merge_and_finish(
+        "wti", trace, config, costs, order, derived,
+        epos, ekind, eshared, make_resolver, stats,
     )
 
 
-# -- WTI scan merge ------------------------------------------------------
+# -- WTI folded merge ----------------------------------------------------
 
 
 def _fold_outcome(op_rows: tuple, arb: float) -> tuple:
-    """Fold one outcome's operation list into scan constants.
+    """Fold one outcome's operation list into merge constants.
 
     All offsets are relative to the outcome's *first* bus grant ``G``
     (or to the event clock when no operation uses the bus): ``lead``
@@ -877,80 +645,7 @@ def _fold_outcome(op_rows: tuple, arb: float) -> tuple:
     return uses_bus, lead, rel_clock, rel_free, extra_wait, busy, tx
 
 
-def _replay_coupled(
-    cl_cpu: list,
-    cl_set: list,
-    cl_block: list,
-    cl_store: list,
-    cl_cont: list,
-    cl_resolve: list,
-    coupled_key_ints: list,
-    sets: int,
-    two_way: bool,
-    n: int,
-) -> tuple[list[int], int]:
-    """Replay the coupled-set events in the given merge order.
-
-    Same LRU/invalidation discipline as ``_run_wti``'s inlined merge
-    (``[mru, lru]`` lists, associativity <= 2).  Entries whose
-    ``resolve`` flag is False are associativity-1 locally-resolved
-    misses: their outcome is already known, so they only restate the
-    set's single way (``sim[0] = block``).  Returns the outcome id per
-    resolved event (0 = miss, 1 = store miss, 2 = store hit, 3 = hit)
-    and the invalidation count.
-    """
-    sim_map = {key: [-1, -1] for key in coupled_key_ints}
-    out: list[int] = []
-    append = out.append
-    invalidations = 0
-    for cpu, sid, block, store, cont, resolve in zip(
-        cl_cpu, cl_set, cl_block, cl_store, cl_cont, cl_resolve
-    ):
-        sim = sim_map[cpu * sets + sid]
-        if not resolve:
-            sim[0] = block
-            continue
-        if not store:
-            if block == sim[0]:
-                append(3)
-            elif two_way and block == sim[1]:
-                sim[1] = sim[0]
-                sim[0] = block
-                append(3)
-            else:
-                if two_way:
-                    sim[1] = sim[0]
-                sim[0] = block
-                append(0)
-            continue
-        if cont:
-            for j in range(n):
-                if j == cpu:
-                    continue
-                other = sim_map.get(j * sets + sid)
-                if other is not None:
-                    if other[0] == block:
-                        other[0] = other[1]
-                        other[1] = -1
-                        invalidations += 1
-                    elif other[1] == block:
-                        other[1] = -1
-                        invalidations += 1
-        if block == sim[0]:
-            append(2)
-        elif two_way and block == sim[1]:
-            sim[1] = sim[0]
-            sim[0] = block
-            append(2)
-        else:
-            if two_way:
-                sim[1] = sim[0]
-            sim[0] = block
-            append(1)
-    return out, invalidations
-
-
-def _wti_scan_merge(
+def _wti_epoch_merge(
     trace: Trace,
     config: SimulationConfig,
     costs: CostTable,
@@ -965,30 +660,15 @@ def _wti_scan_merge(
     coupled_keys: np.ndarray,
     two_way: bool,
 ) -> SimulationResult:
-    """WTI simulated-time merge as a pure-numpy fixed point.
+    """WTI simulated-time merge: event columns, folded merge, reductions.
 
     WTI never steals, so an event's merge key is its CPU's clock —
     fetch prefix plus the outcome advances and bus waits of the CPU's
-    earlier events.  Iterate on the per-event waits ``w``: each pass
-    reconstructs every key exactly (segmented cumulative sums of the
-    per-event advances), sorts events globally by ``(key, cpu)``,
-    replays the coupled-set outcomes in that order when it changed,
-    and computes the exact grants of the fcfs bus recurrence
-    ``grant[b] = max(ready[b], free[b-1]) + arb`` via an
-    offset-subtracted running maximum.  A pass whose waits and
-    outcomes both reproduce themselves is a self-consistent fixed
-    point, and the fixed point is unique: two self-consistent
-    schedules with a first differing merge position would have
-    identical prefixes, hence identical per-CPU head keys and an
-    identical ``(key, cpu)``-minimal winner at that position.  Keys
-    are per-CPU monotone by construction (every advance is
-    non-negative), so the ``(key, cpu)`` sort equals the greedy
-    dynamic merge order and all statistics are bit-identical to the
-    inlined reference loop.  Saturated buses cascade waits pass to
-    pass faster than sorting can catch up, so a frontier-progress
-    heuristic bails out of hopeless iterations (recorded via
-    :func:`note_family_fallback`) into :func:`_wti_folded_merge`,
-    the sequential residue with the same folded arithmetic.
+    earlier events.  The event columns and per-outcome constants are
+    built vectorised, :func:`_wti_folded_merge` runs the greedy
+    ``(key, cpu)`` merge that resolves the coupled-set touches and
+    the fcfs bus grants, and every statistic is then a segmented
+    reduction over the merged per-event outcomes.
     """
     n = trace.cpus
     arb = float(config.bus_arbitration_cycles)
@@ -1011,14 +691,12 @@ def _wti_scan_merge(
 
     stats = WtiStats()
     if not e_total:
-        result = _assemble(
+        return _assemble(
             "wti", trace, config, derived, op_info, totals.tolist(),
             [0.0] * n, [0] * n, 0, 0, 0, 0, 0.0, 0, 0.0, stats,
         )
-        result.engine = "epoch-scan"
-        return result
 
-    # Per-outcome scan constants (0 = miss, 1 = store miss, 2 = store
+    # Per-outcome merge constants (0 = miss, 1 = store miss, 2 = store
     # hit, 3 = hit).
     folds = [_fold_outcome(rows, arb) for rows in all_rows]
     uses_bus = np.asarray([f[0] for f in folds], dtype=bool)
@@ -1050,9 +728,9 @@ def _wti_scan_merge(
     outcome = code[g_idx].copy()
     prev_same_ev = prev_same[g_idx]
 
-    # Scan-side classification refinements (the retained reference
-    # loop keeps the original classification untouched; outcomes are
-    # provably equal, which the equivalence suites enforce).
+    # Merge-side classification refinements (outcomes are provably
+    # those of per-config replay, which the equivalence suites
+    # enforce).
     #
     # Any associativity: a store in a coupled set whose immediate
     # same-set predecessor touched the same non-contended block is a
@@ -1100,137 +778,17 @@ def _wti_scan_merge(
         fetch_prefix[g_idx[starts[has_ev]]] - base[has_ev]
     ).astype(np.float64)
 
-    any_replay = bool(replay_ev.any())
     coupled_key_ints = coupled_keys.tolist()
-    prev_sel: np.ndarray | None = None
-    invalidations = 0
-    static_code = outcome.copy()
-    start_excl = np.zeros(n)
-    converged = False
-    fallback_reason: str | None = None
-
-    # A-priori bus-demand gate.  The fixed point converges only when
-    # bus waits are almost absent: any steady contention cascades one
-    # reordering per pass, so passes grow with trace length (measured
-    # on the paper presets, whose write-through traffic saturates the
-    # bus).  Estimate demand optimistically (unresolved contended
-    # touches as hits/store hits) — if even that saturates, skip
-    # straight to the folded sequential merge.
-    optimistic = outcome.copy()
-    optimistic[resolve_ev & ~ev_store] = 3
-    optimistic[resolve_ev & ev_store] = 2
-    span = float(totals.max())
-    demand = (
-        float(np.dot(busy_adv + arb * tx_adv, np.bincount(optimistic, minlength=4)))
-        / span
-        if span > 0.0
-        else 0.0
+    outcome, waits, clocks, invalidations = _wti_folded_merge(
+        n, sets, arb, two_way, totals, outcome, resolve_ev, replay_ev,
+        ev_cpu, ev_set, ev_block, ev_store, ev_cont, ev_pre, gap, fk,
+        starts, ev_offsets, uses_bus, lead, clock_adv, free_adv,
+        extra_wait, coupled_key_ints,
     )
-    if demand > _SCAN_DEMAND_GATE:
-        fallback_reason = (
-            f"scan:estimated bus demand {demand:.2f} saturates the fcfs "
-            "bus and defeats the fixed point; folded merge used"
-        )
-    else:
-        w = np.where(uses_bus[outcome], arb, 0.0)
-        q_max = 0
-        for passes in range(1, _SCAN_MERGE_CAP + 1):
-            adv = ev_pre + lead[outcome] + clock_adv[outcome] + w + gap
-            cum = np.cumsum(adv)
-            excl = cum - adv
-            start_excl[has_ev] = excl[starts[has_ev]]
-            keys = fk[ev_cpu] + (excl - start_excl[ev_cpu])
-            order_idx = np.lexsort((ev_cpu, keys))
-            stale = False
-            stale_pos = e_total
-            if any_replay:
-                sel = order_idx[replay_ev[order_idx]]
-                if prev_sel is None or not np.array_equal(sel, prev_sel):
-                    prev_sel = sel
-                    res_mask = resolve_ev[sel]
-                    resolved, invalidations = _replay_coupled(
-                        ev_cpu[sel].tolist(),
-                        ev_set[sel].tolist(),
-                        ev_block[sel].tolist(),
-                        ev_store[sel].tolist(),
-                        ev_cont[sel].tolist(),
-                        res_mask.tolist(),
-                        coupled_key_ints,
-                        sets,
-                        two_way,
-                        n,
-                    )
-                    resolved = np.asarray(resolved, dtype=np.int64)
-                    targets = sel[res_mask]
-                    changed_out = outcome[targets] != resolved
-                    stale = bool(changed_out.any())
-                    if stale:
-                        positions = np.flatnonzero(resolve_ev[order_idx])
-                        stale_pos = int(positions[np.argmax(changed_out)])
-                    outcome[targets] = resolved
-            out_s = outcome[order_idx]
-            b = np.flatnonzero(uses_bus[out_s])
-            ready = keys[order_idx] + ev_pre[order_idx] + lead[out_s]
-            w_new = np.zeros(e_total)
-            if len(b):
-                ready_b = ready[b]
-                shift = np.zeros(len(b))
-                if len(b) > 1:
-                    np.cumsum(free_adv[out_s[b[:-1]]] + arb, out=shift[1:])
-                grants = arb + shift + np.maximum.accumulate(ready_b - shift)
-                w_new[order_idx[b]] = grants - ready_b
-            if not stale and np.array_equal(w_new, w):
-                converged = True
-                break
-            # Futility heuristic: the merged prefix before the first
-            # changed wait (or stale outcome) is final, so the
-            # frontier position only ever grows.  When its best-so-far
-            # trails a linear march to ``e_total`` within the pass
-            # budget, the cascade is contention-bound and iterating
-            # further would cost more than the folded merge below.
-            changed = (w_new != w)[order_idx]
-            q = int(np.argmax(changed)) if changed.any() else e_total
-            if stale_pos < q:
-                q = stale_pos
-            if q > q_max:
-                q_max = q
-            if (
-                passes >= 2
-                and q_max * (_SCAN_MERGE_CAP - 1) < e_total * (passes - 1)
-            ):
-                break
-            w = w_new
-        if not converged:
-            fallback_reason = (
-                "scan:wti merge found no fixed point within "
-                f"{_SCAN_MERGE_CAP} sort passes; folded merge used"
-            )
-
-    if converged:
-        waits = np.zeros(n)
-        if len(b):
-            waits = np.bincount(
-                ev_cpu[order_idx[b]],
-                weights=grants - ready_b + extra_wait[out_s[b]],
-                minlength=n,
-            )
-        clocks = totals.copy()
-        lasts = last_of[has_ev]
-        clocks[has_ev] = keys[lasts] + adv[lasts]
-        engine = "epoch-scan"
-    else:
-        note_family_fallback(fallback_reason or "scan:no fixed point")
-        outcome, waits, clocks, invalidations = _wti_folded_merge(
-            n, sets, arb, two_way, totals, static_code, resolve_ev,
-            replay_ev, ev_cpu, ev_set, ev_block, ev_store, ev_cont,
-            ev_pre, gap, fk, starts, ev_offsets, uses_bus, lead,
-            clock_adv, free_adv, extra_wait, coupled_key_ints,
-        )
-        engine = "epoch"
 
     # Segmented reductions: the merged per-event outcomes are the
-    # reference loop's exact values, so every statistic is a sum over
-    # them.
+    # per-config replay's exact values, so every statistic is a sum
+    # over them.
     counts_by_outcome = np.bincount(outcome, minlength=4)
     for oc, rows in enumerate(wti_rows):
         cnt = int(counts_by_outcome[oc])
@@ -1246,14 +804,12 @@ def _wti_scan_merge(
     shared_data_misses = int(mc[~is_fetch_ev & ev_shared].sum())
     dirty_victims = int(dirty_ops[outcome].sum())
     stats.invalidations += invalidations
-    result = _assemble(
+    return _assemble(
         "wti", trace, config, derived, op_info, clocks.tolist(),
         waits.tolist(), [0] * n, fetch_misses, data_misses,
         shared_data_misses, dirty_victims, bus_busy, bus_tx,
         arb * bus_tx, stats,
     )
-    result.engine = engine
-    return result
 
 
 def _wti_folded_merge(
@@ -1282,21 +838,21 @@ def _wti_folded_merge(
     extra_wait: np.ndarray,
     coupled_key_ints: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Folded sequential residue of the WTI simulated-time merge.
+    """Greedy folded merge of the WTI event columns.
 
-    Same greedy dynamic merge as the inlined reference loop — the
-    next event is always the globally earliest ready CPU (lowest CPU
-    on ties), and unresolved touches are resolved at pick time against
-    the shared coupled sets, so the result is bit-identical by
-    construction.  Three structural folds carry the speedup:
+    The next event is always the globally earliest ready CPU (lowest
+    CPU on ties), exactly as per-config replay interleaves records, and
+    unresolved touches are resolved at pick time against the shared
+    coupled sets, so the result is bit-identical by construction.
+    Three structural folds keep the loop short:
 
     - every outcome's operation list is pre-folded
       (:func:`_fold_outcome`) into one bus-grant update, and all
       counting, miss attribution, and static wait terms are hoisted
       into the caller's numpy reductions;
-    - the per-pick CPU argmin runs on a binary heap keyed by
-      ``(ready_key, cpu)`` with exactly one entry per CPU, replacing
-      the linear scan;
+    - the winning CPU drains its own stream for as long as its key
+      stays below the second-best CPU's, so the per-pick argmin runs
+      once per interleaving rather than once per event;
     - events whose outcome the caller pre-resolved (uncoupled events,
       plus — for one-way sets — the non-contended coupled touches)
       take a straight-line branch that at most restates the set's
@@ -1649,9 +1205,9 @@ def _merge_and_finish(
     built from the same ``op_info`` entries, so operation counting
     stays in one place.
 
-    WTI's steal-free simulated-time merge does not come through here —
-    ``_run_wti`` inlines it — so the time branch below always carries
-    the steal machinery.
+    WTI's steal-free simulated-time merge does not come through here
+    (``_run_wti`` hands it to :func:`_wti_epoch_merge`), so the time
+    branch below always carries the steal machinery.
     """
     n = trace.cpus
     counts = derived.counts

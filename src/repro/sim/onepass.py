@@ -230,7 +230,6 @@ def run_geometry_family(
     cpus: int | None = None,
     bus_discipline: str = "fcfs",
     bus_arbitration_cycles: float = 0.0,
-    wti_merge: str = "auto",
 ) -> dict[int, SimulationResult]:
     """Simulate one protocol at every cache size in a single pass.
 
@@ -254,9 +253,6 @@ def run_geometry_family(
             the family.  Integral fcfs overhead is folded into every
             merge's service term exactly as ``TimedBus`` applies it;
             non-integral overhead takes the loud per-config fallback.
-        wti_merge: WTI simulated-time merge selection, passed through
-            to :func:`repro.sim.family.run_coupled_family`
-            (``"auto"``/``"scan"``/``"loop"``).
 
     Returns:
         ``{cache_bytes: SimulationResult}`` with statistics
@@ -301,9 +297,7 @@ def run_geometry_family(
 
     name = _protocol_name(protocol)
     if engine == "epoch":
-        return run_coupled_family(
-            name, trace, configs, table, order, wti_merge=wti_merge
-        )
+        return run_coupled_family(name, trace, configs, table, order)
 
     started = time.perf_counter()
     block_shift = next(iter(configs.values())).geometry.block_shift

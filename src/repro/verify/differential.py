@@ -18,10 +18,6 @@ failure wins for that protocol):
 3b. **Segment diff** — where :func:`repro.sim.segment_reason` declares
    the segment-scan kernel exact, ``Machine.run(engine="segment")``
    must reproduce the columnar statistics bit-for-bit.
-3c. **Scan diff** — WTI's vectorized scan merge
-   (``wti_merge="scan"``) must reproduce the retained inlined
-   reference merge (``wti_merge="loop"``) bit-for-bit at the case's
-   size (time order only — the scan never runs in trace order).
 4. **Oracle shadow** — the protocol re-runs with every fast-path
    contract flag disabled while a per-line reference state machine
    (:mod:`repro.verify.oracles`) validates each transition and then
@@ -125,7 +121,7 @@ class FuzzFailure:
 
     ``check`` identifies the failing stage: ``engine-diff:<order>``,
     ``invariants:<order>``, ``onepass-diff:<order>``,
-    ``segment-diff:<order>``, ``scan-diff``, ``oracle``,
+    ``segment-diff:<order>``, ``oracle``,
     ``shadow-diff``, ``discipline:<name>``, or ``model-band``.
     """
 
@@ -313,7 +309,7 @@ def _onepass_divergence(
         order=order,
     )
     run = family[config.cache_bytes]
-    if run.engine not in ("onepass", "epoch", "epoch-scan"):
+    if run.engine not in ("onepass", "epoch"):
         return (
             f"fast path not engaged (engine={run.engine!r}) for a "
             "supported protocol"
@@ -348,38 +344,6 @@ def _segment_divergence(
     right = stats_signature(columnar)
     if left != right:
         return "segment vs columnar: " + _describe_divergence(left, right)
-    return None
-
-
-def _scan_divergence(
-    trace: Trace, config: SimulationConfig, protocol: str
-) -> str | None:
-    """Why WTI's scan merge diverges from the inlined loop (None = ok).
-
-    Runs the epoch family twice at the case's size — once with the
-    vectorized scan merge, once forcing the retained reference loop —
-    and requires identical statistics.  (The scan may legally fall
-    back to the loop when it finds no fixed point; the comparison is
-    then trivially clean, which is the intended contract.)
-    """
-    sizes = (config.cache_bytes,)
-    kwargs = dict(
-        block_bytes=config.block_bytes,
-        associativity=config.associativity,
-        order="time",
-    )
-    scan = run_geometry_family(
-        protocol, trace, sizes, wti_merge="scan", **kwargs
-    )[config.cache_bytes]
-    loop = run_geometry_family(
-        protocol, trace, sizes, wti_merge="loop", **kwargs
-    )[config.cache_bytes]
-    left = stats_signature(scan)
-    right = stats_signature(loop)
-    if left != right:
-        return "scan merge vs inlined loop: " + _describe_divergence(
-            left, right
-        )
     return None
 
 
@@ -523,13 +487,6 @@ def _check_protocol(
         if order == "time":
             time_result = columnar
 
-    if protocol == "wti" and supports_onepass(
-        protocol, associativity=case.config.associativity
-    ):
-        message = _scan_divergence(case.trace, case.config, protocol)
-        if message is not None:
-            return failure("scan-diff", message), None
-
     try:
         shadowed = oracle_run(case.trace, case.config, protocol)
     except OracleViolation as violation:
@@ -651,12 +608,6 @@ def _failure_predicate(
                 _segment_divergence(trace, config, protocol, order, columnar)
                 is not None
             )
-
-        return predicate
-    if check == "scan-diff":
-
-        def predicate(trace: Trace) -> bool:
-            return _scan_divergence(trace, config, protocol) is not None
 
         return predicate
     if check.startswith("discipline:"):

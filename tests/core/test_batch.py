@@ -1,4 +1,8 @@
-"""Unit and equivalence tests for the vectorised batch evaluator."""
+"""Unit and equivalence tests for batch (grid) evaluation of the model.
+
+The grid kernels live in :mod:`repro.core.vectorized`; these tests
+drive them the way the examples do, one power array per scheme.
+"""
 
 import numpy as np
 import pytest
@@ -15,14 +19,22 @@ from repro.core import (
     UnsupportedSchemeError,
     WorkloadParams,
 )
-from repro.core.batch import (
+from repro.core.vectorized import (
     ParameterGrid,
-    bus_power_grid,
-    instruction_cost_grid,
-    network_power_grid,
+    bus_surface_arrays,
+    instruction_cost_arrays,
+    network_surface_arrays,
 )
 
 MIDDLE = WorkloadParams.middle()
+
+
+def bus_power_grid(scheme, grid, processors):
+    return bus_surface_arrays(scheme, grid, (processors,)).processing_power[0]
+
+
+def network_power_grid(scheme, grid, stages):
+    return network_surface_arrays(scheme, grid, stages).processing_power
 
 
 class TestParameterGrid:
@@ -52,10 +64,12 @@ class TestScalarEquivalence:
         from repro.core import CostTable, instruction_cost
 
         grid = ParameterGrid.from_params(MIDDLE)
-        cpu_cycles, channel_cycles = instruction_cost_grid(scheme, grid)
+        cost = instruction_cost_arrays(scheme, grid)
         scalar = instruction_cost(scheme, MIDDLE, CostTable.bus())
-        assert float(cpu_cycles) == pytest.approx(scalar.cpu_cycles)
-        assert float(channel_cycles) == pytest.approx(scalar.channel_cycles)
+        assert float(cost.cpu_cycles) == pytest.approx(scalar.cpu_cycles)
+        assert float(cost.channel_cycles) == pytest.approx(
+            scalar.channel_cycles
+        )
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     @pytest.mark.parametrize("processors", [1, 4, 16])
@@ -123,7 +137,7 @@ class TestGridBehaviour:
 
     def test_bus_rejects_zero_processors(self):
         grid = ParameterGrid.from_params(MIDDLE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="processors must be >= 1"):
             bus_power_grid(BASE, grid, processors=0)
 
     def test_large_grid_is_fast(self):

@@ -129,9 +129,9 @@ def _quiet_two_cpu_trace():
 
 
 class TestEngineProvenanceMetrics:
-    """Per-cell engine/fallback provenance for the scan-era engines."""
+    """Per-cell engine/fallback provenance for the folded engines."""
 
-    def test_cell_reports_epoch_scan_engine(self):
+    def test_quiet_cell_reports_epoch_engine(self):
         from repro.sim import run_geometry_family
 
         trace = _quiet_two_cpu_trace()
@@ -143,38 +143,9 @@ class TestEngineProvenanceMetrics:
             )
 
         family, metrics = measure_call(cell, None)
-        assert all(r.engine == "epoch-scan" for r in family.values())
-        assert metrics.engine == "epoch-scan"
-        assert metrics.fallback_reason == ""
-
-    def test_scan_refusal_reports_structured_reason(self):
-        import numpy as np
-
-        from repro.sim import run_geometry_family
-        from repro.trace.records import Trace
-
-        # Store misses throughout: WTI writes every store through and
-        # the working set overflows the cache, so the bus saturates,
-        # the scan's demand gate refuses, and the folded merge runs.
-        n = 400
-        cpu = np.tile([0, 1], n).astype(np.uint16)
-        kind = np.ones(2 * n, dtype=np.uint8)
-        blocks = (np.arange(2 * n) % 512).astype(np.uint64)
-        trace = Trace.from_arrays(
-            name="stores", cpus=2, shared_region=range(0, 512 * 16),
-            cpu=cpu, kind=kind, address=blocks * 16,
-        )
-
-        def cell(_item):
-            return run_geometry_family(
-                "wti", trace, [1024],
-                block_bytes=16, associativity=1, order="time",
-            )
-
-        family, metrics = measure_call(cell, None)
-        assert family[1024].engine == "epoch"
+        assert all(r.engine == "epoch" for r in family.values())
         assert metrics.engine == "epoch"
-        assert metrics.fallback_reason.startswith("scan:")
+        assert metrics.fallback_reason == ""
 
     def test_cell_reports_columnar_arb_engine(self):
         import dataclasses

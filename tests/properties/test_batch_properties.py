@@ -11,10 +11,10 @@ from repro.core import (
     NetworkSystem,
     WorkloadParams,
 )
-from repro.core.batch import (
+from repro.core.vectorized import (
     ParameterGrid,
-    bus_power_grid,
-    network_power_grid,
+    bus_surface_arrays,
+    network_surface_arrays,
 )
 
 probability = st.floats(min_value=0.0, max_value=1.0)
@@ -42,7 +42,8 @@ class TestBatchScalarEquivalence:
         grid = ParameterGrid.from_params(params)
         bus = BusSystem()
         for scheme in ALL_SCHEMES:
-            vectorised = float(bus_power_grid(scheme, grid, processors))
+            surface = bus_surface_arrays(scheme, grid, (processors,))
+            vectorised = float(surface.processing_power[0])
             scalar = bus.evaluate(scheme, params, processors)
             assert vectorised == pytest.approx(
                 scalar.processing_power, rel=1e-9
@@ -56,7 +57,8 @@ class TestBatchScalarEquivalence:
         for scheme in ALL_SCHEMES:
             if scheme.requires_broadcast:
                 continue
-            vectorised = float(network_power_grid(scheme, grid, stages))
+            surface = network_surface_arrays(scheme, grid, stages)
+            vectorised = float(surface.processing_power)
             scalar = network.evaluate(scheme, params)
             assert vectorised == pytest.approx(
                 scalar.processing_power, rel=1e-4
@@ -70,10 +72,11 @@ class TestBatchScalarEquivalence:
         shd_axis = np.array([0.1, params.shd, 0.9])
         apl_axis = np.array([[1.0], [params.apl]])
         grid = ParameterGrid.from_params(params, shd=shd_axis, apl=apl_axis)
-        power = bus_power_grid(ALL_SCHEMES[2], grid, processors=4)
+        scheme = ALL_SCHEMES[2]
+        power = bus_surface_arrays(scheme, grid, (4,)).processing_power[0]
         alone = float(
-            bus_power_grid(
-                ALL_SCHEMES[2], ParameterGrid.from_params(params), 4
-            )
+            bus_surface_arrays(
+                scheme, ParameterGrid.from_params(params), (4,)
+            ).processing_power[0]
         )
         assert power[1, 1] == pytest.approx(alone, rel=1e-12)

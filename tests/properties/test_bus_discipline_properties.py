@@ -12,16 +12,28 @@ Two satellite guarantees of the arbitration refactor:
   busy cycles equal the cost-weighted bus operations and transaction
   counts equal the operations with bus time, per
   :mod:`repro.verify.invariants`.
+* fcfs with an integral arbitration overhead folds into the
+  synchronous engines (``columnar+arb`` and the one-pass family
+  merges); the folded accounting must match the deferred-grant
+  ``engine="arbitrated"`` reference exactly.
 """
 
 import dataclasses
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import DISCIPLINES, Machine, TimedBus
+from repro.sim import (
+    DISCIPLINES,
+    Machine,
+    SimulationConfig,
+    TimedBus,
+    run_geometry_family,
+)
 from repro.sim.bus import ArbitratedBus
 from repro.sim.onepass import ONEPASS_PROTOCOLS
+from repro.trace.records import Trace
 from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
 from repro.verify.invariants import check_result_invariants
@@ -36,6 +48,31 @@ transactions = st.lists(
 )
 
 seeds = st.integers(min_value=0, max_value=2_000)
+
+references = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),  # cpu (of 3)
+        st.integers(min_value=0, max_value=3),  # kind incl. FLUSH
+        st.integers(min_value=0, max_value=23),  # block
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+
+def build_trace(refs):
+    cpu = np.array([r[0] for r in refs], dtype=np.uint16)
+    kind = np.array([r[1] for r in refs], dtype=np.uint8)
+    address = np.array([r[2] * 16 for r in refs], dtype=np.uint64)
+    # Blocks 12..23 are shared.
+    return Trace.from_arrays(
+        name="hyp-arb",
+        cpus=3,
+        shared_region=range(12 * 16, 24 * 16),
+        cpu=cpu,
+        kind=kind,
+        address=address,
+    )
 
 
 class TestTimedBusGrantArithmetic:
@@ -120,3 +157,57 @@ class TestDisciplineConservation:
                 # so the totals must equal the fcfs baseline exactly.
                 assert run.bus_busy_cycles == baseline.bus_busy_cycles
                 assert run.bus_transactions == baseline.bus_transactions
+
+
+class TestFoldedArbitrationEquivalence:
+    # The synchronous engines serve bus transactions in call order
+    # (each record's transactions are issued atomically), while the
+    # deferred ArbitratedBus interleaves parked requests.  The two
+    # coincide exactly for the single-transaction-per-record one-pass
+    # protocols — the same scope PR 9 pinned for fcfs bit-identity —
+    # so the fold is held to the deferred reference there, and to the
+    # retained synchronous reference (columnar+arb) for the coupled
+    # family protocols.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        references,
+        st.sampled_from([1.0, 2.0, 4.0]),
+        st.sampled_from(["base", "nocache", "swflush"]),
+    )
+    def test_folded_fcfs_overhead_matches_arbitrated(
+        self, refs, overhead, protocol
+    ):
+        trace = build_trace(refs)
+        config = SimulationConfig(
+            cache_bytes=256,
+            block_bytes=16,
+            associativity=2,
+            bus_arbitration_cycles=overhead,
+        )
+        machine = Machine(protocol, config)
+        folded = machine.run(trace)
+        assert folded.engine == "columnar+arb"
+        deferred = machine.run(trace, engine="arbitrated")
+        assert deferred.engine == "arbitrated"
+        assert stats_signature(folded) == stats_signature(deferred)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=200))
+    def test_family_folds_overhead_on_fuzz_shapes(self, seed):
+        case = generate_case(seed, scale=0.2)
+        size = case.config.cache_bytes
+        config = dataclasses.replace(
+            case.config, bus_arbitration_cycles=4.0
+        )
+        for protocol in ("wti", "dragon", "swflush"):
+            family = run_geometry_family(
+                protocol, case.trace, (size,),
+                block_bytes=case.config.block_bytes,
+                associativity=case.config.associativity,
+                bus_arbitration_cycles=4.0,
+            )
+            reference = Machine(protocol, config).run(case.trace)
+            assert reference.engine == "columnar+arb"
+            assert stats_signature(family[size]) == stats_signature(
+                reference
+            )

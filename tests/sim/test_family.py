@@ -142,6 +142,13 @@ class TestEpochMatchesMachine:
                 assert_family_matches_machine(
                     case.trace, protocol, [2048, 16384, 131072], order=order
                 )
+            # The case's own geometry: the fuzzer's adversarial shapes
+            # with its block size and associativity.
+            assert_family_matches_machine(
+                case.trace, protocol, [1024, case.config.cache_bytes],
+                block_bytes=case.config.block_bytes,
+                associativity=case.config.associativity,
+            )
 
 
 class TestEpochProvenance:

@@ -233,22 +233,24 @@ class TestFastPathGate:
         fractional = CostTable(costs, name="fractional")
         assert not supports_onepass("base", fractional)
         assert not supports_onepass("dragon", fractional)
-        engine, reason = family_support("base", fractional)
-        assert (engine, reason) == (
-            "fallback", "costs:non-integral operation costs"
-        )
-        before, _ = fallback_counters()
-        family = run_geometry_family(
-            "base", seeded_trace, [4096], costs=fractional
-        )
-        after, recorded = fallback_counters()
-        assert after == before + 1
-        assert recorded == reason
-        assert family[4096].engine == "columnar"
-        reference = Machine(
-            "base", SimulationConfig(cache_bytes=4096), fractional
-        ).run(seeded_trace)
-        assert stats_dict(family[4096]) == stats_dict(reference)
+        assert not supports_onepass("wti", fractional)
+        for protocol in ("base", "wti"):
+            engine, reason = family_support(protocol, fractional)
+            assert (engine, reason) == (
+                "fallback", "costs:non-integral operation costs"
+            )
+            before, _ = fallback_counters()
+            family = run_geometry_family(
+                protocol, seeded_trace, [4096], costs=fractional
+            )
+            after, recorded = fallback_counters()
+            assert after == before + 1
+            assert recorded == reason
+            assert family[4096].engine == "columnar"
+            reference = Machine(
+                protocol, SimulationConfig(cache_bytes=4096), fractional
+            ).run(seeded_trace)
+            assert stats_dict(family[4096]) == stats_dict(reference)
 
     def test_supported_combinations(self):
         for protocol in ONEPASS_PROTOCOLS:
