@@ -1,4 +1,4 @@
-"""Epoch-partitioned Dragon/WTI families and the segment-scan engine.
+"""Epoch-partitioned Dragon/WTI families.
 
 The epoch engine extends sweep-scale simulation to the geometry-coupled
 snoopy protocols: one :func:`repro.sim.run_geometry_family` call per
@@ -7,8 +7,7 @@ statistics bit-identical to ``Machine.run``.  The pytest-benchmark
 entries here track the eight-size family for both protocols;
 ``test_dragon_family_speedup`` / ``test_wti_family_speedup`` record the
 measured ratios (``extra_info["speedup"]``) and enforce the 2x
-wall-clock floor.  ``test_segment_speedup`` records the segment-scan
-replay engine's single-config speedup over the columnar loop.
+wall-clock floor.
 
 The module also runs standalone for CI::
 
@@ -46,8 +45,6 @@ _WALL_FLOOR = 2.0
 #: smoke floor sits below the benchmarked claim so a loaded box does
 #: not flake the gate, while a real regression still trips it).
 _SMOKE_WALL_FLOOR = 1.6
-_SEGMENT_FLOOR = 1.1
-_SEGMENT_PROTOCOL = "base"
 
 
 def _trace(records: int):
@@ -133,30 +130,6 @@ def test_wti_family_speedup(benchmark):
     _family_speedup(benchmark, "wti")
 
 
-def test_segment_speedup(benchmark):
-    """Record the segment-scan engine's speedup over the columnar loop."""
-    trace = _trace(_BENCH_RECORDS)
-    machine = Machine(_SEGMENT_PROTOCOL, SimulationConfig())
-    columnar = machine.run(trace, engine="columnar")
-    columnar_seconds = _min_seconds(
-        lambda: machine.run(trace, engine="columnar")
-    )
-    segment = benchmark(lambda: machine.run(trace, engine="segment"))
-    segment_seconds = benchmark.stats.stats.min
-
-    assert segment.engine == "segment"
-    assert stats_signature(segment) == stats_signature(columnar)
-    speedup = columnar_seconds / segment_seconds
-    benchmark.extra_info["columnar_seconds"] = columnar_seconds
-    benchmark.extra_info["segment_seconds"] = segment_seconds
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["records"] = len(trace)
-    assert speedup >= _SEGMENT_FLOOR, (
-        f"segment engine only {speedup:.2f}x faster than columnar "
-        f"({columnar_seconds:.3f}s vs {segment_seconds:.3f}s)"
-    )
-
-
 # -- standalone smoke mode ----------------------------------------------
 
 
@@ -173,12 +146,6 @@ def run_smoke() -> int:
         if any(run.engine != "epoch" for run in family.values()):
             print(f"FAST PATH NOT USED for {protocol}", file=sys.stderr)
             failures += 1
-    machine = Machine(_SEGMENT_PROTOCOL, SimulationConfig())
-    if stats_signature(machine.run(trace, engine="segment")) != (
-        stats_signature(machine.run(trace, engine="columnar"))
-    ):
-        print("MISMATCH segment engine", file=sys.stderr)
-        failures += 1
     if failures:
         return 1
 

@@ -22,6 +22,7 @@ numbers and experiments can explore other block sizes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -72,6 +73,12 @@ class OperationCost:
     channel_cycles: float
 
     def __post_init__(self) -> None:
+        # NaN compares False against everything, so it would slip past
+        # the sign checks below and poison every clock downstream.
+        for field_name in ("cpu_cycles", "channel_cycles"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value}")
         if self.cpu_cycles < 0.0:
             raise ValueError(f"cpu_cycles must be >= 0, got {self.cpu_cycles}")
         if self.channel_cycles < 0.0:

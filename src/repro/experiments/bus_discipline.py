@@ -63,7 +63,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
 
     * ``fcfs`` through the arbitrated engine is bit-identical to the
       default engines for a geometry-local protocol;
-    * the family/segment fast paths refuse non-FCFS disciplines with
+    * the geometry-family fast paths refuse non-FCFS disciplines with
       a loud structured ``bus-discipline:`` reason instead of
       silently diverging;
     * every discipline satisfies the conservation invariants, batched
@@ -220,20 +220,6 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
         "family-fallback-runs-arbitrated",
         family_run.engine == "arbitrated",
         f"fallback result engine={family_run.engine!r}",
-    )
-    batched_config = dataclasses.replace(
-        config, bus_discipline="batched"
-    )
-    try:
-        Machine("swflush", batched_config).run(trace, engine="segment")
-    except ValueError as error:
-        segment_refused = "bus-discipline:" in str(error)
-        segment_detail = str(error)
-    else:
-        segment_refused = False
-        segment_detail = "segment engine accepted a batched-discipline run"
-    result.add_check(
-        "segment-engine-refuses-non-fcfs", segment_refused, segment_detail
     )
 
     # -- model: where the crossover run length moves ---------------------

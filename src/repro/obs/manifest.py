@@ -18,7 +18,8 @@ per-cell events, each a single JSON object on its own line:
      "peak_rss_kb": 181240, "fallback_reason": "", "digest": "sha256:ab12..."}
 
 ``engine`` is the replay engine of the cell's last simulation
-(``columnar``, ``legacy``, ``segment``, ``onepass``, or ``epoch``) and
+(``legacy``, ``columnar``, ``columnar+arb``, ``arbitrated``,
+``onepass``, or ``epoch``) and
 ``fallback_reason`` is the structured ``category:detail`` reason when
 a geometry-family call inside the cell fell back to per-config replay
 (empty when nothing fell back) — so a sweep that silently lost its

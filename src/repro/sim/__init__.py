@@ -33,14 +33,8 @@ from repro.sim.onepass import (
     ONEPASS_PROTOCOLS,
     family_support,
     run_geometry_family,
-    supports_onepass,
 )
-from repro.sim.segment import (
-    SEGMENT_PROTOCOLS,
-    classify_lru,
-    segment_events,
-    segment_reason,
-)
+from repro.sim.segment import classify_lru
 from repro.sim.netsim import NetworkSimResult, OmegaNetworkSimulator
 from repro.sim.protocols import (
     PROTOCOLS,
@@ -70,7 +64,6 @@ __all__ = [
     "PROTOCOLS",
     "OmegaNetworkSimulator",
     "Protocol",
-    "SEGMENT_PROTOCOLS",
     "SimulationConfig",
     "SimulationResult",
     "SoftwareFlushProtocol",
@@ -81,8 +74,5 @@ __all__ = [
     "protocol_class",
     "run_coupled_family",
     "run_geometry_family",
-    "segment_events",
-    "segment_reason",
-    "supports_onepass",
     "validate_discipline",
 ]

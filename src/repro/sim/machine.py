@@ -313,10 +313,7 @@ class Machine:
                 preserved either way.
             engine: ``"columnar"`` (default) runs the fast
                 array-consuming replay loop; ``"legacy"`` runs the
-                original record loop; ``"segment"`` runs the pure-numpy
-                segment-scan kernel (geometry-local protocols,
-                associativity 1 or 2, integral costs — raises
-                ``ValueError`` otherwise); ``"arbitrated"`` runs the
+                original record loop; ``"arbitrated"`` runs the
                 deferred-grant engine honouring the configured bus
                 discipline.  A non-``fcfs``
                 ``config.bus_discipline`` forces the arbitrated
@@ -326,21 +323,15 @@ class Machine:
         """
         if order not in ("time", "trace"):
             raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
-        if engine not in ("columnar", "legacy", "segment", "arbitrated"):
+        if engine not in ("columnar", "legacy", "arbitrated"):
             raise ValueError(
-                f"engine must be 'columnar', 'legacy', 'segment', or "
-                f"'arbitrated', got {engine!r}"
+                "engine must be 'columnar', 'legacy', or 'arbitrated', "
+                f"got {engine!r}"
             )
         if cpus is not None and cpus != trace.cpus:
             trace = trace.restricted_to(cpus)
         discipline = self.config.bus_discipline
         arbitrated = engine == "arbitrated" or discipline != "fcfs"
-        if engine == "segment":
-            # Lazy import: onepass imports this module.  Non-default
-            # disciplines raise a structured error inside the gate.
-            from repro.sim.onepass import run_segment_engine
-
-            return run_segment_engine(self, trace, order)
         if arbitrated and order == "trace":
             raise ValueError(
                 "order='trace' cannot be honoured by the arbitrated "

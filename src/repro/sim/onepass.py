@@ -8,9 +8,11 @@ No-Cache, and Software-Flush, whose fast-path contract flags
 one CPU's cache contents evolve from that CPU's program-order stream
 alone — the per-geometry work factors cleanly:
 
-1. **Classify once** (:func:`_classify`): a single traversal of each
-   CPU's stream updates one LRU cache *per geometry in the family*
-   simultaneously and records, per geometry, only the *events*: the
+1. **Classify once** (:func:`_classify`, the one classifier for the
+   geometry-local protocols, at every associativity and with or
+   without flush records): a single traversal of each CPU's stream
+   updates one LRU cache *per geometry in the family* simultaneously
+   and records, per geometry, only the *events*: the
    references that miss (with their victim's dirtiness), the uncached
    shared read/write-throughs (No-Cache), and the flushes
    (Software-Flush).  A vectorised *per-geometry* prefilter first
@@ -43,9 +45,10 @@ advances equal record-by-record ones in float arithmetic — the same
 gate ``Machine``'s static hit analysis applies).  Dragon and WTI —
 whose sharing traffic couples the CPUs' cache contents — take the
 epoch-partitioned family engine in :mod:`repro.sim.family` instead
-(same one-traversal cost structure, different factorisation).  Any
-remaining case — other coupled protocols, non-integral cost tables,
-associativities outside the run-collapse theorem —
+(same one-traversal cost structure, different factorisation, with the
+run-collapse kernel of :mod:`repro.sim.segment` as its classifier).
+Any remaining case — other coupled protocols, non-integral cost
+tables, Dragon/WTI associativities outside the run-collapse theorem —
 :func:`run_geometry_family` transparently falls back to one exact
 ``Machine.run`` per configuration; :func:`family_support` names the
 engine or the structured fallback reason.
@@ -69,7 +72,6 @@ from repro.sim.machine import (
     SimulationResult,
 )
 from repro.sim.protocols import HYBRID_PROTOCOLS, Protocol, protocol_class
-from repro.sim.segment import segment_events, segment_reason
 from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import Trace
 
@@ -77,8 +79,6 @@ __all__ = [
     "ONEPASS_PROTOCOLS",
     "family_support",
     "run_geometry_family",
-    "run_segment_engine",
-    "supports_onepass",
 ]
 
 #: Protocols the one-pass engine handles.  Membership is by name on
@@ -203,22 +203,6 @@ def family_support(
     )
 
 
-def supports_onepass(
-    protocol: str | type[Protocol],
-    costs: CostTable | None = None,
-    associativity: int = 2,
-) -> bool:
-    """Whether some one-traversal family engine is exact here.
-
-    True iff :func:`family_support` selects either the geometry-local
-    one-pass fast path (Base/No-Cache/Software-Flush with the contract
-    flags and integral costs) or the epoch-partitioned coupled engine
-    (Dragon/WTI with integral costs and associativity 1 or 2).
-    """
-    engine, _ = family_support(protocol, costs, associativity)
-    return engine != "fallback"
-
-
 def run_geometry_family(
     protocol: str | type[Protocol],
     trace: Trace,
@@ -259,7 +243,8 @@ def run_geometry_family(
         bit-identical to ``Machine(protocol, config, costs).run(trace,
         order=order)`` per configuration.  Fast-path results carry
         ``engine="onepass"`` and share the family's wall time; fallback
-        results come straight from ``Machine.run``.
+        results come straight from ``Machine.run``.  An empty
+        ``cache_sizes`` returns ``{}`` for every protocol.
     """
     if order not in ("time", "trace"):
         raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
@@ -277,6 +262,8 @@ def run_geometry_family(
     }
     for config in configs.values():
         config.geometry  # validate the family eagerly
+    if not configs:
+        return {}
 
     if cpus is not None and cpus != trace.cpus:
         trace = trace.restricted_to(cpus)
@@ -303,24 +290,7 @@ def run_geometry_family(
     block_shift = next(iter(configs.values())).geometry.block_shift
     derived = derived_columns(trace, block_shift)
     geometries = [configs[size].geometry for size in configs]
-    handled_flushes = name == "swflush" and bool(
-        np.count_nonzero(trace.kind == 3)
-    )
-    if (
-        segment_reason(name, table, associativity, trace) is None
-        and not handled_flushes
-    ):
-        # The segment-scan kernel classifies the whole family without
-        # a per-record loop; it covers associativity 1 and 2.  Handled
-        # flushes stay on the classify walk below: the kernel replays
-        # flush-bearing segments exactly but per geometry, while the
-        # walk shares that work across the whole family.
-        events = [
-            segment_events(name, derived, trace.cpus, geometry)
-            for geometry in geometries
-        ]
-    else:
-        events = _classify(name, derived, trace.cpus, geometries)
+    events = _classify(name, derived, trace.cpus, geometries)
     views = _cpu_views(derived, trace.cpus)
     results: dict[int, SimulationResult] = {}
     for index, size in enumerate(configs):
@@ -810,54 +780,4 @@ def _account(
     result.protocol_stats = None
     result.engine = "onepass"
     result.records_replayed = len(trace)
-    return result
-
-
-# -- single-config segment-scan engine (Machine.run(engine="segment")) ---
-
-
-def run_segment_engine(
-    machine: Machine, trace: Trace, order: str
-) -> SimulationResult:
-    """One configuration replayed through the segment-scan kernel.
-
-    Backs ``Machine.run(engine="segment")``: classification comes from
-    :func:`repro.sim.segment.segment_events` (pure array passes, no
-    per-record Python loop) and timing from the same exact
-    :func:`_account` merge the one-pass family uses.  Raises
-    ``ValueError`` when the kernel is not exact for the combination —
-    the caller chose the engine explicitly, so a silent fallback would
-    misreport provenance.
-    """
-    cls = machine.protocol_class
-    reason = segment_reason(
-        cls,
-        machine.costs,
-        machine.config.associativity,
-        trace,
-        bus_discipline=machine.config.bus_discipline,
-        bus_arbitration_cycles=machine.config.bus_arbitration_cycles,
-    )
-    if reason is not None:
-        raise ValueError(
-            f"segment engine is not exact for this run ({reason}); "
-            "use engine='columnar'"
-        )
-    started = time.perf_counter()
-    geometry = machine.config.geometry
-    derived = derived_columns(trace, geometry.block_shift)
-    events = segment_events(cls.name, derived, trace.cpus, geometry)
-    result = _account(
-        cls.name,
-        trace,
-        machine.config,
-        machine.costs,
-        order,
-        derived,
-        _cpu_views(derived, trace.cpus),
-        events,
-    )
-    result.engine = "segment"
-    result.run_wall_s = time.perf_counter() - started
-    note_replay(len(trace), "segment")
     return result

@@ -1,13 +1,13 @@
-"""Pure-numpy segment-scan classification of LRU reference streams.
+"""Run-collapse LRU classification: the kernel of the coupled families.
 
-The per-record Python loops that remain in the simulator — the
-residue walk in :func:`repro.sim.onepass._classify` and the stateful
-per-reference replay in ``Machine``'s engines — all answer the same
-question: *which references miss, and which block do they evict?*
-For caches of associativity one or two that question has a closed
-form over **runs** (maximal sequences of consecutive same-block
-touches within one ``(cpu, set)`` segment), so the whole
-classification collapses to array passes:
+The Dragon and WTI family engines (:mod:`repro.sim.family`) classify
+every geometry of a sweep here, without a per-record Python loop,
+wherever a CPU's cache contents evolve from its own stream.  The
+question is *which references miss, and which block do they evict?*
+For caches of associativity one or two it has a closed form over
+**runs** (maximal sequences of consecutive same-block touches within
+one ``(cpu, set)`` segment), so the whole classification collapses to
+array passes:
 
 * Partition each CPU's touch stream by set (one stable grouped sort),
   then collapse consecutive same-block touches into runs.  Within a
@@ -28,24 +28,16 @@ classification collapses to array passes:
 Victim dirtiness then reduces to "did this CPU issue a cachable store
 to the victim's block while it was resident", a batch of interval
 queries over composite ``((block, cpu), position)`` keys answered
-with two ``searchsorted`` calls — no state machine at all.
+with two ``searchsorted`` calls (:func:`dirty_flags`) — no state
+machine at all.
 
-The theorem breaks under *handled* flush records (a flush removes a
-line mid-run, so the set no longer holds exactly the last two run
-blocks) — but only inside the ``(cpu, set)`` segments that actually
-contain a flush.  :func:`classify_lru` therefore takes an optional
-``flushes`` mask: flush-containing segments are replayed exactly by a
-small per-segment Python loop (mirroring the reference classifier's
-flush semantics — resident flushed lines record their block and true
-insertion position for the dirtiness interval query), while every
-flush-free segment keeps the closed form.  :func:`segment_reason`
-still gates on the geometry-local protocol contract and integral
-costs that every one-pass engine requires; Associativities above two
-would need the full stack-distance machinery, so they take the
-classic path.
+The geometry-local protocols (Base, No-Cache, Software-Flush) do not
+use this kernel: their one classifier is the family walk
+:func:`repro.sim.onepass._classify`, which also handles flush records
+and every associativity.
 
-This module is a leaf: it must not import :mod:`repro.sim.machine` or
-:mod:`repro.sim.onepass` (both import it, directly or lazily).
+This module is a leaf: it must not import :mod:`repro.sim.machine`,
+:mod:`repro.sim.onepass` or :mod:`repro.sim.family`.
 """
 
 from __future__ import annotations
@@ -54,99 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.operations import CostTable, Operation
-from repro.sim.protocols import Protocol, protocol_class
 from repro.trace.derived import DerivedColumns
-from repro.trace.records import Trace
 
 __all__ = [
-    "EVENT_OPERATIONS",
     "LruClassification",
-    "SEGMENT_PROTOCOLS",
     "classify_lru",
     "dirty_flags",
-    "segment_events",
-    "segment_reason",
     "stream_positions",
 ]
-
-#: Geometry-local protocols the segment event builder understands
-#: (same membership rationale as ``onepass.ONEPASS_PROTOCOLS``: the
-#: builder hard-codes each protocol's miss/through outcome mapping).
-SEGMENT_PROTOCOLS = ("base", "nocache", "swflush")
-
-# Event opcodes shared with repro.sim.onepass._account: positions in
-# EVENT_OPERATIONS.
-CLEAN_MISS = 0
-DIRTY_MISS = 1
-READ_THROUGH = 2
-WRITE_THROUGH = 3
-CLEAN_FLUSH = 4
-DIRTY_FLUSH = 5
-
-EVENT_OPERATIONS = (
-    Operation.CLEAN_MISS_MEMORY,
-    Operation.DIRTY_MISS_MEMORY,
-    Operation.READ_THROUGH,
-    Operation.WRITE_THROUGH,
-    Operation.CLEAN_FLUSH,
-    Operation.DIRTY_FLUSH,
-)
-
-
-def segment_reason(
-    protocol: str | type[Protocol],
-    costs: CostTable | None = None,
-    associativity: int = 2,
-    trace: Trace | None = None,
-    bus_discipline: str = "fcfs",
-    bus_arbitration_cycles: float = 0.0,
-) -> str | None:
-    """Why the segment-scan backend is *not* exact here, or None.
-
-    The reason strings are structured ``category:detail`` so the run
-    manifest can record them (see ``repro.obs.metrics``).
-    """
-    if bus_discipline != "fcfs":
-        return (
-            f"bus-discipline:{bus_discipline} needs the deferred-grant "
-            "arbitrated engine"
-        )
-    if bus_arbitration_cycles != 0.0 and not float(
-        bus_arbitration_cycles
-    ).is_integer():
-        # Integral fcfs overhead folds into the accounting merge's
-        # TimedBus exactly; non-integral overhead breaks the batched
-        # float-exactness gate.
-        return (
-            "bus-discipline:arbitration overhead "
-            f"{bus_arbitration_cycles:g} cycles is non-integral and "
-            "cannot be folded exactly into the segment merge"
-        )
-    name = protocol if isinstance(protocol, str) else protocol.name
-    if name not in SEGMENT_PROTOCOLS:
-        return f"protocol:{name} is not geometry-local"
-    cls = protocol_class(name) if isinstance(protocol, str) else protocol
-    if not (
-        cls.read_hit_is_free
-        and cls.store_hit_is_local
-        and cls.remote_traffic_preserves_residency
-        and not cls.may_steal_cycles
-    ):
-        return f"protocol:{name} breaks the geometry-local contract flags"
-    if associativity not in (1, 2):
-        return (
-            f"associativity:{associativity} (the run-collapse theorem "
-            "covers 1 and 2)"
-        )
-    table = costs if costs is not None else CostTable.bus()
-    if not all(
-        float(cost.cpu_cycles).is_integer()
-        and float(cost.channel_cycles).is_integer()
-        for _, cost in table.items()
-    ):
-        return "costs:non-integral operation costs"
-    return None
 
 
 def stream_positions(derived: DerivedColumns) -> np.ndarray:
@@ -185,22 +92,12 @@ def classify_lru(
     sets: int,
     associativity: int,
     touches: np.ndarray,
-    flushes: np.ndarray | None = None,
 ) -> LruClassification:
     """Classify every touching reference against an LRU cache family.
 
     Exact for promote-on-every-touch, insert-on-miss LRU sets of
     associativity 1 or 2 whose membership evolves from the CPU's own
     stream alone (no invalidations among ``touches`` — callers gate).
-
-    ``flushes`` (optional, sorted-record space, a subset of
-    ``touches``) marks handled flush records: a flush invalidates its
-    block without inserting anything.  The run-collapse closed form
-    breaks in segments containing a flush, so those segments are
-    replayed exactly by a per-segment loop; a flush of a *resident*
-    block records the block and its true insertion position in
-    ``victim_block``/``victim_pos`` (with ``miss`` False) so callers
-    can issue the flush-dirtiness interval query.
     """
     if associativity not in (1, 2):
         raise ValueError(
@@ -224,42 +121,6 @@ def classify_lru(
     g_seg = segment[g_order]
     g_block = t_block[g_order]
     g_idx = t_idx[g_order]
-
-    if flushes is not None:
-        f_sorted = flushes[g_idx]
-        if f_sorted.any():
-            # Isolate the flush-containing segments and replay them
-            # exactly; the closed form below sees only flush-free
-            # segments (runs never span segments, so dropping whole
-            # segments preserves every remaining run boundary).
-            m = len(g_idx)
-            new_seg = np.ones(m, dtype=bool)
-            new_seg[1:] = g_seg[1:] != g_seg[:-1]
-            seg_id = np.cumsum(new_seg) - 1
-            has_flush = np.zeros(int(seg_id[-1]) + 1, dtype=bool)
-            has_flush[seg_id[f_sorted]] = True
-            replay = has_flush[seg_id]
-            spos_all = stream_positions(derived)
-            _replay_flush_segments(
-                seg_id[replay].tolist(),
-                g_block[replay].tolist(),
-                g_idx[replay].tolist(),
-                f_sorted[replay].tolist(),
-                spos_all[g_idx[replay]].tolist(),
-                associativity,
-                miss,
-                victim_block,
-                victim_pos,
-                prev_same,
-            )
-            keep = ~replay
-            g_seg = g_seg[keep]
-            g_block = g_block[keep]
-            g_idx = g_idx[keep]
-            if not len(g_idx):
-                return LruClassification(
-                    miss, victim_block, victim_pos, prev_same
-                )
     m = len(g_idx)
 
     same = np.zeros(m, dtype=bool)
@@ -321,61 +182,6 @@ def classify_lru(
     return LruClassification(miss, victim_block, victim_pos, prev_same)
 
 
-def _replay_flush_segments(
-    r_seg: list,
-    r_block: list,
-    r_idx: list,
-    r_flush: list,
-    r_pos: list,
-    associativity: int,
-    miss: np.ndarray,
-    victim_block: np.ndarray,
-    victim_pos: np.ndarray,
-    prev_same: np.ndarray,
-) -> None:
-    """Exact LRU replay of the flush-containing segments.
-
-    Same semantics as the reference classifier's flush branch
-    (``onepass._classify``): pop-then-reinsert LRU via an insertion-
-    ordered dict mapping block -> true insertion position; a flush
-    invalidates without inserting, recording the block and insertion
-    position when it was resident (``miss`` stays False — the caller
-    distinguishes flush queries by record kind).
-    """
-    cache: dict = {}
-    prev_seg = -1
-    prev_block = -1
-    prev_left = False
-    for seg, block, idx, fl, pos in zip(
-        r_seg, r_block, r_idx, r_flush, r_pos
-    ):
-        if seg != prev_seg:
-            cache = {}
-            prev_seg = seg
-            prev_left = False
-        if prev_left and block == prev_block:
-            prev_same[idx] = True
-        inserted = cache.pop(block, -1)
-        if fl:
-            if inserted >= 0:
-                victim_block[idx] = block
-                victim_pos[idx] = inserted
-            prev_block = block
-            prev_left = False
-            continue
-        if inserted >= 0:
-            cache[block] = inserted
-        else:
-            miss[idx] = True
-            if len(cache) >= associativity:
-                victim = next(iter(cache))
-                victim_block[idx] = victim
-                victim_pos[idx] = cache.pop(victim)
-            cache[block] = pos
-        prev_block = block
-        prev_left = True
-
-
 def dirty_flags(
     derived: DerivedColumns,
     touches: np.ndarray,
@@ -411,105 +217,3 @@ def dirty_flags(
     lo = q_ids + query_lo
     hi = q_ids + query_hi
     return np.searchsorted(s_keys, hi) > np.searchsorted(s_keys, lo)
-
-
-def segment_events(
-    name: str,
-    derived: DerivedColumns,
-    n: int,
-    geometry,
-) -> list[tuple[list[int], list[int]]]:
-    """Per-CPU ``(positions, opcodes)`` event lists for one geometry.
-
-    Drop-in replacement for one geometry's slice of
-    ``repro.sim.onepass._classify`` — same event contract, consumed by
-    the same ``_account`` — built from array passes (plus the exact
-    per-segment replay of flush-containing segments for protocols
-    that handle flushes).  Callers must have passed the
-    :func:`segment_reason` gate.
-    """
-    kinds = derived.kinds_sorted
-    total = len(kinds)
-    handles_flush = name == "swflush"
-    touches = np.ones(total, dtype=bool)
-    uncached = None
-    if name == "nocache":
-        uncached = ((kinds == 1) | (kinds == 2)) & derived.shared_sorted
-        touches &= ~uncached
-    flushes: np.ndarray | None = None
-    if handles_flush:
-        flushes = kinds == 3
-        if not flushes.any():
-            flushes = None
-    else:
-        touches &= kinds != 3
-
-    cls = classify_lru(
-        derived, geometry.sets, geometry.associativity, touches,
-        flushes=flushes,
-    )
-    spos = stream_positions(derived)
-    m_idx = np.flatnonzero(cls.miss)
-    opcodes = np.zeros(len(m_idx), dtype=np.int64)  # CLEAN_MISS
-    queried = np.flatnonzero(cls.victim_block[m_idx] >= 0)
-    if len(queried):
-        q_idx = m_idx[queried]
-        dirty = dirty_flags(
-            derived,
-            touches,
-            spos,
-            derived.cpus_sorted[q_idx],
-            cls.victim_block[q_idx],
-            cls.victim_pos[q_idx],
-            spos[q_idx],
-        )
-        opcodes[queried[dirty]] = DIRTY_MISS
-
-    if flushes is not None:
-        # Every flush is an event (flushing a non-resident block still
-        # costs its cycle); resident flushed lines take the dirtiness
-        # interval query over [insertion, flush).
-        f_idx = np.flatnonzero(flushes)
-        f_ops = np.full(len(f_idx), CLEAN_FLUSH, dtype=np.int64)
-        resident = np.flatnonzero(cls.victim_block[f_idx] >= 0)
-        if len(resident):
-            q_idx = f_idx[resident]
-            dirty = dirty_flags(
-                derived,
-                touches,
-                spos,
-                derived.cpus_sorted[q_idx],
-                cls.victim_block[q_idx],
-                cls.victim_pos[q_idx],
-                spos[q_idx],
-            )
-            f_ops[resident[dirty]] = DIRTY_FLUSH
-        all_idx = np.concatenate([m_idx, f_idx])
-        merge = np.argsort(all_idx, kind="stable")
-        m_idx = all_idx[merge]
-        opcodes = np.concatenate([opcodes, f_ops])[merge]
-
-    offsets = derived.offsets
-    counts = derived.counts
-    events: list[tuple[list[int], list[int]]] = []
-    for cpu in range(n):
-        start = offsets[cpu]
-        stop = start + counts[cpu]
-        lo = int(np.searchsorted(m_idx, start))
-        hi = int(np.searchsorted(m_idx, stop))
-        pos = m_idx[lo:hi] - start
-        ops = opcodes[lo:hi]
-        if uncached is not None:
-            through_pos = np.flatnonzero(uncached[start:stop])
-            if len(through_pos):
-                through_ops = np.where(
-                    kinds[start:stop][through_pos] == 2,
-                    WRITE_THROUGH,
-                    READ_THROUGH,
-                ).astype(np.int64)
-                all_pos = np.concatenate([pos, through_pos])
-                merge = np.argsort(all_pos, kind="stable")
-                pos = all_pos[merge]
-                ops = np.concatenate([ops, through_ops])[merge]
-        events.append((pos.tolist(), ops.tolist()))
-    return events

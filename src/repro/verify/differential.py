@@ -9,15 +9,12 @@ failure wins for that protocol):
 2. **Invariants** — the columnar results must satisfy the global
    conservation laws of :mod:`repro.verify.invariants`.
 3. **One-pass diff** — for protocols with a family engine
-   (:func:`repro.sim.supports_onepass`), a
-   :func:`repro.sim.run_geometry_family` call covering the case's
-   cache size plus a 4x larger one must engage the one-pass or epoch
-   engine, reproduce the columnar statistics exactly at the case's
-   size, and satisfy the invariants at the larger size — both replay
-   orders.
-3b. **Segment diff** — where :func:`repro.sim.segment_reason` declares
-   the segment-scan kernel exact, ``Machine.run(engine="segment")``
-   must reproduce the columnar statistics bit-for-bit.
+   (:func:`repro.sim.family_support` names one other than
+   ``fallback``), a :func:`repro.sim.run_geometry_family` call
+   covering the case's cache size plus a 4x larger one must engage
+   the one-pass or epoch engine, reproduce the columnar statistics
+   exactly at the case's size, and satisfy the invariants at the
+   larger size — both replay orders.
 4. **Oracle shadow** — the protocol re-runs with every fast-path
    contract flag disabled while a per-line reference state machine
    (:mod:`repro.verify.oracles`) validates each transition and then
@@ -57,10 +54,9 @@ from repro.sim.machine import Machine, SimulationConfig, SimulationResult
 from repro.sim.measure import measure_workload_params
 from repro.sim.onepass import (
     ONEPASS_PROTOCOLS,
+    family_support,
     run_geometry_family,
-    supports_onepass,
 )
-from repro.sim.segment import segment_reason
 from repro.trace.records import Trace
 from repro.verify.fuzzer import FuzzCase, generate_case
 from repro.verify.invariants import (
@@ -120,8 +116,7 @@ class FuzzFailure:
     """One reproducible divergence, in picklable primitives.
 
     ``check`` identifies the failing stage: ``engine-diff:<order>``,
-    ``invariants:<order>``, ``onepass-diff:<order>``,
-    ``segment-diff:<order>``, ``oracle``,
+    ``invariants:<order>``, ``onepass-diff:<order>``, ``oracle``,
     ``shadow-diff``, ``discipline:<name>``, or ``model-band``.
     """
 
@@ -327,26 +322,6 @@ def _onepass_divergence(
     return None
 
 
-def _segment_divergence(
-    trace: Trace,
-    config: SimulationConfig,
-    protocol: str,
-    order: str,
-    columnar: SimulationResult,
-) -> str | None:
-    """Why the segment-scan engine diverges from ``columnar`` (None = ok).
-
-    Only called when :func:`repro.sim.segment.segment_reason` declares
-    the kernel exact for the combination.
-    """
-    run = Machine(protocol, config).run(trace, order=order, engine="segment")
-    left = stats_signature(run)
-    right = stats_signature(columnar)
-    if left != right:
-        return "segment vs columnar: " + _describe_divergence(left, right)
-    return None
-
-
 #: Order-independent counters every bus discipline must conserve for
 #: the geometry-local protocols (whose outcomes never depend on the
 #: cross-CPU interleaving the arbiter chooses).
@@ -463,27 +438,15 @@ def _check_protocol(
             check_result_invariants(columnar, trace=case.trace)
         except InvariantViolation as violation:
             return failure(f"invariants:{order}", str(violation)), None
-        if supports_onepass(
+        engine, _ = family_support(
             protocol, associativity=case.config.associativity
-        ):
+        )
+        if engine != "fallback":
             message = _onepass_divergence(
                 case.trace, case.config, protocol, order, columnar
             )
             if message is not None:
                 return failure(f"onepass-diff:{order}", message), None
-        if (
-            segment_reason(
-                protocol,
-                associativity=case.config.associativity,
-                trace=case.trace,
-            )
-            is None
-        ):
-            message = _segment_divergence(
-                case.trace, case.config, protocol, order, columnar
-            )
-            if message is not None:
-                return failure(f"segment-diff:{order}", message), None
         if order == "time":
             time_result = columnar
 
@@ -586,26 +549,6 @@ def _failure_predicate(
             columnar = _run(trace, config, protocol, order)
             return (
                 _onepass_divergence(trace, config, protocol, order, columnar)
-                is not None
-            )
-
-        return predicate
-    if check.startswith("segment-diff:"):
-        order = check.split(":", 1)[1]
-
-        def predicate(trace: Trace) -> bool:
-            if (
-                segment_reason(
-                    protocol,
-                    associativity=config.associativity,
-                    trace=trace,
-                )
-                is not None
-            ):
-                return False
-            columnar = _run(trace, config, protocol, order)
-            return (
-                _segment_divergence(trace, config, protocol, order, columnar)
                 is not None
             )
 

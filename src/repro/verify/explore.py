@@ -45,8 +45,9 @@ What is (and is not) proven
 Within the bounds — CPUs, cache geometry, block alphabet, and search
 depth — every reachable transition satisfies the oracle's rules, and
 (budget permitting) every reached state's shortest path replays
-identically through the columnar, legacy, and (where the gate admits
-it) segment engines while satisfying the global conservation
+identically through the columnar and legacy engines and (where
+``family_support`` routes the protocol to it) a one-size one-pass
+family, while satisfying the global conservation
 invariants.  Nothing is claimed beyond the bounds: a bug that needs
 three CPUs is invisible at two, and one that needs a deeper
 interleaving is invisible below its depth.  The fuzzer keeps covering
@@ -76,7 +77,7 @@ import numpy as np
 from repro.sim.cache import Cache, LineState
 from repro.sim.machine import Machine, SimulationConfig
 from repro.sim.protocols import protocol_class
-from repro.sim.segment import segment_reason
+from repro.sim.onepass import family_support, run_geometry_family
 from repro.trace.records import (
     ADDRESS_DTYPE,
     CPU_DTYPE,
@@ -199,8 +200,9 @@ class ExploreBounds:
             truncated (not exhaustive) when it runs out.
         conformance: how many discovered states also get a
             cross-engine replay of their shortest path (columnar vs
-            legacy vs segment where exact, plus the global
-            invariants); states are checked in BFS discovery order.
+            legacy vs the one-pass family where it applies, plus the
+            global invariants); states are checked in BFS discovery
+            order.
     """
 
     cpus: int = 2
@@ -256,7 +258,7 @@ class ExploreViolation:
 
     ``failure.check`` is ``oracle:trace`` for a per-step oracle
     violation, or one of ``engine-diff:trace`` / ``invariants:trace``
-    / ``segment-diff:trace`` for a frontier-conformance failure; the
+    / ``onepass-diff:trace`` for a frontier-conformance failure; the
     trace replays the shortest path that triggers it.
     """
 
@@ -442,8 +444,8 @@ def _conformance_divergence(
 ) -> tuple[str, str] | None:
     """(check, message) when the engines disagree on this path, else
     None.  ``protocol`` may be a registry name or a Protocol class;
-    the segment gate only applies to registry names (its exactness
-    analysis is about the real protocols)."""
+    the one-pass cross-check only applies to registry names (its
+    routing gate is about the real protocols)."""
     columnar = Machine(protocol, config).run(trace, order="trace")
     legacy = Machine(protocol, config).run(
         trace, order="trace", engine="legacy"
@@ -461,19 +463,23 @@ def _conformance_divergence(
         return "invariants:trace", str(violation)
     if (
         isinstance(protocol, str)
-        and segment_reason(
-            protocol, associativity=config.associativity, trace=trace
-        )
-        is None
+        and family_support(protocol, associativity=config.associativity)[0]
+        == "onepass"
     ):
-        segment = Machine(protocol, config).run(
-            trace, order="trace", engine="segment"
+        family = run_geometry_family(
+            protocol,
+            trace,
+            [config.cache_bytes],
+            block_bytes=config.block_bytes,
+            associativity=config.associativity,
+            order="trace",
         )
-        seg = stats_signature(segment)
-        if seg != left:
+        onepass = stats_signature(family[config.cache_bytes])
+        if onepass != left:
             return (
-                "segment-diff:trace",
-                "segment vs columnar: " + _describe_divergence(seg, left),
+                "onepass-diff:trace",
+                "one-pass family vs columnar: "
+                + _describe_divergence(onepass, left),
             )
     return None
 

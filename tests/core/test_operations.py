@@ -36,6 +36,24 @@ class TestOperationCost:
         with pytest.raises(ValueError):
             OperationCost(cpu, channel)
 
+    @pytest.mark.parametrize(
+        "cpu,channel,field,value",
+        [
+            (float("nan"), 0.0, "cpu_cycles", "nan"),
+            (float("inf"), 0.0, "cpu_cycles", "inf"),
+            (float("inf"), float("inf"), "cpu_cycles", "inf"),
+            (10.0, float("nan"), "channel_cycles", "nan"),
+            (10.0, float("-inf"), "channel_cycles", "-inf"),
+        ],
+    )
+    def test_rejects_non_finite(self, cpu, channel, field, value):
+        # NaN passes every ordered comparison's negation, so without
+        # the finiteness check it would reach the engines.
+        with pytest.raises(
+            ValueError, match=f"^{field} must be finite, got {value}$"
+        ):
+            OperationCost(cpu, channel)
+
 
 class TestBusTable:
     @pytest.mark.parametrize("operation,expected", PUBLISHED_TABLE1.items())

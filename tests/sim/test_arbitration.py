@@ -13,7 +13,6 @@ from repro.sim import (
     validate_discipline,
 )
 from repro.sim.onepass import ONEPASS_PROTOCOLS, family_support
-from repro.sim.segment import segment_reason
 from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
 from repro.verify.invariants import check_result_invariants
@@ -238,37 +237,19 @@ class TestFastPathGates:
         ).run(case.trace)
         assert stats_signature(run) == stats_signature(direct)
 
-    def test_segment_reason_names_the_discipline(self, case):
-        reason = segment_reason(
-            "base",
-            associativity=case.config.associativity,
-            trace=case.trace,
-            bus_discipline="batched",
-        )
-        assert reason.startswith("bus-discipline:batched")
-        assert (
-            segment_reason(
-                "base",
-                associativity=case.config.associativity,
-                trace=case.trace,
-                bus_arbitration_cycles=1.0,
-            )
-            is None
-        )
-        reason = segment_reason(
-            "base",
-            associativity=case.config.associativity,
-            trace=case.trace,
-            bus_arbitration_cycles=1.5,
-        )
-        assert reason.startswith("bus-discipline:arbitration overhead")
-
     def test_segment_engine_raises(self, case):
         config = dataclasses.replace(
             case.config, bus_discipline="round-robin"
         )
-        with pytest.raises(ValueError, match="bus-discipline:round-robin"):
-            Machine("base", config).run(case.trace, engine="segment")
+        # There is no segment engine to refuse a discipline: the
+        # label itself is rejected before any replay starts.
+        removed = "segment"
+        with pytest.raises(
+            ValueError,
+            match="^engine must be 'columnar', 'legacy', or 'arbitrated', "
+            f"got '{removed}'$",
+        ):
+            Machine("base", config).run(case.trace, engine=removed)
 
 
 class TestResultAccounting:

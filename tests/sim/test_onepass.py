@@ -16,11 +16,11 @@ from repro.core.operations import CostTable, Operation, OperationCost
 from repro.obs.metrics import fallback_counters, replay_counters
 from repro.sim import (
     ONEPASS_PROTOCOLS,
+    PROTOCOLS,
     Machine,
     SimulationConfig,
     family_support,
     run_geometry_family,
-    supports_onepass,
 )
 from repro.trace import TraceConfig, generate_trace
 from repro.trace.records import Trace
@@ -142,6 +142,12 @@ class TestOnepassMatchesMachine:
         with pytest.raises(ValueError, match="order"):
             run_geometry_family("base", seeded_trace, [4096], order="clock")
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_empty_cache_sizes(self, seeded_trace, protocol):
+        # An empty family is empty for every engine, not a
+        # StopIteration from the one-pass or epoch set-up.
+        assert run_geometry_family(protocol, seeded_trace, []) == {}
+
 
 class TestFastPathGate:
     def test_fast_path_provenance(self, seeded_trace):
@@ -154,7 +160,6 @@ class TestFastPathGate:
 
     def test_geometry_coupled_protocols_use_epoch_engine(self, seeded_trace):
         for protocol in ("dragon", "wti"):
-            assert supports_onepass(protocol)
             engine, reason = family_support(protocol)
             assert (engine, reason) == ("epoch", None)
             family = run_geometry_family(protocol, seeded_trace, [4096, 16384])
@@ -166,7 +171,6 @@ class TestFastPathGate:
                 assert result.protocol_stats == reference.protocol_stats
 
     def test_directory_protocol_falls_back(self, seeded_trace):
-        assert not supports_onepass("directory")
         engine, reason = family_support("directory")
         assert engine == "fallback"
         assert reason.startswith("protocol:directory")
@@ -190,7 +194,6 @@ class TestFastPathGate:
         # broadcasts absorbed arbitrarily far back), so the hybrids
         # have no epoch engine; the gate must say so loudly and the
         # fallback must stay bit-identical to per-config replay.
-        assert not supports_onepass(protocol)
         engine, reason = family_support(protocol)
         assert engine == "fallback"
         assert reason.startswith(f"protocol:{protocol}")
@@ -208,7 +211,6 @@ class TestFastPathGate:
             assert result.protocol_stats == reference.protocol_stats
 
     def test_coupled_high_associativity_falls_back(self, seeded_trace):
-        assert not supports_onepass("dragon", associativity=4)
         engine, reason = family_support("dragon", associativity=4)
         assert engine == "fallback"
         assert reason.startswith("associativity:4")
@@ -231,9 +233,9 @@ class TestFastPathGate:
             cpu_cycles=19.5, channel_cycles=19.5
         )
         fractional = CostTable(costs, name="fractional")
-        assert not supports_onepass("base", fractional)
-        assert not supports_onepass("dragon", fractional)
-        assert not supports_onepass("wti", fractional)
+        assert family_support("dragon", fractional) == (
+            "fallback", "costs:non-integral operation costs"
+        )
         for protocol in ("base", "wti"):
             engine, reason = family_support(protocol, fractional)
             assert (engine, reason) == (
@@ -254,12 +256,10 @@ class TestFastPathGate:
 
     def test_supported_combinations(self):
         for protocol in ONEPASS_PROTOCOLS:
-            assert supports_onepass(protocol)
             assert family_support(protocol) == ("onepass", None)
         for protocol in ("dragon", "wti"):
-            assert supports_onepass(protocol)
             assert family_support(protocol) == ("epoch", None)
-        assert not supports_onepass("directory")
+        assert family_support("directory")[0] == "fallback"
 
 
 class TestTraversalSavings:

@@ -1,11 +1,14 @@
-"""Segment-scan replay backend: exactness, gates, and the LRU theorem.
+"""Geometry-local classification: one classifier, one engine label.
 
-``Machine.run(engine="segment")`` replaces the per-record replay loop
-with pure array passes (:mod:`repro.sim.segment`).  It is gated — the
-run-collapse theorem covers geometry-local protocols at associativity
-1 and 2 with integral costs and no handled flushes — and inside the
-gate it must be byte-identical to the columnar engine.  Outside the
-gate it must refuse loudly, never approximate.
+The Base, No-Cache and Software-Flush sweeps classify hits and misses
+with one walk, :func:`repro.sim.onepass._classify`, at every
+associativity and with or without flush records.  A one-size
+:func:`repro.sim.run_geometry_family` is the single-configuration
+entry to it and must be byte-identical to ``Machine.run``.  The
+run-collapse kernel :func:`repro.sim.classify_lru` survives only
+inside the Dragon/WTI families; its theorem is pinned against a
+direct LRU simulation below.  ``Machine.run`` has no ``segment``
+engine label: asking for one is refused loudly.
 """
 
 import numpy as np
@@ -15,16 +18,24 @@ from hypothesis import strategies as st
 
 from repro.core.operations import CostTable, Operation, OperationCost
 from repro.sim import (
-    SEGMENT_PROTOCOLS,
+    ONEPASS_PROTOCOLS,
     Machine,
     SimulationConfig,
     classify_lru,
-    segment_reason,
+    family_support,
+    run_geometry_family,
 )
 from repro.trace import TraceConfig, derived_columns, generate_trace
 from repro.trace.records import Trace
 from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
+
+#: An engine label ``Machine.run`` must reject.
+REMOVED_ENGINE = "segment"
+ENGINE_MESSAGE = (
+    "engine must be 'columnar', 'legacy', or 'arbitrated', "
+    f"got {REMOVED_ENGINE!r}"
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +55,32 @@ def without_flushes(trace):
     )
 
 
-def assert_segment_matches_columnar(trace, protocol, config, order="time"):
-    machine = Machine(protocol, config)
-    segment = machine.run(trace, order=order, engine="segment")
-    columnar = machine.run(trace, order=order, engine="columnar")
-    assert segment.engine == "segment"
-    assert stats_signature(segment) == stats_signature(columnar), (
+def assert_onepass_matches(
+    trace, protocol, config, order="time", engine="columnar"
+):
+    """A one-size family equals ``Machine.run(engine=engine)``."""
+    run = run_geometry_family(
+        protocol,
+        trace,
+        [config.cache_bytes],
+        block_bytes=config.block_bytes,
+        associativity=config.associativity,
+        order=order,
+    )[config.cache_bytes]
+    reference = Machine(protocol, config).run(
+        trace, order=order, engine=engine
+    )
+    assert run.engine == "onepass"
+    assert stats_signature(run) == stats_signature(reference), (
         f"{protocol} {order} {config}"
     )
+
+
+def assert_segment_engine_refused(trace, protocol, config, costs=None):
+    machine = Machine(protocol, config, costs)
+    with pytest.raises(ValueError) as raised:
+        machine.run(trace, engine=REMOVED_ENGINE)
+    assert str(raised.value) == ENGINE_MESSAGE
 
 
 class TestSegmentMatchesColumnar:
@@ -60,7 +89,7 @@ class TestSegmentMatchesColumnar:
     def test_identical_statistics(self, seeded_trace, protocol, order):
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            assert_segment_matches_columnar(
+            assert_onepass_matches(
                 seeded_trace, protocol, config, order=order
             )
 
@@ -74,56 +103,55 @@ class TestSegmentMatchesColumnar:
             block_bytes=block_bytes,
             associativity=associativity,
         )
-        assert_segment_matches_columnar(seeded_trace, "base", config)
+        assert_onepass_matches(seeded_trace, "base", config)
 
     def test_swflush_exact_on_flushfree_trace(self, seeded_trace):
         trace = without_flushes(seeded_trace)
-        assert segment_reason("swflush", trace=trace) is None
+        assert family_support("swflush") == ("onepass", None)
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            assert_segment_matches_columnar(trace, "swflush", config)
+            assert_onepass_matches(trace, "swflush", config)
 
     def test_swflush_exact_on_flush_trace(self, seeded_trace):
-        # Handled flushes break the run-collapse closed form, but the
-        # flush-bearing segments are replayed exactly, so real swflush
-        # traces (which always flush at section exits) qualify.
+        # Real swflush traces always flush at section exits; the
+        # classifier walk handles the flush records itself.
         assert int(np.count_nonzero(seeded_trace.kind == 3)) > 0
-        assert segment_reason("swflush", trace=seeded_trace) is None
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            assert_segment_matches_columnar(seeded_trace, "swflush", config)
+            assert_onepass_matches(seeded_trace, "swflush", config)
 
     def test_swflush_flush_trace_matches_machine_run(self, seeded_trace):
-        # End-to-end: the segment backend must reproduce the reference
-        # Machine.run byte-for-byte on a flush-bearing trace.
-        machine = Machine("swflush", SimulationConfig(cache_bytes=16384))
-        segment = machine.run(seeded_trace, engine="segment")
-        reference = machine.run(seeded_trace, engine="legacy")
-        assert segment.engine == "segment"
-        assert stats_signature(segment) == stats_signature(reference)
+        # End-to-end: a one-size family must reproduce the reference
+        # record loop byte-for-byte on a flush-bearing trace.
+        config = SimulationConfig(cache_bytes=16384)
+        assert_onepass_matches(
+            seeded_trace, "swflush", config, engine="legacy"
+        )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fuzz_traces(self, seed):
         case = generate_case(seed, scale=0.3)
         for protocol in ("base", "nocache"):
             config = SimulationConfig(cache_bytes=16384)
-            assert_segment_matches_columnar(case.trace, protocol, config)
+            assert_onepass_matches(case.trace, protocol, config)
 
 
 class TestSegmentGate:
+    """``segment`` is not an engine label; ``family_support`` routes."""
+
     def test_refuses_coupled_protocol(self, seeded_trace):
-        assert segment_reason("dragon").startswith("protocol:")
-        machine = Machine("dragon", SimulationConfig())
-        with pytest.raises(ValueError, match="segment engine is not exact"):
-            machine.run(seeded_trace, engine="segment")
+        assert family_support("dragon") == ("epoch", None)
+        assert_segment_engine_refused(
+            seeded_trace, "dragon", SimulationConfig()
+        )
 
     def test_refuses_high_associativity(self, seeded_trace):
-        assert segment_reason("base", associativity=4).startswith(
-            "associativity:4"
-        )
-        machine = Machine("base", SimulationConfig(associativity=4))
-        with pytest.raises(ValueError, match="segment engine is not exact"):
-            machine.run(seeded_trace, engine="segment")
+        # The classifier walk covers associativities above two, so a
+        # four-way sweep stays on the one-pass engine.
+        assert family_support("base", associativity=4) == ("onepass", None)
+        config = SimulationConfig(cache_bytes=8192, associativity=4)
+        assert_onepass_matches(seeded_trace, "base", config)
+        assert_segment_engine_refused(seeded_trace, "base", config)
 
     def test_refuses_non_integral_costs(self, seeded_trace):
         table = CostTable.bus()
@@ -132,20 +160,20 @@ class TestSegmentGate:
             cpu_cycles=19.5, channel_cycles=19.5
         )
         fractional = CostTable(costs, name="fractional")
-        assert segment_reason("base", fractional) == (
-            "costs:non-integral operation costs"
+        assert family_support("base", fractional) == (
+            "fallback",
+            "costs:non-integral operation costs",
         )
-        machine = Machine("base", SimulationConfig(), fractional)
-        with pytest.raises(ValueError, match="segment engine is not exact"):
-            machine.run(seeded_trace, engine="segment")
+        assert_segment_engine_refused(
+            seeded_trace, "base", SimulationConfig(), fractional
+        )
 
     def test_gate_passes_inside_the_theorem(self):
-        for protocol in SEGMENT_PROTOCOLS:
-            for associativity in (1, 2):
-                assert (
-                    segment_reason(protocol, associativity=associativity)
-                    is None
-                )
+        for protocol in ONEPASS_PROTOCOLS:
+            for associativity in (1, 2, 4):
+                assert family_support(
+                    protocol, associativity=associativity
+                ) == ("onepass", None)
 
 
 # -- The run-collapse theorem vs a reference LRU simulation ------------

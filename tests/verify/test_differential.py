@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.sim import Machine, supports_onepass
+from repro.sim import Machine, family_support
 from repro.sim.bus import DISCIPLINES
 from repro.verify import (
     MODEL_BANDS,
@@ -103,9 +103,10 @@ class TestOnepassDiff:
         expected = {
             protocol
             for protocol in ("dragon", "wti", "swflush", "nocache")
-            if supports_onepass(
+            if family_support(
                 protocol, associativity=case.config.associativity
-            )
+            )[0]
+            != "fallback"
         }
         assert {"swflush", "nocache"} <= expected
         assert set(calls) == {
