@@ -80,9 +80,11 @@ python benchmarks/bench_coupled.py --smoke
 
 echo "== bus arbitration disciplines: exactness + overhead smoke =="
 # fcfs bit-exactness (arbitrated engine vs columnar, plus the folded
-# columnar+arb path vs the deferred reference), the oracle invariants
-# for every registered discipline, then the deferred-grant overhead
-# ceiling (16x in smoke; the recorded baseline enforces 13x) and the
+# columnar+arb path vs the deferred reference), round-robin
+# bit-exactness (arbitrated engine vs the generator-driven
+# deferred-grant reference), the oracle invariants for every
+# registered discipline, then the deferred-grant overhead ceiling (2x
+# in smoke; the recorded baseline enforces 1.6x) and the
 # folded-overhead parity ceiling (1.5x).
 python benchmarks/bench_bus.py --smoke
 

@@ -273,10 +273,12 @@ class ArbitratedBus:
         elif not self._pending:
             raise ValueError("no pending bus requests")
         elif self.discipline == "fcfs":
-            # Request order: the oldest posted request is always next.
-            ready = min(self._pending.values(), key=lambda r: r[1])[0]
+            # Request order: the oldest posted request is always next,
+            # and ``_pending`` iterates in posting order.
+            ready = next(iter(self._pending.values()))[0]
         else:
-            ready = min(entry[0] for entry in self._pending.values())
+            # Entries order by ready cycle first.
+            ready = min(self._pending.values())[0]
         return self.free_at if self.free_at > ready else ready
 
     def grant_next(self) -> tuple[int, float, float]:
@@ -300,14 +302,18 @@ class ArbitratedBus:
                 if ready <= now
             ]
             if self.discipline == "fcfs":
-                cpu = min(pool, key=lambda c: self._pending[c][1])
+                # The oldest request is ready by ``now`` and first in
+                # posting order.
+                cpu = pool[0]
             elif self.discipline == "fixed-priority":
                 cpu = min(pool)
             elif self.discipline == "round-robin":
+                # The first pending CPU at or after the pointer, else
+                # the first overall (the search wraps around).
                 rotation = self._rotation
-                cpus = self.cpus
-                cpu = min(pool, key=lambda c: (c - rotation) % cpus)
-                self._rotation = (cpu + 1) % cpus
+                later = [c for c in pool if c >= rotation]
+                cpu = min(later) if later else min(pool)
+                self._rotation = (cpu + 1) % self.cpus
             else:  # batched: freeze the pool into one grant window
                 self._batch = sorted(pool)
                 cpu = self._batch.pop(0)

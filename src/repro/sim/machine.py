@@ -15,8 +15,8 @@ slightly distorted"), which it verified to be benign.
 Replay engines
 --------------
 
-``Machine.run`` has two engines producing **identical** statistics
-(enforced by ``tests/sim/test_equivalence.py``):
+``Machine.run`` has three engine labels.  Each fast engine is held
+``==`` (every counter and float clock) to one reference loop:
 
 * ``engine="columnar"`` (default) consumes the trace's numpy columns
   directly: block indices and shared-block flags are vectorised up
@@ -34,20 +34,34 @@ Replay engines
   processors (potential misses, stores, handled flushes) are scheduled
   in exact legacy heap order, while the proven hits between them are
   applied as whole spans via prefix-summed clock advances and deferred
-  LRU touches.
-* ``engine="legacy"`` is the original straightforward record loop,
-  kept as the executable specification the columnar engine is tested
-  against.
+  LRU touches.  With an fcfs arbitration overhead the result is
+  labelled ``columnar+arb``.  Reference: ``engine="legacy"``
+  (``tests/sim/test_equivalence.py``).
+* ``engine="arbitrated"`` replays through the deferred-grant
+  :class:`~repro.sim.bus.ArbitratedBus`, so a non-``fcfs`` discipline
+  can reorder grants; every non-``fcfs`` configuration runs it.  It is
+  the same columnar machinery (inline hits, proven-hit spans) driven
+  by bursts: a processor runs until its key passes the runner-up's or
+  the next arbitration instant, or it parks on a bus request
+  (:func:`repro.sim.arbitrated.run_arbitrated`).  Reference: the
+  generator-driven deferred-grant loop
+  (:func:`repro.sim.arbitrated.run_deferred_reference`), which
+  ``engine="legacy"`` runs under a non-``fcfs`` discipline
+  (``tests/sim/test_arbitration.py``, ``swcc fuzz``).
+* ``engine="legacy"`` is the original straightforward record loop
+  under ``fcfs`` — the executable specification of the replay
+  semantics — and the generator-driven deferred-grant loop under any
+  other discipline.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +77,7 @@ from repro.sim.bus import (
 from repro.sim.cache import Cache, CacheGeometry, LineState
 from repro.sim.protocols import Protocol, protocol_class
 from repro.sim.protocols.interface import NO_ACTION
-from repro.trace.derived import derived_columns
+from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import KIND_MEMBERS, AccessType, Trace
 
 __all__ = ["CpuStats", "Machine", "SimulationConfig", "SimulationResult"]
@@ -81,6 +95,361 @@ _DIRTY_VICTIM_OPERATIONS = frozenset(
 )
 
 
+def _op_info(costs: CostTable) -> dict:
+    """Per-operation info, folded into one dict probe per operation:
+    ``(cpu_cycles, bus_cycles, is_miss, is_dirty_victim, counter)``.
+    The counter is a one-element list mutated in place."""
+    return {
+        op: (
+            cost.cpu_cycles,
+            cost.channel_cycles,
+            op in _MISS_OPERATIONS,
+            op in _DIRTY_VICTIM_OPERATIONS,
+            [0],
+        )
+        for op, cost in costs.items()
+    }
+
+
+class _ProvenHits(NamedTuple):
+    """Statically-proven hits, as disjoint masks over the records in
+    per-CPU stream order (``derived.order``).
+
+    Attributes:
+        guaranteed: pure hits: a fetch costs one cycle, a load is
+            free, no cache touch (batchable).
+        local_store: store hits: dirty the line, MRU touch.
+        near_fetch: fetch hits: one cycle plus an MRU touch.
+        near_load: load hits: MRU touch only.
+    """
+
+    guaranteed: np.ndarray
+    local_store: np.ndarray
+    near_fetch: np.ndarray
+    near_load: np.ndarray
+
+
+def _proven_hits(
+    protocol: Protocol,
+    derived: DerivedColumns,
+    op_info: dict,
+    arbitration_cycles: float,
+    set_mask: int,
+    associativity: int,
+) -> _ProvenHits | None:
+    """Classify the records that must hit, before replay begins.
+
+    Shared by the columnar engine and the arbitrated engine.  Returns
+    ``None`` when the protocol's contract flags or non-integral costs
+    rule the classification out.  The classes are properties of each
+    CPU's own stream, so they hold under every replay order and every
+    bus discipline.
+
+    Statically-proven fetch hits ("guaranteed hits"): a fetch to the
+    same block as the immediately preceding reference of the same CPU
+    must hit, provided that reference left the block resident (it was
+    not a flush, nor an uncached shared data reference under
+    No-Cache) and no other CPU's traffic can evict lines from this
+    cache (``remote_traffic_preserves_residency``).  Such a fetch is
+    exactly ``clock += 1.0``: the predecessor touched the block last
+    and snoop state updates never reorder a set, so it is already
+    most-recently-used and even the LRU touch is a no-op.  Sequential
+    instruction fetches make these the majority of all records.
+    Batching is gated on integral operation costs so clocks stay
+    exact-integer floats and a batched ``clock += k`` is bit-identical
+    to ``k`` single-cycle advances.
+    """
+    total = len(derived.order)
+    n = len(derived.counts)
+    eager = (
+        protocol.read_hit_is_free
+        and protocol.remote_traffic_preserves_residency
+        # Arbitration overhead lands on processor clocks via bus
+        # grants; it must be integral too for batched clock
+        # advances to stay bit-identical to single steps.
+        and float(arbitration_cycles).is_integer()
+        and all(
+            float(info[0]).is_integer() and float(info[1]).is_integer()
+            for info in op_info.values()
+        )
+    )
+    if not eager:
+        return None
+    handles_flush = protocol.handles_flush
+    kinds_sorted_np = derived.kinds_sorted
+    blocks_sorted_np = derived.blocks_sorted
+    cpus_sorted_np = derived.cpus_sorted
+    sets_sorted_np = (blocks_sorted_np & np.uint64(set_mask)).astype(
+        np.int64
+    )
+    is_fetch = derived.is_fetch_sorted
+    # Records eligible to be proven pure hits ("class A"):
+    # fetches (a hit costs exactly the one instruction cycle)
+    # and loads (a hit is free) — under No-Cache not shared
+    # loads (uncached).
+    eligible_a = is_fetch | (kinds_sorted_np == 1)
+    # Which records touch their cache set at all, and which
+    # leave their block resident (and MRU of its set):
+    # everything except flushes — and, under No-Cache, except
+    # uncached shared data references, which are transparent.
+    touches = np.ones(total, dtype=bool)
+    shared_sorted_np = None
+    if not protocol.caches_shared_data:
+        shared_sorted_np = derived.shared_sorted
+        uncached = (kinds_sorted_np != 0) & shared_sorted_np
+        touches &= ~uncached
+        eligible_a &= ~(uncached & (kinds_sorted_np == 1))
+    if handles_flush:
+        leaves_resident = touches & (kinds_sorted_np != 3)
+    else:
+        # Unhandled flushes are complete no-ops: transparent.
+        touches &= kinds_sorted_np != 3
+        leaves_resident = touches
+    # Stores eligible to be proven *local* hits ("class B"):
+    # when the protocol declares a store hit purely local, a
+    # statically-proven store hit reduces to dirtying the line
+    # with an MRU touch — no protocol call, no bus, no clock.
+    if protocol.store_hit_is_local:
+        eligible_b = (kinds_sorted_np == 2) & touches
+    elif protocol.private_store_hit_is_local:
+        # Restricted form (Dragon): only stores to blocks that
+        # are outside the shared region and that no other CPU
+        # ever references — the line is then provably in an
+        # exclusive state, so the hit cannot broadcast and
+        # touches no sharing counters.
+        if shared_sorted_np is None:
+            shared_sorted_np = derived.shared_sorted
+        pair = blocks_sorted_np * np.uint64(n)
+        pair += cpus_sorted_np.astype(np.uint64)
+        pair_blocks = np.unique(pair) // np.uint64(n)
+        multi_cpu = pair_blocks[1:][
+            pair_blocks[1:] == pair_blocks[:-1]
+        ]
+        eligible_b = (
+            (kinds_sorted_np == 2)
+            & ~shared_sorted_np
+            & ~np.isin(blocks_sorted_np, multi_cpu)
+        )
+    else:
+        eligible_b = np.zeros(total, dtype=bool)
+    eligible = eligible_a | eligible_b
+    # Group records by (cpu, set): eviction is strictly
+    # per-set and remote traffic cannot evict, so each set's
+    # contents evolve deterministically from its own group's
+    # records alone.  Non-touching records get unique keys so
+    # they are transparent; the stable sort keeps per-stream
+    # program order within each group.
+    sets_count = set_mask + 1
+    group_key = cpus_sorted_np.astype(np.int64) * sets_count
+    group_key += sets_sorted_np
+    untouched = ~touches
+    group_key[untouched] = n * sets_count + np.flatnonzero(untouched)
+    key_order = np.argsort(group_key, kind="stable")
+    keys_grouped = group_key[key_order]
+    blocks_grouped = blocks_sorted_np[key_order]
+    leaves_grouped = leaves_resident[key_order]
+    same_group = np.zeros(total, dtype=bool)
+    same_group[1:] = keys_grouped[1:] == keys_grouped[:-1]
+    # Same-block rule: a reference whose group predecessor (the
+    # most recent same-set touch of the same stream) was to the
+    # same block and left it resident must hit, and the block
+    # is already most-recently-used in its set (the
+    # predecessor touched it last; state updates assign in
+    # place and never reorder a set), so even the LRU touch is
+    # a no-op.  Valid for any associativity.
+    prev_same_block = np.zeros(total, dtype=bool)
+    prev_same_block[1:] = same_group[1:] & (
+        blocks_grouped[1:] == blocks_grouped[:-1]
+    )
+    prev_leaves = np.zeros(total, dtype=bool)
+    prev_leaves[1:] = leaves_grouped[:-1]
+    provable_grouped = prev_same_block & prev_leaves
+    # Previous-run rule (associativity >= 2 only): compress
+    # each group into runs of equal blocks.  A reference whose
+    # block matches the *previous* run in its group also hits:
+    # at the end of that run its block X was resident and MRU,
+    # and the single intervening run's block Y can evict only
+    # the LRU way — never X (a mid-run flush of Y frees a way,
+    # so re-inserting Y still cannot evict X).  X is no longer
+    # MRU, so these hits keep the LRU touch (pop + reinsert)
+    # instead of skipping it.  Direct-mapped caches lose X the
+    # moment Y is inserted, hence the associativity gate.
+    if associativity >= 2:
+        new_run = ~prev_same_block
+        run_id = np.cumsum(new_run) - 1
+        run_starts = np.flatnonzero(new_run)
+        run_block = blocks_grouped[run_starts]
+        run_group = keys_grouped[run_starts]
+        run_last = np.empty(len(run_starts), dtype=np.int64)
+        run_last[:-1] = run_starts[1:] - 1
+        run_last[-1] = total - 1
+        run_last_leaves = leaves_grouped[run_last]
+        prev_run_ok = np.zeros(len(run_starts), dtype=bool)
+        prev_run_ok[1:] = (
+            (run_group[1:] == run_group[:-1]) & run_last_leaves[:-1]
+        )
+        prev_run_block = np.zeros_like(run_block)
+        prev_run_block[1:] = run_block[:-1]
+        near_grouped = prev_run_ok[run_id] & (
+            blocks_grouped == prev_run_block[run_id]
+        )
+        near = np.zeros(total, dtype=bool)
+        near[key_order] = near_grouped
+        near &= eligible
+    else:
+        near = np.zeros(total, dtype=bool)
+    provable = np.zeros(total, dtype=bool)
+    provable[key_order] = provable_grouped
+    provable &= eligible
+    near &= ~provable
+    # Final classes (all masks disjoint, in stream order):
+    #   guaranteed   — pure hits: fetch costs one cycle, load
+    #                  is free, no cache touch (batchable).
+    #   local_store  — store hits: dirty the line, MRU touch.
+    #   near_fetch   — fetch hits: one cycle plus MRU touch.
+    #   near_load    — load hits: MRU touch only.
+    guaranteed = provable & eligible_a
+    local_store = (provable | near) & eligible_b
+    near_fetch = near & is_fetch
+    near_load = near & eligible_a & ~is_fetch
+    return _ProvenHits(guaranteed, local_store, near_fetch, near_load)
+
+
+class _EventStreams(NamedTuple):
+    """Per-CPU record streams of an event-driven time-ordered replay.
+
+    Only *event* records are scheduled one by one; the proven hits
+    between two events form a span applied lazily (a fetch-count clock
+    advance plus deferred MRU touches).  Without proven hits every
+    record is an event.  One list per CPU, positions relative to that
+    CPU's stream.
+
+    Attributes:
+        events: stream positions of the event records.
+        kinds: kind code of each event record.
+        blocks: block of each event record.
+        prefix: fetch prefix sums over the stream (``count + 1``
+            entries), or ``None`` when every record is an event.
+        touches: deferred MRU touches of the proven hits,
+            ``(position, code, block)``; code 4 dirties the line (a
+            local store hit), 5 and 6 only touch it.  ``None`` when
+            every record is an event.
+        fetch_pos: stream positions of the fetches, which locate a
+            cycle steal's frontier by fetch count; ``None`` unless the
+            protocol may steal cycles and spans exist.
+    """
+
+    events: list
+    kinds: list[list[int]]
+    blocks: list[list[int]]
+    prefix: list[list[int]] | None
+    touches: list[list[tuple[int, int, int]]] | None
+    fetch_pos: list[list[int]] | None
+
+
+def _event_streams(
+    derived: DerivedColumns, hits: _ProvenHits | None, protocol: Protocol
+) -> _EventStreams:
+    """Split the sorted columns into per-CPU event streams."""
+    counts = derived.counts
+    kinds_sorted_np = derived.kinds_sorted
+    blocks_sorted_np = derived.blocks_sorted
+    if hits is None:
+        kinds_sorted = kinds_sorted_np.tolist()
+        blocks_sorted = blocks_sorted_np.tolist()
+        kinds, blocks = [], []
+        offset = 0
+        for count in counts:
+            kinds.append(kinds_sorted[offset:offset + count])
+            blocks.append(blocks_sorted[offset:offset + count])
+            offset += count
+        return _EventStreams(
+            [range(count) for count in counts], kinds, blocks,
+            None, None, None,
+        )
+    event_mask = ~(
+        hits.guaranteed | hits.local_store | hits.near_fetch | hits.near_load
+    )
+    if not protocol.handles_flush:
+        # Unhandled flushes are complete no-ops; leaving them out of
+        # the event set lets the spans run through them.
+        event_mask &= kinds_sorted_np != 3
+    sent_codes = np.zeros(len(event_mask), dtype=np.int64)
+    sent_codes[hits.local_store] = 4
+    sent_codes[hits.near_fetch] = 5
+    sent_codes[hits.near_load] = 6
+    fetch_prefix_np = derived.fetch_prefix
+    is_fetch = derived.is_fetch_sorted
+    may_steal = protocol.may_steal_cycles
+    streams = _EventStreams(
+        [], [], [], [], [], [] if may_steal else None
+    )
+    offset = 0
+    for count in counts:
+        stop = offset + count
+        idx = np.flatnonzero(event_mask[offset:stop])
+        k_slice = kinds_sorted_np[offset:stop]
+        b_slice = blocks_sorted_np[offset:stop]
+        streams.events.append(idx.tolist())
+        streams.kinds.append(k_slice[idx].tolist())
+        streams.blocks.append(b_slice[idx].tolist())
+        codes = sent_codes[offset:stop]
+        sidx = np.flatnonzero(codes)
+        streams.touches.append(
+            list(
+                zip(
+                    sidx.tolist(),
+                    codes[sidx].tolist(),
+                    b_slice[sidx].tolist(),
+                )
+            )
+        )
+        prefix_slice = fetch_prefix_np[offset:stop + 1]
+        streams.prefix.append((prefix_slice - prefix_slice[0]).tolist())
+        if may_steal:
+            streams.fetch_pos.append(
+                np.flatnonzero(is_fetch[offset:stop]).tolist()
+            )
+        offset = stop
+    return streams
+
+
+def _write_back(
+    result: SimulationResult,
+    derived: DerivedColumns,
+    clocks: list[float],
+    waits: list[float],
+    steals: list[int],
+    op_info: dict,
+    misses: tuple[int, int, int, int],
+) -> None:
+    """Write a columnar loop's accumulators into ``result``.
+
+    ``misses`` is ``(fetch, data, shared data, dirty victim)``; the
+    reference mix comes from the derived columns.
+    """
+    mix = derived.mix
+    for index, cpu_stats in enumerate(result.cpus):
+        cpu_stats.instructions = int(mix[index, 0])
+        cpu_stats.loads = int(mix[index, 1])
+        cpu_stats.stores = int(mix[index, 2])
+        cpu_stats.flushes = int(mix[index, 3])
+        cpu_stats.clock = clocks[index]
+        cpu_stats.wait_cycles = waits[index]
+        cpu_stats.stolen_cycles = steals[index]
+    result.operation_counts = Counter(
+        {op: info[4][0] for op, info in op_info.items() if info[4][0]}
+    )
+    (
+        result.fetch_misses,
+        result.data_misses,
+        result.shared_data_misses,
+        result.dirty_victim_misses,
+    ) = misses
+    result.shared_loads = derived.shared_loads
+    result.shared_stores = derived.shared_stores
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Machine configuration for one simulation run.
@@ -96,7 +465,9 @@ class SimulationConfig:
         bus_discipline: bus arbitration discipline, one of
             :data:`repro.sim.bus.DISCIPLINES`.  ``fcfs`` (the default)
             reproduces the pre-discipline simulator; any other value
-            routes ``Machine.run`` to the ``arbitrated`` engine.
+            routes ``Machine.run`` to the ``arbitrated`` engine (or,
+            with ``engine="legacy"``, to its deferred-grant
+            reference).
         bus_arbitration_cycles: fixed overhead per arbitration (per
             grant, or per grant window under ``batched``).
     """
@@ -314,12 +685,17 @@ class Machine:
             engine: ``"columnar"`` (default) runs the fast
                 array-consuming replay loop; ``"legacy"`` runs the
                 original record loop; ``"arbitrated"`` runs the
-                deferred-grant engine honouring the configured bus
-                discipline.  A non-``fcfs``
-                ``config.bus_discipline`` forces the arbitrated
-                engine (columnar/legacy cannot express it), and the
-                result's ``engine`` field records ``"arbitrated"``.
-                FCFS engines produce identical statistics.
+                columnar deferred-grant loop honouring the configured
+                bus discipline.  A non-``fcfs``
+                ``config.bus_discipline`` needs deferred grants, which
+                the synchronous loops cannot express: ``"columnar"``
+                and ``"arbitrated"`` then both run the deferred-grant
+                loop (result ``engine`` ``"arbitrated"``), and
+                ``"legacy"`` runs the generator-driven deferred-grant
+                reference that loop is tested against (result
+                ``engine`` ``"legacy"``).  Under ``fcfs`` the
+                columnar and legacy engines produce identical
+                statistics.
         """
         if order not in ("time", "trace"):
             raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
@@ -330,16 +706,26 @@ class Machine:
             )
         if cpus is not None and cpus != trace.cpus:
             trace = trace.restricted_to(cpus)
-        discipline = self.config.bus_discipline
-        arbitrated = engine == "arbitrated" or discipline != "fcfs"
-        if arbitrated and order == "trace":
+        deferred = (
+            engine == "arbitrated" or self.config.bus_discipline != "fcfs"
+        )
+        if deferred and order == "trace":
             raise ValueError(
                 "order='trace' cannot be honoured by the arbitrated "
                 "engine: a processor parked on a bus grant would "
                 "reorder its later records around other CPUs; "
                 "use order='time'"
             )
+        if deferred and engine != "legacy":
+            engine = "arbitrated"
+        return self._replay(trace, order, engine, deferred)
 
+    def _replay(
+        self, trace: Trace, order: str, engine: str, deferred: bool
+    ) -> SimulationResult:
+        """Run one replay loop: ``engine`` names the loop, ``deferred``
+        selects the deferred-grant bus (``"legacy"`` with ``deferred``
+        is the generator-driven reference, whatever the discipline)."""
         geometry = self.config.geometry
         caches = [Cache(geometry) for _ in range(trace.cpus)]
         block_shift = geometry.block_shift
@@ -352,10 +738,11 @@ class Machine:
             return shared_low <= block < shared_high
 
         protocol = self.protocol_class(caches, is_shared_block)
-        if arbitrated:
-            engine = "arbitrated"
+        if deferred:
             bus: TimedBus | ArbitratedBus = ArbitratedBus(
-                trace.cpus, discipline, self.config.bus_arbitration_cycles
+                trace.cpus,
+                self.config.bus_discipline,
+                self.config.bus_arbitration_cycles,
             )
         else:
             bus = TimedBus(self.config.bus_arbitration_cycles)
@@ -366,19 +753,31 @@ class Machine:
             cpus=[CpuStats() for _ in range(trace.cpus)],
         )
         started = time.perf_counter()
-        if arbitrated:
-            self._run_arbitrated(
-                trace, protocol, bus, result, block_shift, is_shared_block,
-            )
-        elif engine == "columnar":
-            self._run_columnar(
-                trace, order, caches, protocol, bus, result,
-                block_shift, shared_low, shared_high,
-            )
-        else:
+        if deferred:
+            # Loaded on first use: the paper's fcfs artefacts never
+            # need deferred grants, so their imports skip it.
+            from repro.sim import arbitrated
+
+            if engine == "legacy":
+                arbitrated.run_deferred_reference(
+                    trace, self.costs, protocol, bus, result, block_shift,
+                    is_shared_block,
+                )
+            else:
+                arbitrated.run_arbitrated(
+                    trace, self.costs, self.config.bus_arbitration_cycles,
+                    caches, protocol, bus, result,
+                    block_shift, shared_low, shared_high,
+                )
+        elif engine == "legacy":
             self._run_legacy(
                 trace, order, protocol, bus, result,
                 block_shift, is_shared_block,
+            )
+        else:
+            self._run_columnar(
+                trace, order, caches, protocol, bus, result,
+                block_shift, shared_low, shared_high,
             )
         result.bus_busy_cycles = bus.busy_cycles
         result.bus_transactions = bus.transactions
@@ -431,24 +830,8 @@ class Machine:
         derived = derived_columns(trace, block_shift)
         kind_np = trace.kind
         blocks_np = derived.blocks
-        shared_np = derived.shared
-        mix = derived.mix
-        shared_loads = derived.shared_loads
-        shared_stores = derived.shared_stores
 
-        # Per-operation info, folded into one dict probe per operation:
-        # (cpu_cycles, bus_cycles, is_miss, is_dirty_victim, counter).
-        # The counter is a one-element list mutated in place.
-        op_info = {
-            op: (
-                cost.cpu_cycles,
-                cost.channel_cycles,
-                op in _MISS_OPERATIONS,
-                op in _DIRTY_VICTIM_OPERATIONS,
-                [0],
-            )
-            for op, cost in self.costs.items()
-        }
+        op_info = _op_info(self.costs)
 
         # Replay-dependent accumulators as plain lists/ints (no
         # attribute access in the loop); written back at the end.
@@ -473,173 +856,11 @@ class Machine:
         set_mask = caches[0].set_mask if caches else 0
         dirty_state = LineState.DIRTY
 
-        # Statically-proven fetch hits ("guaranteed hits"): a fetch to
-        # the same block as the immediately preceding reference of the
-        # same CPU must hit, provided that reference left the block
-        # resident (it was not a flush, nor an uncached shared data
-        # reference under No-Cache) and no other CPU's traffic can
-        # evict lines from this cache
-        # (``remote_traffic_preserves_residency``).  Such a fetch is
-        # exactly ``clock += 1.0``: the predecessor touched the block
-        # last and snoop state updates never reorder a set, so it is
-        # already most-recently-used and even the LRU touch is a
-        # no-op.  Sequential instruction fetches make these the
-        # majority of all records.  Batching is gated on integral
-        # operation costs so clocks stay exact-integer floats and a
-        # batched ``clock += k`` is bit-identical to ``k``
-        # single-cycle advances.
         order_np = derived.order
-        eager = (
-            fast_hits
-            and protocol.remote_traffic_preserves_residency
-            # Arbitration overhead lands on processor clocks via bus
-            # grants; it must be integral too for batched clock
-            # advances to stay bit-identical to single steps.
-            and float(self.config.bus_arbitration_cycles).is_integer()
-            and all(
-                float(info[0]).is_integer() and float(info[1]).is_integer()
-                for info in op_info.values()
-            )
+        hits = _proven_hits(
+            protocol, derived, op_info, self.config.bus_arbitration_cycles,
+            set_mask, caches[0].geometry.associativity,
         )
-        if eager:
-            kinds_sorted_np = derived.kinds_sorted
-            blocks_sorted_np = derived.blocks_sorted
-            cpus_sorted_np = derived.cpus_sorted
-            sets_sorted_np = (blocks_sorted_np & np.uint64(set_mask)).astype(
-                np.int64
-            )
-            is_fetch = derived.is_fetch_sorted
-            # Records eligible to be proven pure hits ("class A"):
-            # fetches (a hit costs exactly the one instruction cycle)
-            # and loads (a hit is free) — under No-Cache not shared
-            # loads (uncached).
-            eligible_a = is_fetch | (kinds_sorted_np == 1)
-            # Which records touch their cache set at all, and which
-            # leave their block resident (and MRU of its set):
-            # everything except flushes — and, under No-Cache, except
-            # uncached shared data references, which are transparent.
-            touches = np.ones(total, dtype=bool)
-            shared_sorted_np = None
-            if not protocol.caches_shared_data:
-                shared_sorted_np = derived.shared_sorted
-                uncached = (kinds_sorted_np != 0) & shared_sorted_np
-                touches &= ~uncached
-                eligible_a &= ~(uncached & (kinds_sorted_np == 1))
-            if handles_flush:
-                leaves_resident = touches & (kinds_sorted_np != 3)
-            else:
-                # Unhandled flushes are complete no-ops: transparent.
-                touches &= kinds_sorted_np != 3
-                leaves_resident = touches
-            # Stores eligible to be proven *local* hits ("class B"):
-            # when the protocol declares a store hit purely local, a
-            # statically-proven store hit reduces to dirtying the line
-            # with an MRU touch — no protocol call, no bus, no clock.
-            if protocol.store_hit_is_local:
-                eligible_b = (kinds_sorted_np == 2) & touches
-            elif protocol.private_store_hit_is_local:
-                # Restricted form (Dragon): only stores to blocks that
-                # are outside the shared region and that no other CPU
-                # ever references — the line is then provably in an
-                # exclusive state, so the hit cannot broadcast and
-                # touches no sharing counters.
-                if shared_sorted_np is None:
-                    shared_sorted_np = derived.shared_sorted
-                pair = blocks_sorted_np * np.uint64(n)
-                pair += cpus_sorted_np.astype(np.uint64)
-                pair_blocks = np.unique(pair) // np.uint64(n)
-                multi_cpu = pair_blocks[1:][
-                    pair_blocks[1:] == pair_blocks[:-1]
-                ]
-                eligible_b = (
-                    (kinds_sorted_np == 2)
-                    & ~shared_sorted_np
-                    & ~np.isin(blocks_sorted_np, multi_cpu)
-                )
-            else:
-                eligible_b = np.zeros(total, dtype=bool)
-            eligible = eligible_a | eligible_b
-            # Group records by (cpu, set): eviction is strictly
-            # per-set and remote traffic cannot evict, so each set's
-            # contents evolve deterministically from its own group's
-            # records alone.  Non-touching records get unique keys so
-            # they are transparent; the stable sort keeps per-stream
-            # program order within each group.
-            sets_count = set_mask + 1
-            group_key = cpus_sorted_np.astype(np.int64) * sets_count
-            group_key += sets_sorted_np
-            untouched = ~touches
-            group_key[untouched] = n * sets_count + np.flatnonzero(untouched)
-            key_order = np.argsort(group_key, kind="stable")
-            keys_grouped = group_key[key_order]
-            blocks_grouped = blocks_sorted_np[key_order]
-            leaves_grouped = leaves_resident[key_order]
-            same_group = np.zeros(total, dtype=bool)
-            same_group[1:] = keys_grouped[1:] == keys_grouped[:-1]
-            # Same-block rule: a reference whose group predecessor (the
-            # most recent same-set touch of the same stream) was to the
-            # same block and left it resident must hit, and the block
-            # is already most-recently-used in its set (the
-            # predecessor touched it last; state updates assign in
-            # place and never reorder a set), so even the LRU touch is
-            # a no-op.  Valid for any associativity.
-            prev_same_block = np.zeros(total, dtype=bool)
-            prev_same_block[1:] = same_group[1:] & (
-                blocks_grouped[1:] == blocks_grouped[:-1]
-            )
-            prev_leaves = np.zeros(total, dtype=bool)
-            prev_leaves[1:] = leaves_grouped[:-1]
-            provable_grouped = prev_same_block & prev_leaves
-            # Previous-run rule (associativity >= 2 only): compress
-            # each group into runs of equal blocks.  A reference whose
-            # block matches the *previous* run in its group also hits:
-            # at the end of that run its block X was resident and MRU,
-            # and the single intervening run's block Y can evict only
-            # the LRU way — never X (a mid-run flush of Y frees a way,
-            # so re-inserting Y still cannot evict X).  X is no longer
-            # MRU, so these hits keep the LRU touch (pop + reinsert)
-            # instead of skipping it.  Direct-mapped caches lose X the
-            # moment Y is inserted, hence the associativity gate.
-            if caches and caches[0].geometry.associativity >= 2:
-                new_run = ~prev_same_block
-                run_id = np.cumsum(new_run) - 1
-                run_starts = np.flatnonzero(new_run)
-                run_block = blocks_grouped[run_starts]
-                run_group = keys_grouped[run_starts]
-                run_last = np.empty(len(run_starts), dtype=np.int64)
-                run_last[:-1] = run_starts[1:] - 1
-                run_last[-1] = total - 1
-                run_last_leaves = leaves_grouped[run_last]
-                prev_run_ok = np.zeros(len(run_starts), dtype=bool)
-                prev_run_ok[1:] = (
-                    (run_group[1:] == run_group[:-1]) & run_last_leaves[:-1]
-                )
-                prev_run_block = np.zeros_like(run_block)
-                prev_run_block[1:] = run_block[:-1]
-                near_grouped = prev_run_ok[run_id] & (
-                    blocks_grouped == prev_run_block[run_id]
-                )
-                near = np.zeros(total, dtype=bool)
-                near[key_order] = near_grouped
-                near &= eligible
-            else:
-                near = np.zeros(total, dtype=bool)
-            provable = np.zeros(total, dtype=bool)
-            provable[key_order] = provable_grouped
-            provable &= eligible
-            near &= ~provable
-            # Final classes (all masks disjoint, in stream order):
-            #   guaranteed   — pure hits: fetch costs one cycle, load
-            #                  is free, no cache touch (batchable).
-            #   local_store  — store hits: dirty the line, MRU touch.
-            #   near_fetch   — fetch hits: one cycle plus MRU touch.
-            #   near_load    — load hits: MRU touch only.
-            guaranteed = provable & eligible_a
-            local_store = (provable | near) & eligible_b
-            near_fetch = near & is_fetch
-            near_load = near & eligible_a & ~is_fetch
-        else:
-            guaranteed = None
 
         # The event-driven time-merge needs to know which CPUs each
         # broadcast stole from (to maintain their merge keys); when it
@@ -698,7 +919,7 @@ class Machine:
             # exercise both).  The shared flag is only needed on the
             # slow path, so it is computed there (fetch misses, flushes
             # never consult it).
-            if guaranteed is not None:
+            if hits is not None:
                 # Scatter the flags back to trace order (the hit
                 # guarantee is a property of each CPU's stream, so it
                 # holds under either replay order): 1 = pure fetch hit
@@ -706,12 +927,13 @@ class Machine:
                 # 3 = local store hit (dirty the line, MRU touch),
                 # 4 = fetch hit with MRU touch, 5 = load hit with MRU
                 # touch, 0 = full record body.
+                is_fetch = derived.is_fetch_sorted
                 codes_sorted = np.zeros(total, dtype=np.int64)
-                codes_sorted[guaranteed & is_fetch] = 1
-                codes_sorted[guaranteed & ~is_fetch] = 2
-                codes_sorted[local_store] = 3
-                codes_sorted[near_fetch] = 4
-                codes_sorted[near_load] = 5
+                codes_sorted[hits.guaranteed & is_fetch] = 1
+                codes_sorted[hits.guaranteed & ~is_fetch] = 2
+                codes_sorted[hits.local_store] = 3
+                codes_sorted[hits.near_fetch] = 4
+                codes_sorted[hits.near_load] = 5
                 codes_trace = np.empty(total, dtype=np.int64)
                 codes_trace[order_np] = codes_sorted
                 skips = codes_trace.tolist()
@@ -787,7 +1009,8 @@ class Machine:
             # heap pops them, where a record's key is the issuing
             # CPU's clock after its previous record.
             counts = derived.counts
-            if guaranteed is not None:
+            streams = _event_streams(derived, hits, protocol)
+            if hits is not None:
                 # Event-driven merge.  Statically-proven hits commute
                 # with every other CPU's records: they never touch the
                 # bus, never steal cycles, and never change anything a
@@ -804,55 +1027,13 @@ class Machine:
                 # legacy key is the clock after the record before it,
                 # which across a span of proven hits is exactly that
                 # prefix-sum -- no record-by-record replay needed.
-                event_mask = ~(
-                    guaranteed | local_store | near_fetch | near_load
-                )
-                if not handles_flush:
-                    # Unhandled flushes are complete no-ops; leaving
-                    # them out of the event set lets the spans run
-                    # through them.
-                    event_mask &= kinds_sorted_np != 3
-                sent_codes = np.zeros(total, dtype=np.int64)
-                sent_codes[local_store] = 4
-                sent_codes[near_fetch] = 5
-                sent_codes[near_load] = 6
-                fetch_prefix_np = derived.fetch_prefix
                 may_steal = protocol.may_steal_cycles
-                cpu_prefix: list[list[int]] = []
-                cpu_events: list[list[int]] = []
-                cpu_event_kinds: list[list[int]] = []
-                cpu_event_blocks: list[list[int]] = []
-                cpu_touches: list[list[tuple[int, int, int]]] = []
-                cpu_fetch_pos: list[list[int]] = []
-                offset = 0
-                for count in counts:
-                    stop = offset + count
-                    idx = np.flatnonzero(event_mask[offset:stop])
-                    k_slice = kinds_sorted_np[offset:stop]
-                    b_slice = blocks_sorted_np[offset:stop]
-                    cpu_events.append(idx.tolist())
-                    cpu_event_kinds.append(k_slice[idx].tolist())
-                    cpu_event_blocks.append(b_slice[idx].tolist())
-                    codes = sent_codes[offset:stop]
-                    sidx = np.flatnonzero(codes)
-                    cpu_touches.append(
-                        list(
-                            zip(
-                                sidx.tolist(),
-                                codes[sidx].tolist(),
-                                b_slice[sidx].tolist(),
-                            )
-                        )
-                    )
-                    prefix_slice = fetch_prefix_np[offset:stop + 1]
-                    cpu_prefix.append(
-                        (prefix_slice - prefix_slice[0]).tolist()
-                    )
-                    if may_steal:
-                        cpu_fetch_pos.append(
-                            np.flatnonzero(is_fetch[offset:stop]).tolist()
-                        )
-                    offset = stop
+                cpu_prefix = streams.prefix
+                cpu_events = streams.events
+                cpu_event_kinds = streams.kinds
+                cpu_event_blocks = streams.blocks
+                cpu_touches = streams.touches
+                cpu_fetch_pos = streams.fetch_pos
                 # Per-CPU merge state.  ``positions[cpu]`` is the
                 # first stream record not yet applied; ``clocks[cpu]``
                 # is the true clock (applied costs plus every steal
@@ -1059,15 +1240,8 @@ class Machine:
                 # running: keys never change during a burst, so the
                 # current CPU continues while its clock stays at or
                 # below that bound.
-                kinds_sorted = derived.kinds_sorted.tolist()
-                blocks_sorted = derived.blocks_sorted.tolist()
-                cpu_kinds: list[list[int]] = []
-                cpu_blocks: list[list[int]] = []
-                offset = 0
-                for count in counts:
-                    cpu_kinds.append(kinds_sorted[offset:offset + count])
-                    cpu_blocks.append(blocks_sorted[offset:offset + count])
-                    offset += count
+                cpu_kinds = streams.kinds
+                cpu_blocks = streams.blocks
                 positions = [0] * n
                 infinity = float("inf")
                 keys = [0.0] * n
@@ -1169,29 +1343,10 @@ class Machine:
                             top_cpu = candidate
                     cpu = best_cpu
 
-        # Write the accumulators back.
-        for index in range(n):
-            cpu_stats = result.cpus[index]
-            cpu_stats.instructions = int(mix[index, 0])
-            cpu_stats.loads = int(mix[index, 1])
-            cpu_stats.stores = int(mix[index, 2])
-            cpu_stats.flushes = int(mix[index, 3])
-            cpu_stats.clock = clocks[index]
-            cpu_stats.wait_cycles = waits[index]
-            cpu_stats.stolen_cycles = steals[index]
-        result.operation_counts = Counter(
-            {
-                op: info[4][0]
-                for op, info in op_info.items()
-                if info[4][0]
-            }
+        _write_back(
+            result, derived, clocks, waits, steals, op_info,
+            (fetch_misses, data_misses, shared_data_misses, dirty_victims),
         )
-        result.fetch_misses = fetch_misses
-        result.data_misses = data_misses
-        result.shared_data_misses = shared_data_misses
-        result.dirty_victim_misses = dirty_victims
-        result.shared_loads = shared_loads
-        result.shared_stores = shared_stores
 
     # -- legacy engine (reference implementation) ------------------------
 
@@ -1272,176 +1427,6 @@ class Machine:
                 process(cpu, kind, address)
         else:
             self._replay_time_ordered(trace, stats, process)
-
-    # -- arbitrated engine (parameterized bus disciplines) ----------------
-
-    def _run_arbitrated(
-        self,
-        trace: Trace,
-        protocol: Protocol,
-        bus: ArbitratedBus,
-        result: SimulationResult,
-        block_shift: int,
-        is_shared_block,
-    ) -> None:
-        """Deferred-grant replay honouring the configured discipline.
-
-        Each processor runs as a generator that parks (``yield "bus"``)
-        when one of its operations needs the bus and resumes when the
-        bus grants it; the driver advances runnable processors in the
-        legacy merge order (lexicographic ``(clock-at-last-boundary,
-        cpu)``) and, before every arbitration decision, advances every
-        processor that can reach its next reference by the decision
-        instant — so the pending pool really contains everyone present
-        when the discipline picks a winner.
-
-        Under ``fcfs`` with zero arbitration overhead this reproduces
-        ``_run_legacy`` exactly for geometry-local protocols (one bus
-        operation per record, no cycle steals — test-pinned).  For
-        stealing protocols the engines can diverge on ties: a steal
-        landing while the victim is parked is applied when it resumes,
-        whereas the legacy loop applies it to the victim's clock
-        immediately.  All engines satisfy the verifier's conservation
-        invariants exactly.
-        """
-        cpu_cost = {op: cost.cpu_cycles for op, cost in self.costs.items()}
-        bus_cost = {op: cost.channel_cycles for op, cost in self.costs.items()}
-        stats = result.cpus
-        op_counts = result.operation_counts
-        handles_flush = protocol.handles_flush
-        fetch = AccessType.INST_FETCH
-        store = AccessType.STORE
-        flush = AccessType.FLUSH
-        n = trace.cpus
-
-        streams: list[list] = [[] for _ in range(n)]
-        for record in trace.records:
-            streams[record.cpu].append(record)
-
-        parked = [False] * n
-        # Steals that landed while the victim was parked on a grant;
-        # applied to its clock when the grant arrives.
-        deferred_steals = [0] * n
-
-        def stream(cpu: int):
-            """One processor's replay as a coroutine.
-
-            Yields ``"bus"`` to park on a posted bus request (the
-            driver sends back the grant's service-start cycle) and
-            ``None`` at every record boundary (where the driver
-            refreezes the merge key).
-            """
-            cpu_stats = stats[cpu]
-            for _, kind, address in streams[cpu]:
-                block = address >> block_shift
-                if kind is flush:
-                    cpu_stats.flushes += 1
-                    if not handles_flush:
-                        yield None
-                        continue
-                    outcome = protocol.flush(cpu, block)
-                else:
-                    if kind is fetch:
-                        cpu_stats.instructions += 1
-                        cpu_stats.clock += 1.0
-                    else:
-                        shared = is_shared_block(block)
-                        if kind is store:
-                            cpu_stats.stores += 1
-                            if shared:
-                                result.shared_stores += 1
-                        else:
-                            cpu_stats.loads += 1
-                            if shared:
-                                result.shared_loads += 1
-                    outcome = protocol.access(cpu, kind, block)
-                for operation in outcome.operations:
-                    hold = bus_cost[operation]
-                    if hold > 0.0:
-                        ready = cpu_stats.clock
-                        bus.request(cpu, ready, hold)
-                        start = yield "bus"
-                        cpu_stats.wait_cycles += start - ready
-                        cpu_stats.clock = start + cpu_cost[operation]
-                        if deferred_steals[cpu]:
-                            cpu_stats.clock += float(deferred_steals[cpu])
-                            deferred_steals[cpu] = 0
-                    else:
-                        cpu_stats.clock += cpu_cost[operation]
-                    op_counts[operation] += 1
-                    if operation in _MISS_OPERATIONS:
-                        if kind is fetch:
-                            result.fetch_misses += 1
-                        else:
-                            result.data_misses += 1
-                            if is_shared_block(block):
-                                result.shared_data_misses += 1
-                        if operation in _DIRTY_VICTIM_OPERATIONS:
-                            result.dirty_victim_misses += 1
-                for victim_cpu in outcome.steal_from:
-                    if parked[victim_cpu]:
-                        deferred_steals[victim_cpu] += 1
-                    else:
-                        stats[victim_cpu].clock += 1.0
-                    stats[victim_cpu].stolen_cycles += 1
-                yield None
-
-        generators = [stream(cpu) for cpu in range(n)]
-        # Merge keys: the clock frozen at each CPU's last record
-        # boundary (steals land on the clock but not the frozen key —
-        # the legacy heap's staleness).  ``runnable`` stays sorted so
-        # strict ``<`` comparisons tie-break toward the lower CPU id.
-        keys = [0.0] * n
-        runnable = [cpu for cpu in range(n) if streams[cpu]]
-        infinity = float("inf")
-
-        def earliest() -> int:
-            best_key = infinity
-            best_cpu = -1
-            for candidate in runnable:
-                key = keys[candidate]
-                if key < best_key:
-                    best_key = key
-                    best_cpu = candidate
-            return best_cpu
-
-        def pump(cpu: int, value=None) -> None:
-            """Advance ``cpu`` to its next yield and update run state."""
-            try:
-                token = generators[cpu].send(value)
-            except StopIteration:
-                token = "done"
-            was_parked = parked[cpu]
-            if token == "bus":
-                parked[cpu] = True
-                if not was_parked:
-                    runnable.remove(cpu)
-            elif token == "done":
-                parked[cpu] = False
-                if not was_parked:
-                    runnable.remove(cpu)
-            else:
-                parked[cpu] = False
-                keys[cpu] = stats[cpu].clock
-                if was_parked:
-                    insort(runnable, cpu)
-
-        while runnable or bus.has_pending:
-            if bus.has_pending:
-                decision = bus.next_grant_at()
-                # Everyone who reaches their next reference by the
-                # arbitration instant gets to post first; new requests
-                # can only move the decision earlier, so recompute.
-                while runnable:
-                    cpu = earliest()
-                    if keys[cpu] > decision:
-                        break
-                    pump(cpu)
-                    decision = bus.next_grant_at()
-                winner, start, _ = bus.grant_next()
-                pump(winner, start)
-            else:
-                pump(earliest())
 
     @staticmethod
     def _replay_time_ordered(trace: Trace, stats, process) -> None:

@@ -26,7 +26,9 @@ failure wins for that protocol):
    static hit analysis they enable.
 6. **Discipline sweep** — the case re-runs on the deferred-grant
    arbitrated engine once per requested bus discipline.  Every run
-   must satisfy the conservation invariants; for the geometry-local
+   must equal the generator-driven deferred-grant reference exactly
+   (every protocol, every discipline) and satisfy the conservation
+   invariants; for the geometry-local
    protocols (whose outcomes are interleaving-independent) the
    ``fcfs`` arbitrated run must additionally reproduce the columnar
    statistics bit-for-bit, and every other discipline must conserve
@@ -370,20 +372,28 @@ def _discipline_divergence(
 ) -> str | None:
     """Why the arbitrated engine under ``discipline`` fails (None = ok).
 
-    Every discipline's run must satisfy the conservation invariants.
+    Every discipline's run must equal the generator-driven
+    deferred-grant reference and satisfy the conservation invariants.
     For the geometry-local protocols the ``fcfs`` arbitrated run must
     match the columnar baseline bit-for-bit, and every other
     discipline must conserve the order-independent counters — only
     clocks and waits may move with the grant order.
     """
-    arbitrated_config = replace(config, bus_discipline=discipline)
-    run = Machine(protocol, arbitrated_config).run(
-        trace, order="time", engine="arbitrated"
-    )
+    machine = Machine(protocol, replace(config, bus_discipline=discipline))
+    run = machine.run(trace, order="time", engine="arbitrated")
     if run.engine != "arbitrated":
         return (
             f"arbitrated engine not engaged (engine={run.engine!r}) "
             f"for discipline {discipline!r}"
+        )
+    left = stats_signature(run)
+    right = stats_signature(
+        machine._replay(trace, "time", "legacy", deferred=True)
+    )
+    if left != right:
+        return (
+            f"{discipline} arbitrated vs deferred-grant reference: "
+            + _describe_divergence(left, right)
         )
     try:
         check_result_invariants(run, trace=trace)
@@ -391,7 +401,6 @@ def _discipline_divergence(
         return f"invariants under {discipline} arbitration: {violation}"
     if protocol in ONEPASS_PROTOCOLS:
         if discipline == "fcfs":
-            left = stats_signature(run)
             right = stats_signature(columnar)
             if left != right:
                 return (

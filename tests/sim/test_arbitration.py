@@ -2,10 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.sim import (
     DISCIPLINES,
+    PROTOCOLS,
     ArbitratedBus,
     Machine,
     SimulationConfig,
@@ -13,6 +15,7 @@ from repro.sim import (
     validate_discipline,
 )
 from repro.sim.onepass import ONEPASS_PROTOCOLS, family_support
+from repro.trace.records import Trace
 from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
 from repro.verify.invariants import check_result_invariants
@@ -122,6 +125,17 @@ class TestConfigValidation:
         run = Machine("base", config).run(case.trace)
         assert run.engine == "arbitrated"
 
+    def test_non_fcfs_legacy_runs_the_deferred_reference(self, case):
+        config = dataclasses.replace(
+            case.config, bus_discipline="round-robin"
+        )
+        machine = Machine("dragon", config)
+        reference = machine.run(case.trace, engine="legacy")
+        assert reference.engine == "legacy"
+        assert stats_signature(reference) == stats_signature(
+            machine.run(case.trace)
+        )
+
     def test_trace_order_is_rejected(self, case):
         config = dataclasses.replace(case.config, bus_discipline="batched")
         with pytest.raises(ValueError, match="order='trace'"):
@@ -199,6 +213,94 @@ class TestArbitratedEngine:
         assert spread("fixed-priority") >= spread("fcfs")
 
 
+def assert_matches_reference(protocol, config, trace):
+    """The columnar deferred-grant loop ``==`` the generator-driven
+    reference it replaced."""
+    machine = Machine(protocol, config)
+    run = machine.run(trace, engine="arbitrated")
+    assert run.engine == "arbitrated"
+    reference = machine._replay(trace, "time", "legacy", deferred=True)
+    assert stats_signature(run) == stats_signature(reference)
+
+
+def edge_trace(name, cpus, refs):
+    """A trace of ``(cpu, kind, block)`` rows; blocks 12..23 shared."""
+    refs = np.array(refs, dtype=np.int64).reshape(-1, 3)
+    return Trace.from_arrays(
+        name=name,
+        cpus=cpus,
+        shared_region=range(12 * 16, 24 * 16),
+        cpu=refs[:, 0],
+        kind=refs[:, 1],
+        address=refs[:, 2] * 16,
+    )
+
+
+def random_refs(seed, cpus, count, kinds):
+    rng = np.random.default_rng(seed)
+    return np.column_stack(
+        [
+            rng.integers(0, cpus, count),
+            rng.choice(kinds, count),
+            rng.integers(0, 24, count),
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def conformance_case():
+    return generate_case(24, scale=0.4)
+
+
+class TestDeferredGrantConformance:
+    @pytest.mark.parametrize("overhead", (0.0, 2.0, 2.5))
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_matches_reference(
+        self, conformance_case, protocol, discipline, overhead
+    ):
+        config = dataclasses.replace(
+            conformance_case.config,
+            bus_discipline=discipline,
+            bus_arbitration_cycles=overhead,
+        )
+        assert_matches_reference(protocol, config, conformance_case.trace)
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    @pytest.mark.parametrize(
+        "trace",
+        (
+            edge_trace("empty", 2, []),
+            edge_trace("one-cpu", 1, random_refs(1, 1, 60, (0, 1, 2))),
+            edge_trace(
+                "one-idle-cpu", 2, random_refs(2, 1, 60, (0, 1, 2))
+            ),
+        ),
+        ids=("empty", "one-cpu", "one-idle-cpu"),
+    )
+    @pytest.mark.parametrize("protocol", ("base", "dragon", "wti"))
+    def test_edge_traces(self, protocol, trace, discipline):
+        config = SimulationConfig(
+            cache_bytes=256,
+            bus_discipline=discipline,
+            bus_arbitration_cycles=2.0,
+        )
+        assert_matches_reference(protocol, config, trace)
+
+    @pytest.mark.parametrize("overhead", (0.0, 2.5))
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_swflush_flushes(self, discipline, overhead):
+        trace = edge_trace(
+            "flushes", 3, random_refs(3, 3, 400, (0, 0, 1, 2, 3))
+        )
+        config = SimulationConfig(
+            cache_bytes=256,
+            bus_discipline=discipline,
+            bus_arbitration_cycles=overhead,
+        )
+        assert_matches_reference("swflush", config, trace)
+
+
 class TestFastPathGates:
     @pytest.mark.parametrize("protocol", ("base", "dragon"))
     def test_family_support_falls_back_loudly(self, protocol):
@@ -236,20 +338,6 @@ class TestFastPathGates:
             dataclasses.replace(config, bus_discipline="round-robin"),
         ).run(case.trace)
         assert stats_signature(run) == stats_signature(direct)
-
-    def test_segment_engine_raises(self, case):
-        config = dataclasses.replace(
-            case.config, bus_discipline="round-robin"
-        )
-        # There is no segment engine to refuse a discipline: the
-        # label itself is rejected before any replay starts.
-        removed = "segment"
-        with pytest.raises(
-            ValueError,
-            match="^engine must be 'columnar', 'legacy', or 'arbitrated', "
-            f"got '{removed}'$",
-        ):
-            Machine("base", config).run(case.trace, engine=removed)
 
 
 class TestResultAccounting:
