@@ -77,7 +77,8 @@ def run_arbitrated(
       only event records are scheduled; each span of proven hits
       before an event is applied lazily, as in the columnar event
       merge.  A cycle steal moves the victim's frontier past the
-      span records that ran before the broadcast's merge position.
+      span records that ran before the broadcast's merge position;
+      their deferred touches replay before the victim's next event.
       A broadcast at the end of a granted record sits after every
       record keyed at or before that grant's arbitration instant:
       the reference ran all of those before granting, and no later
@@ -242,8 +243,10 @@ def run_arbitrated(
             # advance the frontier past them, then land the steal
             # before the rest.  Span record ``m``'s key is the
             # pre-steal clock plus the fetch prefix from the old
-            # frontier.  Their deferred MRU touches wait for the
-            # victim's next span: only its own next event reads them.
+            # frontier.  Their deferred MRU touches stay pending: the
+            # victim's burst replays every touch before its next
+            # event, even when the frontier lands on that event and
+            # leaves it an empty span.
             prefix = cpu_prefix[victim]
             position = positions[victim]
             base = prefix[position]
@@ -317,14 +320,18 @@ def run_arbitrated(
         position = positions[cpu]
         clock = clocks[cpu]
         while True:
-            if e > position:
+            if spans:
                 # The span of proven hits before the event: fetch
                 # hits cost one cycle each (loads and local store
                 # hits are free); the deferred MRU touches replay
-                # in program order.
-                delta = prefix[e] - prefix[position]
-                if delta:
-                    clock += delta
+                # in program order.  A steal may have advanced the
+                # frontier onto the event itself, so the touches
+                # still pending from before it replay even when the
+                # span left is empty.
+                if e > position:
+                    delta = prefix[e] - prefix[position]
+                    if delta:
+                        clock += delta
                 tp = touch_index[cpu]
                 while tp < len(touches) and touches[tp][0] < e:
                     _, code, t_block = touches[tp]

@@ -26,10 +26,13 @@ Replay engines
   declaring ``read_hit_is_free`` — the dominant case (a resident
   instruction fetch or unshared load) is handled inline as a two-probe
   LRU touch with no per-record tuple allocation and no protocol call.
-  For protocols whose contract flags allow it, a vectorised static
-  analysis additionally *proves* most references hit before replay
-  begins (same-block runs, re-references within the window the
-  associativity guarantees), and time-ordered replay then becomes an
+  A vectorised static analysis additionally *proves* most references
+  hit before replay begins (same-block runs, re-references within the
+  window the associativity guarantees): every reference under the
+  protocols whose remote traffic never evicts (base, nocache,
+  swflush, dragon), and references to *single-owner* blocks, which
+  only one CPU ever touches, under the invalidating ones (wti,
+  directory, the hybrids).  Time-ordered replay then becomes an
   *event-driven* merge: only the records that can interact across
   processors (potential misses, stores, handled flushes) are scheduled
   in exact legacy heap order, while the proven hits between them are
@@ -149,31 +152,47 @@ def _proven_hits(
     same block as the immediately preceding reference of the same CPU
     must hit, provided that reference left the block resident (it was
     not a flush, nor an uncached shared data reference under
-    No-Cache) and no other CPU's traffic can evict lines from this
-    cache (``remote_traffic_preserves_residency``).  Such a fetch is
-    exactly ``clock += 1.0``: the predecessor touched the block last
-    and snoop state updates never reorder a set, so it is already
-    most-recently-used and even the LRU touch is a no-op.  Sequential
-    instruction fetches make these the majority of all records.
-    Batching is gated on integral operation costs so clocks stay
-    exact-integer floats and a batched ``clock += k`` is bit-identical
-    to ``k`` single-cycle advances.
+    No-Cache) and no other CPU's traffic can evict the line.  Such a
+    fetch is exactly ``clock += 1.0``: the predecessor touched the
+    block last and snoop state updates never reorder a set, so it is
+    already most-recently-used and even the LRU touch is a no-op.
+    Sequential instruction fetches make these the majority of all
+    records.  Batching is gated on integral operation costs so clocks
+    stay exact-integer floats and a batched ``clock += k`` is
+    bit-identical to ``k`` single-cycle advances.
+
+    Which records may be proven is a per-record mask.  A protocol
+    that is ``read_hit_is_free`` and
+    ``remote_traffic_preserves_residency`` allows every record: no
+    remote traffic evicts anything.  A ``private_blocks_are_local``
+    protocol allows only records whose block is single-owner
+    (:attr:`~repro.trace.derived.DerivedColumns.single_owner_sorted`):
+    remote traffic touches only lines of the block it names, never
+    one of those, and a read hit on one is free.  Invalidations of
+    *other* blocks in the same set only free ways, so the window
+    proofs below still hold.
     """
     total = len(derived.order)
     n = len(derived.counts)
-    eager = (
+    if (
         protocol.read_hit_is_free
         and protocol.remote_traffic_preserves_residency
+    ):
+        allowed = None
+    elif protocol.private_blocks_are_local:
+        allowed = derived.single_owner_sorted
+    else:
+        return None
+    if not (
         # Arbitration overhead lands on processor clocks via bus
         # grants; it must be integral too for batched clock
         # advances to stay bit-identical to single steps.
-        and float(arbitration_cycles).is_integer()
+        float(arbitration_cycles).is_integer()
         and all(
             float(info[0]).is_integer() and float(info[1]).is_integer()
             for info in op_info.values()
         )
-    )
-    if not eager:
+    ):
         return None
     handles_flush = protocol.handles_flush
     kinds_sorted_np = derived.kinds_sorted
@@ -212,26 +231,23 @@ def _proven_hits(
     if protocol.store_hit_is_local:
         eligible_b = (kinds_sorted_np == 2) & touches
     elif protocol.private_store_hit_is_local:
-        # Restricted form (Dragon): only stores to blocks that
-        # are outside the shared region and that no other CPU
-        # ever references — the line is then provably in an
-        # exclusive state, so the hit cannot broadcast and
-        # touches no sharing counters.
+        # Restricted form (Dragon, the hybrids, directory): only
+        # stores to single-owner blocks outside the shared region —
+        # the line is then provably in an exclusive state, so the
+        # hit cannot broadcast or invalidate and touches no sharing
+        # counters.
         if shared_sorted_np is None:
             shared_sorted_np = derived.shared_sorted
-        pair = blocks_sorted_np * np.uint64(n)
-        pair += cpus_sorted_np.astype(np.uint64)
-        pair_blocks = np.unique(pair) // np.uint64(n)
-        multi_cpu = pair_blocks[1:][
-            pair_blocks[1:] == pair_blocks[:-1]
-        ]
         eligible_b = (
             (kinds_sorted_np == 2)
             & ~shared_sorted_np
-            & ~np.isin(blocks_sorted_np, multi_cpu)
+            & derived.single_owner_sorted
         )
     else:
         eligible_b = np.zeros(total, dtype=bool)
+    if allowed is not None:
+        eligible_a &= allowed
+        eligible_b &= allowed
     eligible = eligible_a | eligible_b
     # Group records by (cpu, set): eviction is strictly
     # per-set and remote traffic cannot evict, so each set's
@@ -1230,8 +1246,10 @@ class Machine:
                     frontier_keys[cpu] = clock
                     keys[cpu] = clock + (prefix[e] - prefix[position])
             else:
-                # Per-record merge for protocols without the static-
-                # hit contracts (the invalidation-based schemes).
+                # Per-record merge when nothing is proven: costs or
+                # arbitration overhead are non-integral, or the
+                # protocol declares no static-hit contract (the
+                # oracle shadow).
                 # With a handful of CPUs a linear argmin over the same
                 # frozen keys beats heapq -- no tuple allocation, no
                 # sift -- and pops in the identical lexicographic

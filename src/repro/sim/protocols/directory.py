@@ -65,6 +65,8 @@ class DirectoryProtocol(Protocol):
 
     name = "directory"
     read_hit_is_free = True
+    private_blocks_are_local = True
+    private_store_hit_is_local = True
 
     def __init__(self, caches, is_shared_block):
         super().__init__(caches, is_shared_block)

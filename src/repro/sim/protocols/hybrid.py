@@ -136,6 +136,9 @@ class HybridProtocol(Protocol):
     resets_on_use: bool = True
 
     remote_traffic_preserves_residency = False
+    # Pressure only builds on copies a remote store reaches, so a
+    # block no other CPU references never carries any.
+    private_blocks_are_local = True
     private_store_hit_is_local = True
     may_steal_cycles = True
 

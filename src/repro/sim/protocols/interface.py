@@ -80,8 +80,29 @@ class Protocol(ABC):
     #: them as pure clock advances.  True for Base, Dragon (write
     #: broadcasts update in place), No-Cache, and Software-Flush
     #: (flushes are local); False for the invalidation protocols
-    #: (WTI, directory).
+    #: (WTI, directory) and the hybrids.  Those still preserve the
+    #: residency of *single-owner* blocks, see
+    #: :attr:`private_blocks_are_local`.
     remote_traffic_preserves_residency: bool = False
+
+    #: Per-block form of :attr:`remote_traffic_preserves_residency`
+    #: and :attr:`read_hit_is_free`, for blocks that only one CPU
+    #: references in the whole trace ("single-owner" blocks).  True
+    #: asserts two things.  An access or flush by one CPU to block
+    #: ``b`` changes other caches only on their lines of ``b``: it
+    #: never inserts a line there and never reorders a set, so remote
+    #: traffic never touches a single-owner block.  And a non-STORE
+    #: hit on a block no other CPU references returns
+    #: :data:`NO_ACTION` and changes no counter and no
+    #: :meth:`snapshot` state.  ("No other CPU references", not "no
+    #: other cache holds": a reset-on-use hybrid copy keeps its
+    #: pressure after the writer evicts the block, and a read hit
+    #: then clears it.)  The columnar engine then proves hits on
+    #: single-owner blocks statically even for invalidating
+    #: protocols.  True for WTI, directory and the hybrids.  It must
+    #: default to False: the oracle shadow relies on "every flag
+    #: False => every record calls :meth:`access`".
+    private_blocks_are_local: bool = False
 
     #: True asserts a store that hits a resident block does nothing
     #: but set that line's state to DIRTY (with the usual LRU touch)
@@ -97,8 +118,10 @@ class Protocol(ABC):
     #: the block is outside the shared region AND no other CPU ever
     #: references it in the whole trace (so the line is provably in an
     #: exclusive state and no snoop interaction can trigger).  Dragon
-    #: satisfies this — an exclusive-state write hit just dirties the
-    #: line — even though a store hit on a shared line broadcasts.
+    #: and the hybrids satisfy this — an exclusive-state write hit
+    #: just dirties the line — even though a store hit on a shared
+    #: line broadcasts; so does the directory, whose write hit with
+    #: no other holders just dirties the line.
     private_store_hit_is_local: bool = False
 
     #: True if any access can return a non-empty ``steal_from`` (snoop

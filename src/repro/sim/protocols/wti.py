@@ -42,6 +42,7 @@ class WriteThroughInvalidateProtocol(Protocol):
 
     name = "wti"
     read_hit_is_free = True
+    private_blocks_are_local = True
 
     def __init__(self, caches, is_shared_block):
         super().__init__(caches, is_shared_block)

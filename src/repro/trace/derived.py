@@ -32,7 +32,11 @@ one oversized trace still memoizes:
   by how many block sizes they touch.
 
 All derived arrays are treated as immutable by convention; callers
-must not write to them.
+must not write to them.  One array is lazy: the single-owner mask
+(:attr:`DerivedColumns.single_owner_sorted`) is computed on first use
+and then kept with its entry, so traces whose replays never need it
+pay nothing.  It is one byte per record and is not counted against
+the payload bound.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +110,25 @@ class DerivedColumns:
     shared_stores: int
     is_fetch_sorted: np.ndarray
     fetch_prefix: np.ndarray
+
+    @cached_property
+    def single_owner_sorted(self) -> np.ndarray:
+        """Whether each sorted record's block is *single-owner*:
+        referenced by exactly one CPU anywhere in the trace.
+
+        One ``np.unique`` over the (block, cpu) pairs, computed on
+        first use and kept with the entry.
+        """
+        n = np.uint64(max(len(self.counts), 1))
+        pair = self.blocks_sorted * n
+        pair += self.cpus_sorted.astype(np.uint64)
+        pairs, inverse = np.unique(pair, return_inverse=True)
+        pair_blocks = pairs // n
+        same = pair_blocks[1:] == pair_blocks[:-1]
+        multi_cpu = np.zeros(len(pairs), dtype=bool)
+        multi_cpu[1:] = same
+        multi_cpu[:-1] |= same
+        return ~multi_cpu[inverse]
 
 
 def trace_digest(trace: Trace) -> str:
@@ -184,10 +208,12 @@ def _derive(trace: Trace, block_shift: int, digest: str) -> DerivedColumns:
 
 
 def _entry_nbytes(derived: DerivedColumns) -> int:
-    """Payload footprint of one entry: the sum of its array bytes."""
+    """Payload footprint of one entry: the sum of its array fields'
+    bytes (the lazy single-owner mask excluded, so the figure does not
+    change while the entry is cached)."""
     return sum(
         value.nbytes
-        for value in vars(derived).values()
+        for value in (getattr(derived, f.name) for f in fields(derived))
         if isinstance(value, np.ndarray)
     )
 

@@ -266,6 +266,31 @@ class TestDeferredGrantConformance:
         )
         assert_matches_reference(protocol, config, conformance_case.trace)
 
+    @pytest.mark.parametrize(
+        "protocol, seed, associativity, discipline, overhead",
+        (
+            ("dragon", 38, 1, "round-robin", 2.0),
+            ("dragon", 85, 2, "fixed-priority", 3.0),
+            ("hybrid-2", 21, 2, "round-robin", 2.0),
+        ),
+    )
+    def test_steal_onto_the_pending_event(
+        self, protocol, seed, associativity, discipline, overhead
+    ):
+        """A steal can move the victim's frontier exactly onto its
+        pending event, leaving an empty span whose deferred MRU
+        touches must still replay before that event.  Replayed after
+        it instead, the first cell raises ``KeyError`` and the other
+        two diverge from the reference."""
+        case = generate_case(seed, scale=0.5)
+        config = dataclasses.replace(
+            case.config,
+            associativity=associativity,
+            bus_discipline=discipline,
+            bus_arbitration_cycles=overhead,
+        )
+        assert_matches_reference(protocol, config, case.trace)
+
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     @pytest.mark.parametrize(
         "trace",
@@ -299,6 +324,44 @@ class TestDeferredGrantConformance:
             bus_arbitration_cycles=overhead,
         )
         assert_matches_reference("swflush", config, trace)
+
+
+#: Protocols whose replays run proven-hit spans through cycle steals or
+#: the single-owner proof: the sweep below covers their geometries.
+SPANNED_PROTOCOLS = (
+    "dragon", "wti", "directory", "hybrid-2", "hybrid-4", "hybrid-limit",
+)
+
+
+@pytest.mark.slow
+class TestDeferredGrantGeometrySweep:
+    @pytest.mark.parametrize(
+        "discipline", ("round-robin", "fixed-priority", "batched")
+    )
+    @pytest.mark.parametrize("protocol", SPANNED_PROTOCOLS)
+    def test_matches_reference(self, protocol, discipline):
+        """``generate_case`` seeds 0-119 with the associativity
+        overridden: the natural fuzz corpus keeps its geometry and
+        misses steals that land a frontier on a pending event."""
+        mismatched = []
+        for seed in range(120):
+            case = generate_case(seed, scale=0.5)
+            for associativity in (1, 2, 4):
+                for overhead in (0.0, 2.0, 3.0):
+                    config = dataclasses.replace(
+                        case.config,
+                        associativity=associativity,
+                        bus_discipline=discipline,
+                        bus_arbitration_cycles=overhead,
+                    )
+                    machine = Machine(protocol, config)
+                    run = machine.run(case.trace, engine="arbitrated")
+                    reference = machine._replay(
+                        case.trace, "time", "legacy", deferred=True
+                    )
+                    if stats_signature(run) != stats_signature(reference):
+                        mismatched.append((seed, associativity, overhead))
+        assert not mismatched, mismatched[:10]
 
 
 class TestFastPathGates:

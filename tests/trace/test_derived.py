@@ -147,3 +147,46 @@ class TestBoundedCache:
         info = derived_cache_info()
         assert info["size"] == 1
         assert info["hits"] == 1
+
+
+class TestSingleOwnerMask:
+    def test_matches_a_per_block_count(self):
+        rng = np.random.default_rng(3)
+        cpu = rng.integers(0, 3, 400)
+        # CPU 2 keeps to its own blocks; 0 and 1 share a few.
+        block = np.where(
+            cpu == 2, 100 + rng.integers(0, 20, 400), rng.integers(0, 30, 400)
+        )
+        trace = Trace.from_arrays(
+            name="owners",
+            cpus=3,
+            shared_region=range(0, 0),
+            cpu=cpu,
+            kind=rng.integers(0, 3, 400),
+            address=block * 16 + rng.integers(0, 16, 400),
+        )
+        derived = derived_columns(trace, 4)
+        owners = {}
+        for cpu, block in zip(
+            derived.cpus_sorted.tolist(), derived.blocks_sorted.tolist()
+        ):
+            owners.setdefault(block, set()).add(cpu)
+        expected = [
+            len(owners[block]) == 1
+            for block in derived.blocks_sorted.tolist()
+        ]
+        assert derived.single_owner_sorted.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+    def test_lazy_mask_leaves_the_byte_count_alone(self):
+        # Eviction subtracts the entry's footprint recomputed at that
+        # moment, so a mask computed after insertion must not count.
+        trace = small_trace()
+        first = derived_columns(trace, 4)
+        with_first = derived_cache_info()["bytes"]
+        first.single_owner_sorted
+        assert derived_cache_info()["bytes"] == with_first
+        derived_columns(trace, 5)
+        second_only = derived_cache_info()["bytes"] - with_first
+        set_derived_cache_size(1)
+        assert derived_cache_info()["bytes"] == second_only
