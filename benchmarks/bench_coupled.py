@@ -1,20 +1,21 @@
-"""Epoch-partitioned Dragon/WTI families.
+"""Epoch-partitioned Dragon families.
 
-The epoch engine extends sweep-scale simulation to the geometry-coupled
-snoopy protocols: one :func:`repro.sim.run_geometry_family` call per
-protocol replaces one full trace replay per cache size, with per-config
-statistics bit-identical to ``Machine.run``.  The pytest-benchmark
-entries here track the eight-size family for both protocols;
-``test_dragon_family_speedup`` / ``test_wti_family_speedup`` record the
-measured ratios (``extra_info["speedup"]``) and enforce the 2x
-wall-clock floor.
+The epoch engine extends sweep-scale simulation to Dragon, a
+geometry-coupled snoopy protocol: one
+:func:`repro.sim.run_geometry_family` call replaces one full trace
+replay per cache size, with per-config statistics bit-identical to
+``Machine.run``.  ``test_dragon_family_speedup`` tracks the eight-size
+family, records the measured ratio (``extra_info["speedup"]``) and
+enforces the 2x wall-clock floor.  WTI has no epoch engine: its
+sweeps run one ``Machine.run`` per configuration.
 
 The module also runs standalone for CI::
 
     python benchmarks/bench_coupled.py --smoke
 
-which checks family-vs-per-config bit-exactness for Dragon and WTI on
-a reduced trace, then times the benchmark families against a
+which checks family-vs-per-config bit-exactness for Dragon on a
+reduced trace and that a WTI sweep reports its pinned per-config
+fallback reason, then times the Dragon benchmark family against a
 noise-tolerant smoke floor — seconds, not minutes, suitable for
 ``scripts/check.sh``.
 """
@@ -24,15 +25,23 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.sim import Machine, SimulationConfig, run_geometry_family
+from repro.obs.metrics import fallback_counters
+from repro.sim import (
+    Machine,
+    SimulationConfig,
+    family_support,
+    run_geometry_family,
+)
 from repro.trace import preset
 from repro.verify.differential import stats_signature
 
 #: Sweep-scale benchmark family: the paper's 16K-256K validation axis
 #: extended down to 2K — eight cache sizes, one 160k-record trace.
-_BENCH_PROTOCOLS = ("dragon", "wti")
 _BENCH_SIZES = tuple(2048 << k for k in range(8))
 _BENCH_RECORDS = 40_000
+
+#: The structured reason a WTI sweep records for its per-config runs.
+_WTI_FALLBACK = "protocol:wti couples geometries and has no epoch engine"
 
 #: Small smoke family for the exactness check, < 10 s total.
 _SMOKE_SIZES = (4096, 16384, 65536, 262144)
@@ -92,14 +101,18 @@ def _paired_min_seconds(fast, slow, rounds: int = _ROUNDS):
     return best_fast, best_slow
 
 
-def _family_speedup(benchmark, protocol: str) -> None:
+# -- pytest-benchmark entries -------------------------------------------
+
+
+def test_dragon_family_speedup(benchmark):
+    """Record and enforce the >= 2x Dragon eight-size sweep speedup."""
     trace = _trace(_BENCH_RECORDS)
-    reference = _per_config_sweep(protocol, trace, _BENCH_SIZES)
+    reference = _per_config_sweep("dragon", trace, _BENCH_SIZES)
     per_config_seconds = _min_seconds(
-        lambda: _per_config_sweep(protocol, trace, _BENCH_SIZES)
+        lambda: _per_config_sweep("dragon", trace, _BENCH_SIZES)
     )
     family = benchmark(
-        lambda: run_geometry_family(protocol, trace, _BENCH_SIZES)
+        lambda: run_geometry_family("dragon", trace, _BENCH_SIZES)
     )
     family_seconds = benchmark.stats.stats.min
 
@@ -112,67 +125,69 @@ def _family_speedup(benchmark, protocol: str) -> None:
     benchmark.extra_info["cache_sizes"] = len(_BENCH_SIZES)
     benchmark.extra_info["records"] = len(trace)
     assert speedup >= _WALL_FLOOR, (
-        f"{protocol} family only {speedup:.2f}x faster than per-config "
+        f"dragon family only {speedup:.2f}x faster than per-config "
         f"({per_config_seconds:.3f}s vs {family_seconds:.3f}s)"
     )
-
-
-# -- pytest-benchmark entries -------------------------------------------
-
-
-def test_dragon_family_speedup(benchmark):
-    """Record and enforce the >= 2x Dragon eight-size sweep speedup."""
-    _family_speedup(benchmark, "dragon")
-
-
-def test_wti_family_speedup(benchmark):
-    """Record and enforce the >= 2x WTI eight-size sweep speedup."""
-    _family_speedup(benchmark, "wti")
 
 
 # -- standalone smoke mode ----------------------------------------------
 
 
-def run_smoke() -> int:
-    """Bit-exactness for Dragon/WTI + the 2x timing floor; 0 if ok."""
-    trace = _trace(_SMOKE_RECORDS)
+def _wti_fallback_failures(trace) -> int:
+    """A WTI sweep runs per-config and says so with the pinned reason."""
     failures = 0
-    for protocol in _BENCH_PROTOCOLS:
-        family = run_geometry_family(protocol, trace, _SMOKE_SIZES)
-        reference = _per_config_sweep(protocol, trace, _SMOKE_SIZES)
-        if not _identical(family, reference):
-            print(f"MISMATCH epoch/{protocol}", file=sys.stderr)
-            failures += 1
-        if any(run.engine != "epoch" for run in family.values()):
-            print(f"FAST PATH NOT USED for {protocol}", file=sys.stderr)
-            failures += 1
+    if family_support("wti") != ("fallback", _WTI_FALLBACK):
+        print(f"WTI ROUTING {family_support('wti')!r}", file=sys.stderr)
+        failures += 1
+    before, _ = fallback_counters()
+    family = run_geometry_family("wti", trace, _SMOKE_SIZES[:2])
+    after, reason = fallback_counters()
+    if after != before + 1 or reason != _WTI_FALLBACK:
+        print(f"WTI FALLBACK NOT RECORDED ({reason!r})", file=sys.stderr)
+        failures += 1
+    if any(run.engine != "columnar" for run in family.values()):
+        print("WTI SWEEP NOT PER-CONFIG", file=sys.stderr)
+        failures += 1
+    return failures
+
+
+def run_smoke() -> int:
+    """Dragon bit-exactness, WTI routing + the timing floor; 0 if ok."""
+    trace = _trace(_SMOKE_RECORDS)
+    failures = _wti_fallback_failures(trace)
+    family = run_geometry_family("dragon", trace, _SMOKE_SIZES)
+    reference = _per_config_sweep("dragon", trace, _SMOKE_SIZES)
+    if not _identical(family, reference):
+        print("MISMATCH epoch/dragon", file=sys.stderr)
+        failures += 1
+    if any(run.engine != "epoch" for run in family.values()):
+        print("FAST PATH NOT USED for dragon", file=sys.stderr)
+        failures += 1
     if failures:
         return 1
 
     bench_trace = _trace(_BENCH_RECORDS)
-    status = 0
-    for protocol in _BENCH_PROTOCOLS:
-        run_geometry_family(protocol, bench_trace, _BENCH_SIZES)  # warm
-        family_seconds, per_config_seconds = _paired_min_seconds(
-            lambda: run_geometry_family(protocol, bench_trace, _BENCH_SIZES),
-            lambda: _per_config_sweep(protocol, bench_trace, _BENCH_SIZES),
-            rounds=5,
-        )
-        speedup = per_config_seconds / family_seconds
+    run_geometry_family("dragon", bench_trace, _BENCH_SIZES)  # warm
+    family_seconds, per_config_seconds = _paired_min_seconds(
+        lambda: run_geometry_family("dragon", bench_trace, _BENCH_SIZES),
+        lambda: _per_config_sweep("dragon", bench_trace, _BENCH_SIZES),
+        rounds=5,
+    )
+    speedup = per_config_seconds / family_seconds
+    print(
+        f"dragon smoke ok: {len(_BENCH_SIZES)} sizes x "
+        f"{len(bench_trace)} records, per-config "
+        f"{per_config_seconds:.3f}s, family {family_seconds:.3f}s "
+        f"({speedup:.1f}x)"
+    )
+    if speedup < _SMOKE_WALL_FLOOR:
         print(
-            f"{protocol} smoke ok: {len(_BENCH_SIZES)} sizes x "
-            f"{len(bench_trace)} records, per-config "
-            f"{per_config_seconds:.3f}s, family {family_seconds:.3f}s "
-            f"({speedup:.1f}x)"
+            f"dragon speedup {speedup:.2f}x below the "
+            f"{_SMOKE_WALL_FLOOR:.1f}x smoke floor",
+            file=sys.stderr,
         )
-        if speedup < _SMOKE_WALL_FLOOR:
-            print(
-                f"{protocol} speedup {speedup:.2f}x below the "
-                f"{_SMOKE_WALL_FLOOR:.1f}x smoke floor",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -72,10 +72,10 @@ echo "== one-pass geometry families: equivalence + speedup smoke =="
 # family (2x in smoke; the recorded baseline enforces 3x).
 python benchmarks/bench_onepass.py --smoke
 
-echo "== epoch families (dragon/wti): smoke =="
-# Family-vs-per-config bit-exactness for both geometry-coupled
-# protocols, then the eight-size sweep speedup floor (1.6x in smoke;
-# the recorded baseline enforces 2x).
+echo "== epoch family (dragon): smoke =="
+# Family-vs-per-config bit-exactness for Dragon and WTI's per-config
+# fallback reason, then the Dragon eight-size sweep speedup floor
+# (1.6x in smoke; the recorded baseline enforces 2x).
 python benchmarks/bench_coupled.py --smoke
 
 echo "== bus arbitration disciplines: exactness + overhead smoke =="

@@ -250,7 +250,7 @@ def why_dragon(fast: bool = True, **_) -> ExperimentResult:
     that WTI's write-through traffic saturates the bus far earlier.
     """
     from repro.core import WRITE_THROUGH_INVALIDATE
-    from repro.sim import SimulationConfig, run_geometry_family
+    from repro.sim import Machine, SimulationConfig, run_geometry_family
     from repro.trace import preset
 
     params = WorkloadParams.middle()
@@ -296,15 +296,13 @@ def why_dragon(fast: bool = True, **_) -> ExperimentResult:
         if records
         else preset("thor").generate()
     )
-    # Both cells ride the epoch-partitioned family path: exact
-    # per-config statistics from one trace traversal per protocol.
+    # Dragon rides the epoch-partitioned family path; WTI has no
+    # family engine, so its one cell is a plain Machine.run.
     config = SimulationConfig()
     dragon_sim = run_geometry_family(
         "dragon", trace, (config.cache_bytes,)
     )[config.cache_bytes]
-    wti_sim = run_geometry_family(
-        "wti", trace, (config.cache_bytes,)
-    )[config.cache_bytes]
+    wti_sim = Machine("wti", config).run(trace)
     result.tables.append(
         TableData(
             title="simulation at 4 processors (thor)",

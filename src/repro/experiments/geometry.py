@@ -8,8 +8,8 @@ table and hands the whole cache-size axis to
 :func:`repro.sim.run_geometry_family`, which traverses the trace once
 per (protocol, block size) family — via the vectorised one-pass engine
 for the geometry-local protocols and the epoch-partitioned engine for
-Dragon and WTI — and falls back to per-config ``Machine.run`` only for
-protocols with neither (recording the structured reason).  Either way
+Dragon — and falls back to per-config ``Machine.run`` for every other
+protocol, WTI included (recording the structured reason).  Either way
 the statistics are bit-identical to a per-cell replay.
 """
 

@@ -72,8 +72,8 @@ def validation_sweep(
     The whole ``cache_sizes`` axis is simulated per processor count
     with :func:`repro.sim.run_geometry_family` — a single trace
     traversal for the geometry-local protocols (one-pass engine) and
-    for Dragon/WTI (epoch-partitioned engine), per-config replay only
-    for protocols with neither — with statistics identical to per-cell
+    for Dragon (epoch-partitioned engine), per-config replay for every
+    other protocol — with statistics identical to per-cell
     ``Machine.run`` either way.
 
     Returns:
@@ -166,10 +166,9 @@ def model_vs_simulation(
     )
     # One cell per (workload, protocol): the cache-size axis is swept
     # inside the cell by ``run_geometry_family`` — a single trace
-    # traversal per processor count on the one-pass and epoch engines
-    # (which now cover every paper protocol but directory) — so cells
-    # stay coarse enough to amortize and the rendered output is
-    # identical to the old per-cache-size cells.
+    # traversal per processor count on the one-pass (base) and epoch
+    # (dragon) engines — so cells stay coarse enough to amortize and
+    # the rendered output is identical to the old per-cache-size cells.
     cells = [
         (
             workload,

@@ -42,16 +42,17 @@ alone — the per-geometry work factors cleanly:
 
 Exactness requires integral operation costs (so batched clock
 advances equal record-by-record ones in float arithmetic — the same
-gate ``Machine``'s static hit analysis applies).  Dragon and WTI —
-whose sharing traffic couples the CPUs' cache contents — take the
+gate ``Machine``'s static hit analysis applies).  Dragon — whose
+sharing traffic couples the CPUs' cache contents — takes the
 epoch-partitioned family engine in :mod:`repro.sim.family` instead
 (same one-traversal cost structure, different factorisation, with the
 run-collapse kernel of :mod:`repro.sim.segment` as its classifier).
-Any remaining case — other coupled protocols, non-integral cost
-tables, Dragon/WTI associativities outside the run-collapse theorem —
-:func:`run_geometry_family` transparently falls back to one exact
-``Machine.run`` per configuration; :func:`family_support` names the
-engine or the structured fallback reason.
+Any remaining case — the other coupled protocols (WTI, directory, the
+hybrids), non-integral cost tables, Dragon associativities outside the
+run-collapse theorem — :func:`run_geometry_family` transparently falls
+back to one exact ``Machine.run`` per configuration;
+:func:`family_support` names the engine or the structured fallback
+reason.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ def family_support(
     """How :func:`run_geometry_family` will run this combination.
 
     Returns ``(engine, reason)``: ``("onepass", None)`` for the
-    geometry-local fast path, ``("epoch", None)`` for the
-    epoch-partitioned coupled-protocol engine, or
+    geometry-local fast path, ``("epoch", None)`` for Dragon's
+    epoch-partitioned engine, or
     ``("fallback", reason)`` when only per-config replay is exact.
     Reasons are structured ``category:detail`` strings
     (``protocol:...``, ``costs:...``, ``associativity:...``,

@@ -1,13 +1,13 @@
-"""Run-collapse LRU classification: the kernel of the coupled families.
+"""Run-collapse LRU classification: the kernel of the Dragon family.
 
-The Dragon and WTI family engines (:mod:`repro.sim.family`) classify
-every geometry of a sweep here, without a per-record Python loop,
-wherever a CPU's cache contents evolve from its own stream.  The
-question is *which references miss, and which block do they evict?*
-For caches of associativity one or two it has a closed form over
-**runs** (maximal sequences of consecutive same-block touches within
-one ``(cpu, set)`` segment), so the whole classification collapses to
-array passes:
+The Dragon epoch family engine (:mod:`repro.sim.family`) classifies
+every geometry of a sweep here, without a per-record Python loop:
+Dragon's remote traffic never evicts, so each CPU's cache contents
+evolve from its own stream.  The question is *which references miss,
+and which block do they evict?*  For caches of associativity one or
+two it has a closed form over **runs** (maximal sequences of
+consecutive same-block touches within one ``(cpu, set)`` segment), so
+the whole classification collapses to array passes:
 
 * Partition each CPU's touch stream by set (one stable grouped sort),
   then collapse consecutive same-block touches into runs.  Within a
@@ -75,16 +75,11 @@ class LruClassification:
         victim_pos: the victim's true insertion position (program
             order within its CPU's stream), carried through the hits
             between insertion and eviction; ``-1`` when no victim.
-        prev_same: True where the most recent touch of the same
-            ``(cpu, set)`` segment was to the same block — the
-            "guaranteed MRU-identity hit" predicate the coupled-family
-            engines use for provable skips.
     """
 
     miss: np.ndarray
     victim_block: np.ndarray
     victim_pos: np.ndarray
-    prev_same: np.ndarray
 
 
 def classify_lru(
@@ -108,10 +103,9 @@ def classify_lru(
     miss = np.zeros(total, dtype=bool)
     victim_block = np.full(total, -1, dtype=np.int64)
     victim_pos = np.full(total, -1, dtype=np.int64)
-    prev_same = np.zeros(total, dtype=bool)
     t_idx = np.flatnonzero(touches)
     if not len(t_idx):
-        return LruClassification(miss, victim_block, victim_pos, prev_same)
+        return LruClassification(miss, victim_block, victim_pos)
 
     t_cpu = derived.cpus_sorted[t_idx].astype(np.int64)
     t_block = derived.blocks_sorted[t_idx]
@@ -125,7 +119,6 @@ def classify_lru(
 
     same = np.zeros(m, dtype=bool)
     same[1:] = (g_seg[1:] == g_seg[:-1]) & (g_block[1:] == g_block[:-1])
-    prev_same[g_idx] = same
 
     # Collapse to runs of consecutive same-block touches per segment.
     run_start = np.flatnonzero(~same)
@@ -179,7 +172,7 @@ def classify_lru(
         v_idx = run_start_idx[wv]
         victim_block[v_idx] = run_block[v_runs].astype(np.int64)
         victim_pos[v_idx] = run_start_pos[insert_run[v_runs]]
-    return LruClassification(miss, victim_block, victim_pos, prev_same)
+    return LruClassification(miss, victim_block, victim_pos)
 
 
 def dirty_flags(

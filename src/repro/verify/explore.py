@@ -46,10 +46,10 @@ Within the bounds — CPUs, cache geometry, block alphabet, and search
 depth — every reachable transition satisfies the oracle's rules, and
 (budget permitting) every reached state's shortest path replays
 identically through the columnar and legacy engines and (where
-``family_support`` routes the protocol to it) a one-size one-pass
-family, while satisfying the global conservation
-invariants.  Nothing is claimed beyond the bounds: a bug that needs
-three CPUs is invisible at two, and one that needs a deeper
+``family_support`` routes the protocol to a sweep engine: one-pass or
+Dragon's epoch family) a one-size family, while satisfying the global
+conservation invariants.  Nothing is claimed beyond the bounds: a bug
+that needs three CPUs is invisible at two, and one that needs a deeper
 interleaving is invisible below its depth.  The fuzzer keeps covering
 the large-model regime; the explorer converts the small-model regime
 from statistical confidence into an exhaustive guarantee.
@@ -200,7 +200,7 @@ class ExploreBounds:
             truncated (not exhaustive) when it runs out.
         conformance: how many discovered states also get a
             cross-engine replay of their shortest path (columnar vs
-            legacy vs the one-pass family where it applies, plus the
+            legacy vs the sweep family engine where it applies, plus the
             global invariants); states are checked in BFS discovery
             order.
     """
@@ -444,8 +444,8 @@ def _conformance_divergence(
 ) -> tuple[str, str] | None:
     """(check, message) when the engines disagree on this path, else
     None.  ``protocol`` may be a registry name or a Protocol class;
-    the one-pass cross-check only applies to registry names (its
-    routing gate is about the real protocols)."""
+    the family cross-check (one-pass or epoch engine) only applies to
+    registry names (its routing gate is about the real protocols)."""
     columnar = Machine(protocol, config).run(trace, order="trace")
     legacy = Machine(protocol, config).run(
         trace, order="trace", engine="legacy"
@@ -464,7 +464,7 @@ def _conformance_divergence(
     if (
         isinstance(protocol, str)
         and family_support(protocol, associativity=config.associativity)[0]
-        == "onepass"
+        != "fallback"
     ):
         family = run_geometry_family(
             protocol,
@@ -474,12 +474,12 @@ def _conformance_divergence(
             associativity=config.associativity,
             order="trace",
         )
-        onepass = stats_signature(family[config.cache_bytes])
-        if onepass != left:
+        swept = stats_signature(family[config.cache_bytes])
+        if swept != left:
             return (
                 "onepass-diff:trace",
-                "one-pass family vs columnar: "
-                + _describe_divergence(onepass, left),
+                "family engine vs columnar: "
+                + _describe_divergence(swept, left),
             )
     return None
 

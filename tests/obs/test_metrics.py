@@ -138,7 +138,7 @@ class TestEngineProvenanceMetrics:
 
         def cell(_item):
             return run_geometry_family(
-                "wti", trace, [1024, 4096],
+                "dragon", trace, [1024, 4096],
                 block_bytes=16, associativity=1, order="time",
             )
 

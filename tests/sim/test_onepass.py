@@ -159,16 +159,34 @@ class TestFastPathGate:
             assert result.run_wall_s > 0.0
 
     def test_geometry_coupled_protocols_use_epoch_engine(self, seeded_trace):
-        for protocol in ("dragon", "wti"):
-            engine, reason = family_support(protocol)
-            assert (engine, reason) == ("epoch", None)
-            family = run_geometry_family(protocol, seeded_trace, [4096, 16384])
-            for size, result in family.items():
-                assert result.engine == "epoch"
-                config = SimulationConfig(cache_bytes=size)
-                reference = Machine(protocol, config).run(seeded_trace)
-                assert stats_dict(result) == stats_dict(reference)
-                assert result.protocol_stats == reference.protocol_stats
+        assert family_support("dragon") == ("epoch", None)
+        family = run_geometry_family("dragon", seeded_trace, [4096, 16384])
+        for size, result in family.items():
+            assert result.engine == "epoch"
+            config = SimulationConfig(cache_bytes=size)
+            reference = Machine("dragon", config).run(seeded_trace)
+            assert stats_dict(result) == stats_dict(reference)
+            assert result.protocol_stats == reference.protocol_stats
+
+    def test_wti_sweeps_per_config(self, seeded_trace):
+        # WTI has no epoch engine: its sweeps are one exact Machine.run
+        # per configuration, with the reason recorded.
+        engine, reason = family_support("wti")
+        assert (engine, reason) == (
+            "fallback",
+            "protocol:wti couples geometries and has no epoch engine",
+        )
+        before, _ = fallback_counters()
+        family = run_geometry_family("wti", seeded_trace, [4096, 16384])
+        after, recorded = fallback_counters()
+        assert after == before + 1
+        assert recorded == reason
+        for size, result in family.items():
+            assert result.engine == "columnar"
+            config = SimulationConfig(cache_bytes=size)
+            reference = Machine("wti", config).run(seeded_trace)
+            assert stats_dict(result) == stats_dict(reference)
+            assert result.protocol_stats == reference.protocol_stats
 
     def test_directory_protocol_falls_back(self, seeded_trace):
         engine, reason = family_support("directory")
@@ -236,7 +254,7 @@ class TestFastPathGate:
         assert family_support("dragon", fractional) == (
             "fallback", "costs:non-integral operation costs"
         )
-        for protocol in ("base", "wti"):
+        for protocol in ("base", "dragon"):
             engine, reason = family_support(protocol, fractional)
             assert (engine, reason) == (
                 "fallback", "costs:non-integral operation costs"
@@ -257,9 +275,9 @@ class TestFastPathGate:
     def test_supported_combinations(self):
         for protocol in ONEPASS_PROTOCOLS:
             assert family_support(protocol) == ("onepass", None)
-        for protocol in ("dragon", "wti"):
-            assert family_support(protocol) == ("epoch", None)
-        assert family_support("directory")[0] == "fallback"
+        assert family_support("dragon") == ("epoch", None)
+        for protocol in ("wti", "directory"):
+            assert family_support(protocol)[0] == "fallback"
 
 
 class TestTraversalSavings:

@@ -6,7 +6,7 @@ associativity and with or without flush records.  A one-size
 :func:`repro.sim.run_geometry_family` is the single-configuration
 entry to it and must be byte-identical to ``Machine.run``.  The
 run-collapse kernel :func:`repro.sim.classify_lru` survives only
-inside the Dragon/WTI families; its theorem is pinned against a
+inside the Dragon family; its theorem is pinned against a
 direct LRU simulation below.  ``Machine.run`` has no ``segment``
 engine label: asking for one is refused loudly.
 """
@@ -209,9 +209,7 @@ def reference_lru(derived, sets, associativity):
     miss = np.zeros(total, dtype=bool)
     victim_block = np.full(total, -1, dtype=np.int64)
     victim_pos = np.full(total, -1, dtype=np.int64)
-    prev_same = np.zeros(total, dtype=bool)
     state = {}  # (cpu, set) -> list of [block, insert_pos], MRU first
-    last_block = {}  # (cpu, set) -> most recently touched block
     positions = {}
     for i in range(total):
         cpu = int(derived.cpus_sorted[i])
@@ -220,8 +218,6 @@ def reference_lru(derived, sets, associativity):
         positions[cpu] = pos + 1
         key = (cpu, block % sets)
         ways = state.setdefault(key, [])
-        prev_same[i] = last_block.get(key) == block
-        last_block[key] = block
         for way, entry in enumerate(ways):
             if entry[0] == block:
                 ways.insert(0, ways.pop(way))
@@ -233,7 +229,7 @@ def reference_lru(derived, sets, associativity):
                 victim_block[i] = victim[0]
                 victim_pos[i] = victim[1]
             ways.insert(0, [block, pos])
-    return miss, victim_block, victim_pos, prev_same
+    return miss, victim_block, victim_pos
 
 
 class TestClassifyLruTheorem:
@@ -244,13 +240,12 @@ class TestClassifyLruTheorem:
         derived = derived_columns(trace, 4)
         touches = np.ones(len(trace), dtype=bool)
         cls = classify_lru(derived, sets, associativity, touches)
-        miss, victim_block, victim_pos, prev_same = reference_lru(
+        miss, victim_block, victim_pos = reference_lru(
             derived, sets, associativity
         )
         np.testing.assert_array_equal(cls.miss, miss)
         np.testing.assert_array_equal(cls.victim_block, victim_block)
         np.testing.assert_array_equal(cls.victim_pos, victim_pos)
-        np.testing.assert_array_equal(cls.prev_same, prev_same)
 
     def test_rejects_unsupported_associativity(self, seeded_trace):
         derived = derived_columns(seeded_trace, 4)

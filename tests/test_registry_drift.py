@@ -8,6 +8,8 @@ omitted ``base`` and ``directory``; the predict help hard-coded four
 schemes), which these tests make impossible to reintroduce.
 """
 
+from pathlib import Path
+
 from repro.cli import (
     _scheme_help,
     build_parser,
@@ -19,6 +21,7 @@ from repro.core.schemes import known_schemes, scheme_by_name
 from repro.queueing.disciplines import SERVICE_DISCIPLINES, solve_bus_discipline
 from repro.sim.bus import DISCIPLINES
 from repro.sim.machine import SimulationConfig
+from repro.sim.onepass import family_support
 from repro.sim.protocols import PROTOCOLS, protocol_aliases
 from repro.verify.oracles import ORACLES
 
@@ -118,3 +121,48 @@ class TestProtocolAliases:
     def test_hybrid_shorthand(self):
         assert "hybrid" in protocol_aliases("hybrid-4")
         assert "competitive" in protocol_aliases("hybrid-limit")
+
+
+ARCHITECTURE = Path(__file__).resolve().parents[1] / "docs" / "ARCHITECTURE.md"
+
+
+def documented_sweep_engines() -> dict[str, str]:
+    """Protocol -> sweep-engine column of ARCHITECTURE's
+    "Protocol × engine support" table, as ``family_support`` names it
+    (``onepass``, ``epoch``, or ``fallback``)."""
+    lines = ARCHITECTURE.read_text(encoding="utf-8").splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if line.startswith("Protocol × engine support")
+    )
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    header, _rule, *body = rows
+    column = header.index("sweep engine")
+    engines = {}
+    for row in body:
+        engine = row[column].strip("`")
+        if engine == "per-config fallback":
+            engine = "fallback"
+        for name in row[0].split(" / "):
+            assert name not in engines, f"{name} listed twice"
+            engines[name] = engine
+    return engines
+
+
+class TestEngineSupportDocAgreement:
+    """The support matrix in docs/ARCHITECTURE.md is prose; the gate
+    is ``family_support``.  Every registered protocol must appear in
+    the table, with the sweep engine the gate actually routes it to."""
+
+    def test_every_protocol_is_documented_once(self):
+        assert set(documented_sweep_engines()) == set(PROTOCOLS)
+
+    def test_sweep_engine_column_matches_family_support(self):
+        documented = documented_sweep_engines()
+        for name in PROTOCOLS:
+            assert documented[name] == family_support(name)[0], name

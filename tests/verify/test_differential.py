@@ -98,8 +98,8 @@ class TestOnepassDiff:
         case = generate_case(0, scale=0.3)
         assert run_seed(0, scale=0.3) == []
         # Every paper protocol with an exact family engine at the
-        # case's associativity gets the stage — including the
-        # geometry-coupled ones via the epoch engine.
+        # case's associativity gets the stage — including Dragon via
+        # the epoch engine; WTI sweeps per-config and is skipped.
         expected = {
             protocol
             for protocol in ("dragon", "wti", "swflush", "nocache")

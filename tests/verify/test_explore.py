@@ -244,6 +244,50 @@ class TestHybridMutantYieldsCounterexample:
         assert replay_artifact(artifact) is None
 
 
+class TestEpochFamilyConformance:
+    """Dragon's epoch family is replayed at every conformance state:
+    a family engine that drifts from columnar is a counterexample."""
+
+    def test_clean_dragon_runs_the_epoch_family(self, monkeypatch):
+        import repro.verify.explore as explore
+
+        engines = []
+        real = explore.run_geometry_family
+
+        def spy(*args, **kwargs):
+            family = real(*args, **kwargs)
+            engines.extend(run.engine for run in family.values())
+            return family
+
+        monkeypatch.setattr(explore, "run_geometry_family", spy)
+        report = explore_protocol("dragon", SMALL)
+        assert report.exhaustive
+        assert engines and set(engines) == {"epoch"}
+
+    def test_family_mutant_yields_counterexample(self, monkeypatch):
+        import repro.sim.family as family
+
+        real = family._merge_and_finish
+
+        def forgets_steals(*args):
+            # Bug: the family resolver drops every broadcast's
+            # cycle-steal charges (the sharers' clocks never move).
+            args = list(args)
+            resolve = args[8]
+            args[8] = lambda cpu, i: (resolve(cpu, i)[0], ())
+            return real(*args)
+
+        monkeypatch.setattr(family, "_merge_and_finish", forgets_steals)
+        report = explore_protocol("dragon", SMALL)
+        violation = report.violation
+        assert violation is not None
+        assert violation.failure.check == "onepass-diff:trace"
+        assert violation.failure.protocol == "dragon"
+        assert "steals" in violation.failure.message
+        # Shortest trigger: a remote fill, then the broadcasting store.
+        assert len(violation.trace) == 2
+
+
 class TestPathTrace:
     def test_actions_become_records_in_order(self):
         bounds = SMALL
