@@ -930,6 +930,7 @@ _fuzz_scale = _validated_number(
 _arbitration_cycles = _validated_number(
     "repro.sim.bus", "validate_arbitration_cycles", kind=float
 )
+_processors = _validated_number("repro.core.bus", "validate_processors")
 
 
 def _jobs_count(value: str) -> int:
@@ -1074,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     predict_parser.add_argument("scheme", help=_scheme_help())
     predict_parser.add_argument(
-        "processors", type=int, help="number of processors"
+        "processors", type=_processors, help="number of processors"
     )
     predict_parser.add_argument(
         "--level", default="middle", choices=("low", "middle", "high"),

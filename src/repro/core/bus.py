@@ -29,9 +29,16 @@ from repro.queueing.mva import (
     solve_machine_repairman_general,
 )
 
-__all__ = ["BusSystem"]
+__all__ = ["BusSystem", "validate_processors"]
 
 _SERVICE_MODELS = ("exponential", "measured")
+
+
+def validate_processors(processors: int) -> int:
+    """Validate a bus machine size (at least one processor)."""
+    if processors < 1:
+        raise ValueError(f"processors must be >= 1, got {processors}")
+    return processors
 
 
 class BusSystem:
@@ -102,9 +109,7 @@ class BusSystem:
         Returns:
             The full :class:`~repro.core.prediction.BusPrediction`.
         """
-        if processors < 1:
-            raise ValueError(f"processors must be >= 1, got {processors}")
-
+        validate_processors(processors)
         cost = instruction_cost(scheme, params, self.costs)
         waiting = self._waiting_per_instruction(
             scheme, params, cost, processors

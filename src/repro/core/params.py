@@ -20,10 +20,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+import numpy as np
+
 __all__ = [
     "PARAMETER_RANGES",
     "ParameterRange",
     "WorkloadParams",
+    "validate_parameter",
 ]
 
 _PROBABILITY_FIELDS = (
@@ -37,6 +40,38 @@ _PROBABILITY_FIELDS = (
     "oclean",
     "opres",
 )
+
+#: ``name -> (low, high, message)``: the closed range a parameter must
+#: lie in, and the error naming it.  NaN lies in no range.
+_RULES = {
+    **{
+        name: (0.0, 1.0, f"{name} is a probability and must be in [0, 1]")
+        for name in _PROBABILITY_FIELDS
+    },
+    "apl": (1.0, float("inf"), "apl is a reference count and must be >= 1"),
+    "nshd": (0.0, float("inf"), "nshd must be >= 0"),
+}
+
+
+def validate_parameter(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a legal ``name``.
+
+    ``value`` is a scalar or an array (a swept grid axis); an array
+    is legal when every element is, and the error reports the first
+    offending element.
+    """
+    low, high, message = _RULES[name]
+    if isinstance(value, (int, float)):
+        if low <= value <= high:
+            return
+        got = value
+    else:
+        values = np.asarray(value, dtype=float)
+        bad = ~((values >= low) & (values <= high))
+        if not bad.any():
+            return
+        got = values[bad][0]
+    raise ValueError(f"{message}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -76,18 +111,8 @@ class WorkloadParams:
     nshd: float
 
     def __post_init__(self) -> None:
-        for name in _PROBABILITY_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"{name} is a probability and must be in [0, 1], got {value}"
-                )
-        if self.apl < 1.0:
-            raise ValueError(
-                f"apl is a reference count and must be >= 1, got {self.apl}"
-            )
-        if self.nshd < 0.0:
-            raise ValueError(f"nshd must be >= 0, got {self.nshd}")
+        for name in _RULES:
+            validate_parameter(name, getattr(self, name))
 
     def replace(self, **changes: float) -> "WorkloadParams":
         """A copy with the named parameters replaced (and re-validated)."""

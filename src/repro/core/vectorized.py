@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.operations import CostTable, derive_network_costs
-from repro.core.params import WorkloadParams
+from repro.core.params import WorkloadParams, validate_parameter
 from repro.core.schemes import CoherenceScheme
 from repro.queueing.batch import (
     closed_loop_thinking_grid,
@@ -64,10 +64,9 @@ class ParameterGrid:
 
     Field names mirror :class:`~repro.core.params.WorkloadParams`;
     each may be a scalar or an array, and they are broadcast together.
-    Unlike ``WorkloadParams`` there is no per-element validation —
-    grids are for exploration, and validation would dominate runtime.
     Use :meth:`from_params` to spread a validated base point and
-    override the swept axes.
+    override the swept axes: it checks every axis against the same
+    rule as ``WorkloadParams`` (one vectorised pass per axis).
     """
 
     ls: np.ndarray
@@ -91,17 +90,18 @@ class ParameterGrid:
             axes: ``name=array`` pairs for the swept parameters; all
                 arrays must be mutually broadcastable.
         """
+        unknown = set(axes) - {field.name for field in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown parameters: {sorted(unknown)}")
         values = {}
         for field in fields(cls):
             if field.name in axes:
                 values[field.name] = np.asarray(axes[field.name], dtype=float)
+                validate_parameter(field.name, values[field.name])
             else:
                 values[field.name] = np.asarray(
                     getattr(base, field.name), dtype=float
                 )
-        unknown = set(axes) - {field.name for field in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
         return cls(**values)
 
     @classmethod

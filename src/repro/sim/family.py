@@ -24,9 +24,13 @@ cycle-steal key-staleness rules.
 
 Within an epoch every geometry sees identical sharer sets, which is
 what makes per-geometry replays collapsible into per-geometry event
-merges over one shared classification pass.  Statistics — including
-``DragonStats`` and exact float clocks — are bit-identical to
-per-config ``Machine.run`` (enforced by ``tests/sim/test_family.py``).
+merges over one shared classification pass.  That merge,
+:func:`merge_events`, is the one sweep event merge: the geometry-local
+one-pass engine (:mod:`repro.sim.onepass`) runs its events through it
+too, with every event pre-labelled and no resolver.  Statistics —
+including ``DragonStats`` and exact float clocks — are bit-identical
+to per-config ``Machine.run`` (enforced by ``tests/sim/test_family.py``
+and ``tests/sim/test_onepass.py``).
 
 Exactness has the same gates as the one-pass engine (integral costs,
 and integral fcfs arbitration overhead — folded into every merge's
@@ -39,7 +43,8 @@ to the per-config fallback with a recorded reason.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +55,14 @@ from repro.sim.machine import (
     SimulationConfig,
     SimulationResult,
     _op_info,
+    _write_back,
 )
 from repro.sim.protocols.dragon import DragonStats
 from repro.sim.segment import classify_lru, dirty_flags, stream_positions
 from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import Trace
 
-__all__ = ["FAMILY_PROTOCOLS", "run_coupled_family"]
+__all__ = ["FAMILY_PROTOCOLS", "merge_events", "run_coupled_family"]
 
 #: Geometry-coupled protocols the epoch engine handles.
 FAMILY_PROTOCOLS = ("dragon",)
@@ -79,7 +85,6 @@ _MISS_OP = {
 
 
 def run_coupled_family(
-    name: str,
     trace: Trace,
     configs: dict[int, SimulationConfig],
     costs: CostTable,
@@ -91,10 +96,10 @@ def run_coupled_family(
     validated the protocol (one of :data:`FAMILY_PROTOCOLS`), order,
     cost integrality, and geometry family.
     """
-    del name  # Dragon is the only family protocol
     started = time.perf_counter()
     block_shift = next(iter(configs.values())).geometry.block_shift
     derived = derived_columns(trace, block_shift)
+    views = family_views(derived)
     spos = stream_positions(derived)
     # Contended blocks are those referenced by more than one CPU: only
     # they can ever have remote holders.  The mask is the derived
@@ -103,7 +108,7 @@ def run_coupled_family(
     contended = np.unique(derived.blocks_sorted[contended_sorted])
     results = {
         size: _run_dragon(
-            trace, config, costs, order, derived, spos,
+            trace, config, costs, order, derived, views, spos,
             contended, contended_sorted,
         )
         for size, config in configs.items()
@@ -115,21 +120,6 @@ def run_coupled_family(
     return results
 
 
-def _cpu_prefixes(derived: DerivedColumns, n: int) -> list[list[int]]:
-    """Per-CPU fetch prefix sums (clock cost of an event-free epoch)."""
-    prefixes = []
-    for cpu in range(n):
-        start = derived.offsets[cpu]
-        stop = start + derived.counts[cpu]
-        prefix_slice = derived.fetch_prefix[start : stop + 1]
-        prefixes.append((prefix_slice - prefix_slice[0]).tolist())
-    return prefixes
-
-
-def _gather(array: np.ndarray, idx: np.ndarray) -> list:
-    return array[idx].tolist()
-
-
 # -- Dragon --------------------------------------------------------------
 
 
@@ -139,6 +129,7 @@ def _run_dragon(
     costs: CostTable,
     order: str,
     derived: DerivedColumns,
+    views: FamilyViews,
     spos: np.ndarray,
     contended: np.ndarray,
     contended_sorted: np.ndarray,
@@ -162,7 +153,8 @@ def _run_dragon(
     # Store hits on non-contended blocks are provably exclusive: they
     # dirty the line locally and only bump the shared-write-hit
     # counter — countable vectorised, never epoch boundaries.
-    untracked_write_hits = int(
+    stats = DragonStats()
+    stats.shared_write_hits = int(
         np.count_nonzero(
             is_store & touches & ~miss & ~contended_sorted & shared_sorted
         )
@@ -192,37 +184,6 @@ def _run_dragon(
                 spos[private],
             )
 
-    offsets = derived.offsets
-    counts = derived.counts
-    epos: list[list[int]] = []
-    ekind: list[list[int]] = []
-    eblock: list[list[int]] = []
-    emiss: list[list[bool]] = []
-    eshared: list[list[bool]] = []
-    etracked: list[list[bool]] = []
-    evictim: list[list[int]] = []
-    evictim_tracked: list[list[bool]] = []
-    evictim_dirty: list[list[bool]] = []
-    blocks_i64 = derived.blocks_sorted.astype(np.int64)
-    for cpu in range(n):
-        start = offsets[cpu]
-        idx = np.flatnonzero(ev_mask[start : start + counts[cpu]]) + start
-        epos.append((idx - start).tolist())
-        ekind.append(_gather(kinds, idx))
-        eblock.append(_gather(blocks_i64, idx))
-        emiss.append(_gather(miss, idx))
-        eshared.append(_gather(shared_sorted, idx))
-        etracked.append(_gather(contended_sorted, idx))
-        evictim.append(_gather(victim_block, idx))
-        evictim_tracked.append(_gather(victim_contended, idx))
-        evictim_dirty.append(_gather(victim_dirty, idx))
-
-    # Sharer/owner state of contended blocks, per CPU, carried across
-    # epoch boundaries.
-    tstate: list[dict[int, int]] = [{} for _ in range(n)]
-    stats = DragonStats()
-    stats.shared_write_hits = untracked_write_hits
-    cpu_range = range(n)
     op_info = _op_info(costs)
     bcast = op_info[Operation.WRITE_BROADCAST]
     miss_info = {key: (op_info[op],) for key, op in _MISS_OP.items()}
@@ -235,24 +196,40 @@ def _run_dragon(
     # untracked victim can have no holders and touches no carried
     # state — its operations (and its shared-miss count) are fixed
     # before the merge, so the hot loop skips ``resolve`` for it.
-    static_shared = 0
-    estatic: list[list] = []
-    for c in range(n):
-        missed = emiss[c]
-        tracked = etracked[c]
-        vtracked = evictim_tracked[c]
-        vdirty = evictim_dirty[c]
-        shared_flags = eshared[c]
-        row = []
-        for i in range(len(missed)):
-            if missed[i] and not tracked[i] and not vtracked[i]:
-                row.append(miss_info[False, vdirty[i]])
-                if shared_flags[i]:
-                    static_shared += 1
-            else:
-                row.append(None)
-        estatic.append(row)
-    stats.shared_misses += static_shared
+    static = miss & ~contended_sorted & ~victim_contended
+    stats.shared_misses = int(np.count_nonzero(static & shared_sorted))
+
+    offsets = derived.offsets
+    counts = derived.counts
+    epos: list[list[int]] = []
+    eops: list[list] = []
+    eblock: list[list[int]] = []
+    emiss: list[list[bool]] = []
+    etracked: list[list[bool]] = []
+    evictim: list[list[int]] = []
+    evictim_tracked: list[list[bool]] = []
+    evictim_dirty: list[list[bool]] = []
+    blocks_i64 = derived.blocks_sorted.astype(np.int64)
+    for cpu in range(n):
+        start = offsets[cpu]
+        idx = np.flatnonzero(ev_mask[start : start + counts[cpu]]) + start
+        epos.append((idx - start).tolist())
+        dirty = victim_dirty[idx].tolist()
+        eops.append([
+            miss_info[False, victim_was_dirty] if fixed else None
+            for fixed, victim_was_dirty in zip(static[idx].tolist(), dirty)
+        ])
+        eblock.append(blocks_i64[idx].tolist())
+        emiss.append(miss[idx].tolist())
+        etracked.append(contended_sorted[idx].tolist())
+        evictim.append(victim_block[idx].tolist())
+        evictim_tracked.append(victim_contended[idx].tolist())
+        evictim_dirty.append(dirty)
+
+    # Sharer/owner state of contended blocks, per CPU, carried across
+    # epoch boundaries.
+    tstate: list[dict[int, int]] = [{} for _ in range(n)]
+    cpu_range = range(n)
 
     # Hot-loop tuning: common outcome pairs are preallocated and
     # captured names are bound as default arguments (locals, not
@@ -263,14 +240,15 @@ def _run_dragon(
     def resolve(
         cpu: int,
         i: int,
+        epos=epos,
+        kinds=views.kinds,
+        shared_flags=views.shared,
         eblock=eblock,
-        eshared=eshared,
         emiss=emiss,
         etracked=etracked,
         evictim=evictim,
         evictim_tracked=evictim_tracked,
         evictim_dirty=evictim_dirty,
-        ekind=ekind,
         tstate=tstate,
         stats=stats,
         cpu_range=cpu_range,
@@ -282,8 +260,9 @@ def _run_dragon(
         """Apply one epoch boundary's protocol actions (exact
         replica of ``DragonProtocol.access`` over the carried
         state)."""
+        pos = epos[cpu][i]
         block = eblock[cpu][i]
-        shared = eshared[cpu][i]
+        shared = shared_flags[cpu][pos]
         if emiss[cpu][i]:
             holders: list[int] = []
             supplied = False
@@ -324,7 +303,7 @@ def _run_dragon(
                 dirty_victim = False
             if etracked[cpu][i]:
                 tstate[cpu][block] = fill
-            if ekind[cpu][i] == 2:
+            if kinds[cpu][pos] == 2:
                 if holders:
                     stats.broadcasts += 1
                     stats.broadcast_holders += len(holders)
@@ -363,59 +342,83 @@ def _run_dragon(
             tstate[j][block] = _SHARED_CLEAN
         return (bcast_info, tuple(holders))
 
-    return _merge_and_finish(
-        trace, config, order, derived, epos, ekind, eshared,
-        estatic, resolve, op_info, stats,
+    result = SimulationResult(
+        protocol="dragon",
+        trace_name=trace.name,
+        config=config,
+        protocol_stats=stats,
+        engine="epoch",
+        records_replayed=len(trace),
+    )
+    return merge_events(
+        result, order, derived, views, epos, eops, op_info, resolve=resolve
     )
 
 
-# -- event merge + result assembly ---------------------------------------
+# -- the sweep event merge -----------------------------------------------
 
 
-def _merge_and_finish(
-    trace: Trace,
-    config: SimulationConfig,
+class FamilyViews(NamedTuple):
+    """Per-CPU views shared by every configuration of a family.
+
+    ``prefixes[cpu][p]`` is the number of fetches among the CPU's first
+    ``p`` records (the clock cost of an event-free span); ``kinds`` and
+    ``shared`` are the CPU's record kinds and shared-region flags in
+    program order.  Built once per family, not once per cache size.
+    """
+
+    prefixes: list[list[int]]
+    kinds: list[list[int]]
+    shared: list[list[bool]]
+
+
+def family_views(derived: DerivedColumns) -> FamilyViews:
+    prefixes = []
+    kinds = []
+    shared = []
+    for start, count in zip(derived.offsets, derived.counts):
+        prefix_slice = derived.fetch_prefix[start : start + count + 1]
+        prefixes.append((prefix_slice - prefix_slice[0]).tolist())
+        kinds.append(derived.kinds_sorted[start : start + count].tolist())
+        shared.append(derived.shared_sorted[start : start + count].tolist())
+    return FamilyViews(prefixes, kinds, shared)
+
+
+def merge_events(
+    result: SimulationResult,
     order: str,
     derived: DerivedColumns,
+    views: FamilyViews,
     epos: list[list[int]],
-    ekind: list[list[int]],
-    eshared: list[list[bool]],
-    estatic: list[list],
-    resolve,
+    eops: list[list],
     op_info: dict,
-    protocol_stats: DragonStats,
+    resolve=None,
 ) -> SimulationResult:
-    """Replay epoch boundaries in exact legacy ``(key, cpu)`` order.
+    """Replay one configuration's events in exact legacy ``(key, cpu)``
+    order and write its statistics into ``result``.
 
-    The structure mirrors ``onepass._account`` (event-free epochs
-    advance clocks via fetch prefix sums) extended with per-event
-    resolution and the cycle-steal key-staleness rules of
-    ``Machine._run_columnar``'s event-driven merge, minus the deferred
-    LRU touches (every epoch record here is free apart from its fetch
-    cycle, so epochs are pure clock advances).
+    Every record that is not an event is free apart from its fetch
+    cycle, so event-free spans are pure clock advances by fetch prefix
+    sums, and merging only the events across CPUs on an inlined FCFS
+    bus reproduces ``Machine``'s exact grant sequence, including the
+    cycle-steal key-staleness rules of ``Machine._run_columnar``'s
+    event-driven merge.
 
-    ``estatic[cpu][i]`` is the event's pre-resolved cost-info tuple
-    when its operations are independent of the carried sharing state
-    (the hot loop consumes it directly), or None to route the event
-    through ``resolve(cpu, i)`` — which returns ``(info_tuple,
-    stolen_from)`` built from the same ``op_info`` entries, so
-    operation counting stays in one place.
+    ``epos[cpu]`` holds the stream positions of the CPU's events in
+    program order.  ``eops[cpu][i]`` is the event's tuple of ``op_info``
+    entries, or None to route the event through ``resolve(cpu, i)``,
+    which returns ``(info_tuple, stolen_from)`` built from the same
+    ``op_info`` entries, so operation counting stays in one place.
+    ``result`` arrives with its provenance set; the merge fills in the
+    per-CPU and bus statistics.
     """
-    n = trace.cpus
     counts = derived.counts
-    prefixes = _cpu_prefixes(derived, n)
-    arb = float(config.bus_arbitration_cycles)
-
-    # One tuple per event — a single list index in the hot loop
-    # instead of four parallel-column lookups.
-    def pack_events():
-        return [
-            list(zip(epos[c], ekind[c], eshared[c], estatic[c]))
-            for c in range(n)
-        ]
+    n = len(counts)
+    prefixes, kinds, shared = views
+    arb = float(result.config.bus_arbitration_cycles)
 
     # TimedBus.transact inlined into the merge loops as three locals
-    # (identical arithmetic; the result assembly rebuilds the totals).
+    # (identical arithmetic).
     bus_free = 0.0
     bus_busy = 0.0
     bus_tx = 0
@@ -428,32 +431,28 @@ def _merge_and_finish(
     dirty_victims = 0
 
     if order == "trace" or n == 1:
-        events = pack_events()
-        order_np = derived.order
-        offsets = derived.offsets
-        ev_trace = []
-        ev_cpu = []
-        for cpu in range(n):
-            pos_np = np.asarray(epos[cpu], dtype=np.int64)
-            ev_trace.append(order_np[offsets[cpu] + pos_np])
-            ev_cpu.append(np.full(len(pos_np), cpu, dtype=np.int64))
-        if ev_trace:
-            all_trace = np.concatenate(ev_trace)
-            all_cpu = np.concatenate(ev_cpu)
-            merged_cpus = all_cpu[np.argsort(all_trace, kind="stable")].tolist()
-        else:
-            merged_cpus = []
+        # Global trace order: map each event's stream position back to
+        # its original trace index and process events in that order,
+        # advancing each CPU's clock over the event-free span first.
+        all_trace = np.concatenate([
+            derived.order[start + np.asarray(row, dtype=np.int64)]
+            for start, row in zip(derived.offsets, epos)
+        ])
+        all_cpu = np.repeat(np.arange(n), [len(row) for row in epos])
+        merged_cpus = all_cpu[np.argsort(all_trace, kind="stable")].tolist()
         applied = [0] * n
         event_index = [0] * n
         for cpu in merged_cpus:
             i = event_index[cpu]
-            pos, kind, shared, operations = events[cpu][i]
             event_index[cpu] = i + 1
+            pos = epos[cpu][i]
+            operations = eops[cpu][i]
             prefix = prefixes[cpu]
             clock = clocks[cpu]
             delta = prefix[pos] - prefix[applied[cpu]]
             if delta:
                 clock += delta
+            kind = kinds[cpu][pos]
             if kind == 0:
                 clock += 1.0
             if operations is None:
@@ -481,7 +480,7 @@ def _merge_and_finish(
                         fetch_misses += 1
                     else:
                         data_misses += 1
-                        if shared:
+                        if shared[cpu][pos]:
                             shared_data_misses += 1
                     if is_dirty:
                         dirty_victims += 1
@@ -497,20 +496,13 @@ def _merge_and_finish(
                 clocks[cpu] += delta
     else:
         # Simulated-time merge in legacy lexicographic (key, cpu)
-        # order.  Steals land on the victim's true clock immediately
-        # but enter its merge keys only from the first record
-        # processed after the broadcast — the same key-staleness
-        # reconstruction as Machine._run_columnar, simplified by the
-        # absence of deferred touches.
-        events = pack_events()
-        cpu_fetch_pos = []
-        is_fetch = derived.is_fetch_sorted
-        offset = 0
-        for count in counts:
-            cpu_fetch_pos.append(
-                np.flatnonzero(is_fetch[offset : offset + count]).tolist()
-            )
-            offset += count
+        # order: an event's key is the issuing CPU's clock after its
+        # previous record, which across an event-free span is the
+        # prefix-summed fetch count.  Steals land on the victim's true
+        # clock immediately but enter its merge keys only from the
+        # first record processed after the broadcast — the same
+        # key-staleness reconstruction as Machine._run_columnar,
+        # simplified by the absence of deferred touches.
         positions = [0] * n
         event_index = [0] * n
         next_event = [0] * n
@@ -522,8 +514,7 @@ def _merge_and_finish(
             if not counts[cpu]:
                 continue
             active.append(cpu)
-            row = events[cpu]
-            e = row[0][0] if row else counts[cpu]
+            e = epos[cpu][0] if epos[cpu] else counts[cpu]
             next_event[cpu] = e
             keys[cpu] = float(prefixes[cpu][e])
         while active:
@@ -547,7 +538,8 @@ def _merge_and_finish(
                 active.remove(cpu)
                 continue
             i = event_index[cpu]
-            _, kind, shared, operations = events[cpu][i]
+            operations = eops[cpu][i]
+            kind = kinds[cpu][e]
             if kind == 0:
                 clock += 1.0
             if operations is None:
@@ -575,7 +567,7 @@ def _merge_and_finish(
                         fetch_misses += 1
                     else:
                         data_misses += 1
-                        if shared:
+                        if shared[cpu][e]:
                             shared_data_misses += 1
                     if is_dirty:
                         dirty_victims += 1
@@ -599,7 +591,9 @@ def _merge_and_finish(
                         # steal before the rest.  The new frontier is
                         # found by fetch count: epoch record m's key
                         # is the victim's pre-steal clock plus the
-                        # fetch prefix from the old frontier.
+                        # fetch prefix from the old frontier, so the
+                        # frontier is the first position whose prefix
+                        # reaches the target fetch count.
                         v_prefix = prefixes[victim]
                         v_pos = positions[victim]
                         base = v_prefix[v_pos]
@@ -610,7 +604,7 @@ def _merge_and_finish(
                         if target <= base:
                             frontier = v_pos + 1
                         else:
-                            frontier = cpu_fetch_pos[victim][target - 1] + 1
+                            frontier = bisect_left(v_prefix, target)
                         advance = v_prefix[frontier] - base
                         if advance:
                             clocks[victim] += advance
@@ -622,41 +616,18 @@ def _merge_and_finish(
             positions[cpu] = position
             i += 1
             event_index[cpu] = i
-            row = events[cpu]
-            e = row[i][0] if i < len(row) else counts[cpu]
+            row = epos[cpu]
+            e = row[i] if i < len(row) else counts[cpu]
             next_event[cpu] = e
             frontier_keys[cpu] = clock
             keys[cpu] = clock + (prefix[e] - prefix[position])
 
-    result = SimulationResult(
-        protocol="dragon",
-        trace_name=trace.name,
-        config=config,
-        cpus=[CpuStats() for _ in range(n)],
+    result.cpus = [CpuStats() for _ in range(n)]
+    _write_back(
+        result, derived, clocks, waits, steals, op_info,
+        (fetch_misses, data_misses, shared_data_misses, dirty_victims),
     )
-    mix = derived.mix
-    for cpu in range(n):
-        stats = result.cpus[cpu]
-        stats.instructions = int(mix[cpu, 0])
-        stats.loads = int(mix[cpu, 1])
-        stats.stores = int(mix[cpu, 2])
-        stats.flushes = int(mix[cpu, 3])
-        stats.clock = clocks[cpu]
-        stats.wait_cycles = waits[cpu]
-        stats.stolen_cycles = steals[cpu]
-    result.operation_counts = Counter(
-        {op: info[4][0] for op, info in op_info.items() if info[4][0]}
-    )
-    result.fetch_misses = fetch_misses
-    result.data_misses = data_misses
-    result.shared_data_misses = shared_data_misses
-    result.dirty_victim_misses = dirty_victims
-    result.shared_loads = derived.shared_loads
-    result.shared_stores = derived.shared_stores
     result.bus_busy_cycles = bus_busy
     result.bus_transactions = bus_tx
     result.bus_arbitration_cycles = arb * bus_tx
-    result.protocol_stats = protocol_stats
-    result.engine = "epoch"
-    result.records_replayed = len(trace)
     return result

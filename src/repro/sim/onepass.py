@@ -29,14 +29,16 @@ alone — the per-geometry work factors cleanly:
    batch of interval queries answered after the loop with two
    ``searchsorted`` calls over the CPU's block-sorted store positions.
 
-2. **Account per geometry** (:func:`_account`): hits never touch the
-   bus, never perturb another CPU's clock, and cost exactly their
-   fetch cycles, so the full timing of a run is reconstructible from
-   the event list alone.  The replay advances clocks over event-free
-   spans with fetch prefix sums and merges events across CPUs in the
-   exact ``(key, cpu)`` order of ``Machine``'s engines — the resulting
-   :class:`~repro.sim.machine.SimulationResult` statistics are
-   **bit-identical** to a per-config ``Machine.run``
+2. **Merge per geometry** (:func:`repro.sim.family.merge_events`, the
+   one sweep event merge, shared with the Dragon family): hits never
+   touch the bus, never perturb another CPU's clock, and cost exactly
+   their fetch cycles, so the full timing of a run is reconstructible
+   from the event list alone.  Each opcode maps onto its operation's
+   ``machine._op_info`` entry; the merge advances clocks over
+   event-free spans with fetch prefix sums and merges events across
+   CPUs in the exact ``(key, cpu)`` order of ``Machine``'s engines —
+   the resulting :class:`~repro.sim.machine.SimulationResult`
+   statistics are **bit-identical** to a per-config ``Machine.run``
    (``tests/sim/test_onepass.py`` enforces ``==`` on every counter and
    float).
 
@@ -45,8 +47,9 @@ advances equal record-by-record ones in float arithmetic — the same
 gate ``Machine``'s static hit analysis applies).  Dragon — whose
 sharing traffic couples the CPUs' cache contents — takes the
 epoch-partitioned family engine in :mod:`repro.sim.family` instead
-(same one-traversal cost structure, different factorisation, with the
-run-collapse kernel of :mod:`repro.sim.segment` as its classifier).
+(same one-traversal cost structure and the same merge, different
+factorisation, with the run-collapse kernel of :mod:`repro.sim.segment`
+as its classifier).
 Any remaining case — the other coupled protocols (WTI, directory, the
 hybrids), non-integral cost tables, Dragon associativities outside the
 run-collapse theorem — :func:`run_geometry_family` transparently falls
@@ -58,19 +61,22 @@ reason.
 from __future__ import annotations
 
 import time
-from collections import Counter
 
 import numpy as np
 
 from repro.core.operations import CostTable, Operation
 from repro.obs.metrics import note_family_fallback, note_replay
-from repro.sim.bus import TimedBus
-from repro.sim.family import FAMILY_PROTOCOLS, run_coupled_family
+from repro.sim.family import (
+    FAMILY_PROTOCOLS,
+    family_views,
+    merge_events,
+    run_coupled_family,
+)
 from repro.sim.machine import (
-    CpuStats,
     Machine,
     SimulationConfig,
     SimulationResult,
+    _op_info,
 )
 from repro.sim.protocols import HYBRID_PROTOCOLS, Protocol, protocol_class
 from repro.trace.derived import DerivedColumns, derived_columns
@@ -88,7 +94,7 @@ __all__ = [
 #: flush emits), so satisfying the flags alone is not sufficient.
 ONEPASS_PROTOCOLS = ("base", "nocache", "swflush")
 
-# Event opcodes (classifier -> accounting), indexing _EVENT_OPERATIONS.
+# Event opcodes (classifier -> merge), indexing _EVENT_OPERATIONS.
 _CLEAN_MISS = 0
 _DIRTY_MISS = 1
 _READ_THROUGH = 2
@@ -104,8 +110,6 @@ _EVENT_OPERATIONS = (
     Operation.CLEAN_FLUSH,
     Operation.DIRTY_FLUSH,
 )
-_IS_MISS = (True, True, False, False, False, False)
-_IS_DIRTY_VICTIM = (False, True, False, False, False, False)
 
 
 def _protocol_name(protocol: str | type[Protocol]) -> str:
@@ -283,27 +287,37 @@ def run_geometry_family(
             for size, machine in machines.items()
         }
 
-    name = _protocol_name(protocol)
     if engine == "epoch":
-        return run_coupled_family(name, trace, configs, table, order)
+        return run_coupled_family(trace, configs, table, order)
 
+    name = _protocol_name(protocol)
     started = time.perf_counter()
     block_shift = next(iter(configs.values())).geometry.block_shift
     derived = derived_columns(trace, block_shift)
     geometries = [configs[size].geometry for size in configs]
     events = _classify(name, derived, trace.cpus, geometries)
-    views = _cpu_views(derived, trace.cpus)
+    views = family_views(derived)
     results: dict[int, SimulationResult] = {}
-    for index, size in enumerate(configs):
-        results[size] = _account(
-            name,
-            trace,
-            configs[size],
-            table,
+    for (size, config), cpu_events in zip(configs.items(), events):
+        # Fresh counters per configuration; every opcode maps onto one
+        # operation, so an event's info tuple is shared, not rebuilt.
+        op_info = _op_info(table)
+        infos = [(op_info[op],) for op in _EVENT_OPERATIONS]
+        result = SimulationResult(
+            protocol=name,
+            trace_name=trace.name,
+            config=config,
+            engine="onepass",
+            records_replayed=len(trace),
+        )
+        results[size] = merge_events(
+            result,
             order,
             derived,
             views,
-            events[index],
+            [positions for positions, _ in cpu_events],
+            [[infos[code] for code in opcodes] for _, opcodes in cpu_events],
+            op_info,
         )
     note_replay(len(trace), "onepass")
     wall = time.perf_counter() - started
@@ -556,229 +570,3 @@ def _classify(
 
             events[k].append((positions, opcodes))
     return events
-
-
-# -- accounting (exact timing replay from events) -----------------------
-
-
-def _cpu_views(
-    derived: DerivedColumns, n: int
-) -> tuple[list[list[float]], list[list[int]], list[list[bool]]]:
-    """Per-CPU views shared by every geometry's accounting pass.
-
-    Fetch prefix sums (clock cost of an event-free span) and the
-    kind/shared flags the miss counters need — built once per family,
-    not once per configuration.
-    """
-    counts = derived.counts
-    offsets = derived.offsets
-    fetch_prefix = derived.fetch_prefix
-    prefixes = []
-    kind_lists = []
-    shared_lists = []
-    for cpu in range(n):
-        start = offsets[cpu]
-        stop = start + counts[cpu]
-        prefix_slice = fetch_prefix[start : stop + 1]
-        prefixes.append((prefix_slice - prefix_slice[0]).tolist())
-        kind_lists.append(derived.kinds_sorted[start:stop].tolist())
-        shared_lists.append(derived.shared_sorted[start:stop].tolist())
-    return prefixes, kind_lists, shared_lists
-
-
-def _account(
-    name: str,
-    trace: Trace,
-    config: SimulationConfig,
-    costs: CostTable,
-    order: str,
-    derived: DerivedColumns,
-    views: tuple[list[list[float]], list[list[int]], list[list[bool]]],
-    cpu_events: list[tuple[list[int], list[int]]],
-) -> SimulationResult:
-    """Rebuild one configuration's exact statistics from its events."""
-    n = trace.cpus
-    counts = derived.counts
-    offsets = derived.offsets
-    prefixes, kind_lists, shared_lists = views
-    cpu_cost = [float(costs[op].cpu_cycles) for op in _EVENT_OPERATIONS]
-    bus_cost = [float(costs[op].channel_cycles) for op in _EVENT_OPERATIONS]
-
-    result = SimulationResult(
-        protocol=name,
-        trace_name=trace.name,
-        config=config,
-        cpus=[CpuStats() for _ in range(n)],
-    )
-    bus = TimedBus(config.bus_arbitration_cycles)
-    clocks = [0.0] * n
-    waits = [0.0] * n
-    op_counts = [0] * len(_EVENT_OPERATIONS)
-    fetch_misses = 0
-    data_misses = 0
-    shared_data_misses = 0
-    dirty_victims = 0
-
-    transact = bus.transact
-    is_miss = _IS_MISS
-    is_dirty_victim = _IS_DIRTY_VICTIM
-
-    if order == "trace" or n == 1:
-        # Global trace order: map each event's stream position back to
-        # its original trace index and process events in that order,
-        # advancing each CPU's clock over the event-free span first.
-        order_np = derived.order
-        ev_cpu: list[np.ndarray] = []
-        ev_trace: list[np.ndarray] = []
-        for cpu in range(n):
-            positions, _ = cpu_events[cpu]
-            pos_np = np.asarray(positions, dtype=np.int64)
-            ev_trace.append(order_np[offsets[cpu] + pos_np])
-            ev_cpu.append(np.full(len(positions), cpu, dtype=np.int64))
-        if ev_trace:
-            all_trace = np.concatenate(ev_trace)
-            all_cpu = np.concatenate(ev_cpu)
-            merge = np.argsort(all_trace, kind="stable")
-            merged_cpus = all_cpu[merge].tolist()
-        else:
-            merged_cpus = []
-        applied = [0] * n
-        event_index = [0] * n
-        for cpu in merged_cpus:
-            positions, opcodes = cpu_events[cpu]
-            index = event_index[cpu]
-            pos = positions[index]
-            opcode = opcodes[index]
-            event_index[cpu] = index + 1
-            prefix = prefixes[cpu]
-            clock = clocks[cpu]
-            delta = prefix[pos] - prefix[applied[cpu]]
-            if delta:
-                clock += delta
-            kind = kind_lists[cpu][pos]
-            if kind == 0:
-                clock += 1.0
-            op_counts[opcode] += 1
-            hold = bus_cost[opcode]
-            if hold > 0.0:
-                grant, wait = transact(clock, hold)
-                clock = grant + cpu_cost[opcode]
-                waits[cpu] += wait
-            else:
-                clock += cpu_cost[opcode]
-            if is_miss[opcode]:
-                if kind == 0:
-                    fetch_misses += 1
-                else:
-                    data_misses += 1
-                    if shared_lists[cpu][pos]:
-                        shared_data_misses += 1
-                if is_dirty_victim[opcode]:
-                    dirty_victims += 1
-            clocks[cpu] = clock
-            applied[cpu] = pos + 1
-        for cpu in range(n):
-            prefix = prefixes[cpu]
-            delta = prefix[counts[cpu]] - prefix[applied[cpu]]
-            if delta:
-                clocks[cpu] += delta
-    else:
-        # Simulated-time merge, replicating the legacy heap's
-        # lexicographic (key, cpu) pop order: an event's key is the
-        # issuing CPU's clock after its previous record, which across
-        # an event-free span is the prefix-summed fetch count.  Hits
-        # never transact and never touch other CPUs, so merging only
-        # the events reproduces the exact grant sequence.
-        applied = [0] * n
-        event_index = [0] * n
-        next_event = [0] * n
-        keys = [0.0] * n
-        infinity = float("inf")
-        active = []
-        for cpu in range(n):
-            if not counts[cpu]:
-                continue
-            active.append(cpu)
-            positions, _ = cpu_events[cpu]
-            e = positions[0] if positions else counts[cpu]
-            next_event[cpu] = e
-            keys[cpu] = float(prefixes[cpu][e])
-        while active:
-            best_key = infinity
-            cpu = -1
-            for candidate in active:
-                key = keys[candidate]
-                if key < best_key:
-                    best_key = key
-                    cpu = candidate
-            prefix = prefixes[cpu]
-            position = applied[cpu]
-            e = next_event[cpu]
-            clock = clocks[cpu]
-            delta = prefix[e] - prefix[position]
-            if delta:
-                clock += delta
-            if e == counts[cpu]:
-                clocks[cpu] = clock
-                active.remove(cpu)
-                continue
-            positions, opcodes = cpu_events[cpu]
-            index = event_index[cpu]
-            opcode = opcodes[index]
-            kind = kind_lists[cpu][e]
-            if kind == 0:
-                clock += 1.0
-            op_counts[opcode] += 1
-            hold = bus_cost[opcode]
-            if hold > 0.0:
-                grant, wait = transact(clock, hold)
-                clock = grant + cpu_cost[opcode]
-                waits[cpu] += wait
-            else:
-                clock += cpu_cost[opcode]
-            if is_miss[opcode]:
-                if kind == 0:
-                    fetch_misses += 1
-                else:
-                    data_misses += 1
-                    if shared_lists[cpu][e]:
-                        shared_data_misses += 1
-                if is_dirty_victim[opcode]:
-                    dirty_victims += 1
-            clocks[cpu] = clock
-            applied[cpu] = e + 1
-            index += 1
-            event_index[cpu] = index
-            e = positions[index] if index < len(positions) else counts[cpu]
-            next_event[cpu] = e
-            keys[cpu] = clock + (prefix[e] - prefix[applied[cpu]])
-
-    mix = derived.mix
-    for cpu in range(n):
-        stats = result.cpus[cpu]
-        stats.instructions = int(mix[cpu, 0])
-        stats.loads = int(mix[cpu, 1])
-        stats.stores = int(mix[cpu, 2])
-        stats.flushes = int(mix[cpu, 3])
-        stats.clock = clocks[cpu]
-        stats.wait_cycles = waits[cpu]
-    result.operation_counts = Counter(
-        {
-            _EVENT_OPERATIONS[code]: count
-            for code, count in enumerate(op_counts)
-            if count
-        }
-    )
-    result.fetch_misses = fetch_misses
-    result.data_misses = data_misses
-    result.shared_data_misses = shared_data_misses
-    result.dirty_victim_misses = dirty_victims
-    result.shared_loads = derived.shared_loads
-    result.shared_stores = derived.shared_stores
-    result.bus_busy_cycles = bus.busy_cycles
-    result.bus_transactions = bus.transactions
-    result.bus_arbitration_cycles = bus.arbitration_busy_cycles
-    result.protocol_stats = None
-    result.engine = "onepass"
-    result.records_replayed = len(trace)
-    return result

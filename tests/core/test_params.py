@@ -1,9 +1,27 @@
 """Unit tests for workload parameters and Table 7 ranges."""
 
+import math
+
 import pytest
 
-from repro.core import PARAMETER_RANGES, WorkloadParams
+from repro.core import BASE, PARAMETER_RANGES, WorkloadParams
 from repro.core.params import ParameterRange
+from repro.experiments.surface import GridSpec, sweep_grid
+
+#: Illegal ``(field, value)`` pairs, rejected alike as scalars and as
+#: swept grid axes.
+INVALID = [
+    ("ls", -0.1),
+    ("ls", 1.01),
+    ("ls", math.nan),
+    ("msdat", 2.0),
+    ("shd", -1.0),
+    ("oclean", 1.5),
+    ("apl", 0.5),
+    ("apl", math.nan),
+    ("nshd", -1.0),
+    ("nshd", math.nan),
+]
 
 
 class TestWorkloadParams:
@@ -46,21 +64,21 @@ class TestWorkloadParams:
         assert params.ls == 0.3
         assert other.ls == 0.4
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("ls", -0.1),
-            ("ls", 1.01),
-            ("msdat", 2.0),
-            ("shd", -1.0),
-            ("oclean", 1.5),
-            ("apl", 0.5),
-            ("nshd", -1.0),
-        ],
-    )
+    @pytest.mark.parametrize("field,value", INVALID)
     def test_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             WorkloadParams.middle(**{field: value})
+
+    @pytest.mark.parametrize("field,value", INVALID)
+    def test_grid_validation_matches_scalar(self, field, value):
+        # A swept axis obeys the scalar rule, message for message.
+        with pytest.raises(ValueError) as scalar:
+            WorkloadParams.middle(**{field: value})
+        base = WorkloadParams.middle()
+        spec = GridSpec.of(base, **{field: [getattr(base, field), value]})
+        with pytest.raises(ValueError) as grid:
+            sweep_grid(BASE, spec, processors=(4,))
+        assert str(grid.value) == str(scalar.value)
 
     def test_as_dict_roundtrip(self):
         params = WorkloadParams.middle()

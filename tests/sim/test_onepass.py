@@ -5,6 +5,10 @@ for every geometry-local protocol, replay order, and geometry family
 it must produce statistics identical — including exact float clocks
 and bus grants — to one ``Machine.run`` per configuration, while
 traversing the trace once per family instead of once per cell.
+A one-size family is the single-configuration entry to the one
+classifier (``repro.sim.onepass._classify``) and must be
+byte-identical to ``Machine.run``, including the reference record
+loop on flush-bearing traces.
 """
 
 import numpy as np
@@ -24,9 +28,14 @@ from repro.sim import (
 )
 from repro.trace import TraceConfig, generate_trace
 from repro.trace.records import Trace
+from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
 
 SIZES = [4096, 16384, 65536, 262144]
+
+#: An engine label ``Machine.run`` must reject: the classifier is not
+#: a replay engine.
+REMOVED_ENGINE = "segment"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +96,39 @@ def assert_family_matches_machine(
         )
 
 
+def without_flushes(trace):
+    keep = trace.kind != 3
+    return Trace.from_arrays(
+        name=f"{trace.name}-noflush",
+        cpus=trace.cpus,
+        shared_region=trace.shared_region,
+        cpu=trace.cpu[keep],
+        kind=trace.kind[keep],
+        address=trace.address[keep],
+    )
+
+
+def assert_one_size_family_matches(
+    trace, protocol, config, order="time", engine="columnar"
+):
+    """A one-size family equals ``Machine.run(engine=engine)``."""
+    run = run_geometry_family(
+        protocol,
+        trace,
+        [config.cache_bytes],
+        block_bytes=config.block_bytes,
+        associativity=config.associativity,
+        order=order,
+    )[config.cache_bytes]
+    reference = Machine(protocol, config).run(
+        trace, order=order, engine=engine
+    )
+    assert run.engine == "onepass"
+    assert stats_signature(run) == stats_signature(reference), (
+        f"{protocol} {order} {config}"
+    )
+
+
 class TestOnepassMatchesMachine:
     @pytest.mark.parametrize("protocol", ONEPASS_PROTOCOLS)
     @pytest.mark.parametrize("order", ["time", "trace"])
@@ -138,6 +180,11 @@ class TestOnepassMatchesMachine:
                 case.trace, protocol, [2048, 16384, 131072]
             )
 
+    @pytest.mark.parametrize("protocol", ONEPASS_PROTOCOLS)
+    def test_engine_label(self, seeded_trace, protocol):
+        family = run_geometry_family(protocol, seeded_trace, [4096, 65536])
+        assert {run.engine for run in family.values()} == {"onepass"}
+
     def test_rejects_bad_order(self, seeded_trace):
         with pytest.raises(ValueError, match="order"):
             run_geometry_family("base", seeded_trace, [4096], order="clock")
@@ -147,6 +194,50 @@ class TestOnepassMatchesMachine:
         # An empty family is empty for every engine, not a
         # StopIteration from the one-pass or epoch set-up.
         assert run_geometry_family(protocol, seeded_trace, []) == {}
+
+
+class TestOneSizeFamily:
+    @pytest.mark.parametrize("associativity", [1, 2])
+    @pytest.mark.parametrize("block_bytes", [8, 32])
+    def test_identical_across_geometries(
+        self, seeded_trace, associativity, block_bytes
+    ):
+        config = SimulationConfig(
+            cache_bytes=8192,
+            block_bytes=block_bytes,
+            associativity=associativity,
+        )
+        assert_one_size_family_matches(seeded_trace, "base", config)
+
+    def test_four_way_stays_onepass(self, seeded_trace):
+        # The classifier walk covers associativities above two, so a
+        # four-way sweep stays on the one-pass engine.
+        assert family_support("base", associativity=4) == ("onepass", None)
+        config = SimulationConfig(cache_bytes=8192, associativity=4)
+        assert_one_size_family_matches(seeded_trace, "base", config)
+
+    def test_swflush_exact_on_flushfree_trace(self, seeded_trace):
+        trace = without_flushes(seeded_trace)
+        assert family_support("swflush") == ("onepass", None)
+        for size in (4096, 65536):
+            config = SimulationConfig(cache_bytes=size)
+            assert_one_size_family_matches(trace, "swflush", config)
+
+    def test_swflush_exact_on_flush_trace(self, seeded_trace):
+        # Real swflush traces always flush at section exits; the
+        # classifier walk handles the flush records itself.
+        assert int(np.count_nonzero(seeded_trace.kind == 3)) > 0
+        for size in (4096, 65536):
+            config = SimulationConfig(cache_bytes=size)
+            assert_one_size_family_matches(seeded_trace, "swflush", config)
+
+    def test_swflush_flush_trace_matches_machine_run(self, seeded_trace):
+        # End-to-end: a one-size family must reproduce the reference
+        # record loop byte-for-byte on a flush-bearing trace.
+        config = SimulationConfig(cache_bytes=16384)
+        assert_one_size_family_matches(
+            seeded_trace, "swflush", config, engine="legacy"
+        )
 
 
 class TestFastPathGate:
@@ -271,6 +362,24 @@ class TestFastPathGate:
                 protocol, SimulationConfig(cache_bytes=4096), fractional
             ).run(seeded_trace)
             assert stats_dict(family[4096]) == stats_dict(reference)
+
+    def test_segment_engine_refused(self, seeded_trace):
+        # ``segment`` is not an engine label; family_support routes.
+        with pytest.raises(ValueError) as raised:
+            Machine("base", SimulationConfig()).run(
+                seeded_trace, engine=REMOVED_ENGINE
+            )
+        assert str(raised.value) == (
+            "engine must be 'columnar', 'legacy', or 'arbitrated', "
+            f"got {REMOVED_ENGINE!r}"
+        )
+
+    def test_onepass_gate_covers_every_associativity(self):
+        for protocol in ONEPASS_PROTOCOLS:
+            for associativity in (1, 2, 4):
+                assert family_support(
+                    protocol, associativity=associativity
+                ) == ("onepass", None)
 
     def test_supported_combinations(self):
         for protocol in ONEPASS_PROTOCOLS:

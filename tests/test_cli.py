@@ -75,6 +75,21 @@ class TestPredictCommand:
         out = capsys.readouterr().out
         assert "high workload" in out
 
+    @pytest.mark.parametrize("machine", [[], ["--network"]])
+    @pytest.mark.parametrize("processors", ["0", "-5"])
+    def test_bad_processor_count_is_a_parse_error(
+        self, processors, machine, capsys
+    ):
+        # Rejected at the CLI boundary with the library's message, on
+        # both machines: no traceback, and no silent network rounding.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", "base", processors, *machine])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"processors must be >= 1, got {processors}" in captured.err
+        assert "rounding" not in captured.err
+        assert captured.out == ""
+
 
 class TestCsvExport:
     def test_run_with_csv_dir(self, tmp_path, capsys):

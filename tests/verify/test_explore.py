@@ -267,17 +267,16 @@ class TestEpochFamilyConformance:
     def test_family_mutant_yields_counterexample(self, monkeypatch):
         import repro.sim.family as family
 
-        real = family._merge_and_finish
+        real = family.merge_events
 
-        def forgets_steals(*args):
+        def forgets_steals(*args, resolve=None):
             # Bug: the family resolver drops every broadcast's
             # cycle-steal charges (the sharers' clocks never move).
-            args = list(args)
-            resolve = args[8]
-            args[8] = lambda cpu, i: (resolve(cpu, i)[0], ())
-            return real(*args)
+            return real(
+                *args, resolve=lambda cpu, i: (resolve(cpu, i)[0], ())
+            )
 
-        monkeypatch.setattr(family, "_merge_and_finish", forgets_steals)
+        monkeypatch.setattr(family, "merge_events", forgets_steals)
         report = explore_protocol("dragon", SMALL)
         violation = report.violation
         assert violation is not None
