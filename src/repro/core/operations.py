@@ -28,6 +28,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 __all__ = [
+    "DIRTY_VICTIM_OPERATIONS",
+    "MISS_OPERATIONS",
     "CostTable",
     "Operation",
     "OperationCost",
@@ -56,6 +58,21 @@ class Operation(enum.Enum):
     # Extension (not in the paper's tables): a directory-initiated
     # invalidation round, used by the directory coherence scheme.
     INVALIDATE = "invalidate"
+
+
+#: The operations that service a cache miss, and those of them that
+#: also write a dirty victim back.
+MISS_OPERATIONS = frozenset(
+    {
+        Operation.CLEAN_MISS_MEMORY,
+        Operation.DIRTY_MISS_MEMORY,
+        Operation.CLEAN_MISS_CACHE,
+        Operation.DIRTY_MISS_CACHE,
+    }
+)
+DIRTY_VICTIM_OPERATIONS = frozenset(
+    {Operation.DIRTY_MISS_MEMORY, Operation.DIRTY_MISS_CACHE}
+)
 
 
 @dataclass(frozen=True)

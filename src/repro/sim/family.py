@@ -401,8 +401,8 @@ def merge_events(
     cycle, so event-free spans are pure clock advances by fetch prefix
     sums, and merging only the events across CPUs on an inlined FCFS
     bus reproduces ``Machine``'s exact grant sequence, including the
-    cycle-steal key-staleness rules of ``Machine._run_columnar``'s
-    event-driven merge.
+    cycle-steal key-staleness rules of the columnar replay loop
+    (``machine._run_columnar``).
 
     ``epos[cpu]`` holds the stream positions of the CPU's events in
     program order.  ``eops[cpu][i]`` is the event's tuple of ``op_info``
@@ -501,7 +501,7 @@ def merge_events(
         # prefix-summed fetch count.  Steals land on the victim's true
         # clock immediately but enter its merge keys only from the
         # first record processed after the broadcast — the same
-        # key-staleness reconstruction as Machine._run_columnar,
+        # key-staleness reconstruction as machine._run_columnar,
         # simplified by the absence of deferred touches.
         positions = [0] * n
         event_index = [0] * n

@@ -15,10 +15,12 @@ slightly distorted"), which it verified to be benign.
 Replay engines
 --------------
 
-``Machine.run`` has three engine labels.  Each fast engine is held
-``==`` (every counter and float clock) to one reference loop:
+``Machine.run`` has one fast replay loop and two reference loops.  The
+fast loop is held ``==`` (every counter and float clock) to whichever
+reference specifies the bus it runs over.
 
-* ``engine="columnar"`` (default) consumes the trace's numpy columns
+* The columnar loop (``engine="columnar"``, the default, and
+  ``engine="arbitrated"``) consumes the trace's numpy columns
   directly: block indices and shared-block flags are vectorised up
   front, per-operation costs live in a single pre-folded dict of
   ``(cpu_cycles, bus_cycles, is_miss, is_dirty_victim, counter)``
@@ -32,44 +34,51 @@ Replay engines
   protocols whose remote traffic never evicts (base, nocache,
   swflush, dragon), and references to *single-owner* blocks, which
   only one CPU ever touches, under the invalidating ones (wti,
-  directory, the hybrids).  Time-ordered replay then becomes an
-  *event-driven* merge: only the records that can interact across
-  processors (potential misses, stores, handled flushes) are scheduled
-  in exact legacy heap order, while the proven hits between them are
-  applied as whole spans via prefix-summed clock advances and deferred
-  LRU touches.  With an fcfs arbitration overhead the result is
-  labelled ``columnar+arb``.  Reference: ``engine="legacy"``
-  (``tests/sim/test_equivalence.py``).
-* ``engine="arbitrated"`` replays through the deferred-grant
-  :class:`~repro.sim.bus.ArbitratedBus`, so a non-``fcfs`` discipline
-  can reorder grants; every non-``fcfs`` configuration runs it.  It is
-  the same columnar machinery (inline hits, proven-hit spans) driven
-  by bursts: a processor runs until its key passes the runner-up's or
-  the next arbitration instant, or it parks on a bus request
-  (:func:`repro.sim.arbitrated.run_arbitrated`).  Reference: the
-  generator-driven deferred-grant loop
-  (:func:`repro.sim.arbitrated.run_deferred_reference`), which
-  ``engine="legacy"`` runs under a non-``fcfs`` discipline
-  (``tests/sim/test_arbitration.py``, ``swcc fuzz``).
-* ``engine="legacy"`` is the original straightforward record loop
-  under ``fcfs`` — the executable specification of the replay
-  semantics — and the generator-driven deferred-grant loop under any
-  other discipline.
+  directory, the hybrids).  Only the records that can interact across
+  processors (potential misses, stores, handled flushes) are
+  scheduled one by one, in the reference's exact ``(key, cpu)``
+  order; the proven hits between them are applied as whole spans via
+  prefix-summed clock advances and deferred LRU touches.  A processor
+  runs in *bursts*, until its key passes the runner-up's.
+* Buses differ only in how a bus operation is served.  A
+  :class:`~repro.sim.bus.TimedBus` (``fcfs``) grants inside the
+  record, in call order; the result is labelled ``columnar``, or
+  ``columnar+arb`` with an arbitration overhead.  An
+  :class:`~repro.sim.bus.ArbitratedBus` (every non-``fcfs``
+  discipline, and any ``engine="arbitrated"`` run) parks the
+  processor on a posted request until the discipline grants it, once
+  every processor keyed at or before the arbitration instant has run;
+  the result is labelled ``arbitrated``.
+* Under ``order="trace"`` (``TimedBus`` only) a pending event's merge
+  key is its trace position, so records run in trace order and a
+  cycle steal lands only on the victim's clock.
+* References: ``engine="legacy"`` runs the original straightforward
+  record loop (``Machine._run_legacy``) under ``fcfs`` — the
+  executable specification of the replay semantics
+  (``tests/sim/test_equivalence.py``) — and the generator-driven
+  deferred-grant loop
+  (:func:`repro.sim.arbitrated.run_deferred_reference`) under any
+  other discipline (``tests/sim/test_arbitration.py``, ``swcc fuzz``).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.operations import CostTable, Operation
+from repro.core.operations import (
+    DIRTY_VICTIM_OPERATIONS,
+    MISS_OPERATIONS,
+    CostTable,
+)
 from repro.obs.metrics import note_replay
+from repro.sim.arbitrated import run_deferred_reference
 from repro.sim.bus import (
     ArbitratedBus,
     TimedBus,
@@ -81,21 +90,9 @@ from repro.sim.cache import Cache, CacheGeometry, LineState
 from repro.sim.protocols import Protocol, protocol_class
 from repro.sim.protocols.interface import NO_ACTION
 from repro.trace.derived import DerivedColumns, derived_columns
-from repro.trace.records import KIND_MEMBERS, AccessType, Trace
+from repro.trace.records import KIND_MEMBERS, AccessType, Trace, validate_cpus
 
 __all__ = ["CpuStats", "Machine", "SimulationConfig", "SimulationResult"]
-
-_MISS_OPERATIONS = frozenset(
-    {
-        Operation.CLEAN_MISS_MEMORY,
-        Operation.DIRTY_MISS_MEMORY,
-        Operation.CLEAN_MISS_CACHE,
-        Operation.DIRTY_MISS_CACHE,
-    }
-)
-_DIRTY_VICTIM_OPERATIONS = frozenset(
-    {Operation.DIRTY_MISS_MEMORY, Operation.DIRTY_MISS_CACHE}
-)
 
 
 def _op_info(costs: CostTable) -> dict:
@@ -106,8 +103,8 @@ def _op_info(costs: CostTable) -> dict:
         op: (
             cost.cpu_cycles,
             cost.channel_cycles,
-            op in _MISS_OPERATIONS,
-            op in _DIRTY_VICTIM_OPERATIONS,
+            op in MISS_OPERATIONS,
+            op in DIRTY_VICTIM_OPERATIONS,
             [0],
         )
         for op, cost in costs.items()
@@ -142,7 +139,7 @@ def _proven_hits(
 ) -> _ProvenHits | None:
     """Classify the records that must hit, before replay begins.
 
-    Shared by the columnar engine and the arbitrated engine.  Returns
+    Called by the columnar replay loop over either bus.  Returns
     ``None`` when the protocol's contract flags or non-integral costs
     rule the classification out.  The classes are properties of each
     CPU's own stream, so they hold under every replay order and every
@@ -332,7 +329,7 @@ def _proven_hits(
 
 
 class _EventStreams(NamedTuple):
-    """Per-CPU record streams of an event-driven time-ordered replay.
+    """Per-CPU record streams of the columnar replay loop.
 
     Only *event* records are scheduled one by one; the proven hits
     between two events form a span applied lazily (a fetch-count clock
@@ -350,9 +347,9 @@ class _EventStreams(NamedTuple):
             ``(position, code, block)``; code 4 dirties the line (a
             local store hit), 5 and 6 only touch it.  ``None`` when
             every record is an event.
-        fetch_pos: stream positions of the fetches, which locate a
-            cycle steal's frontier by fetch count; ``None`` unless the
-            protocol may steal cycles and spans exist.
+        trace_keys: trace position of each event record, plus the
+            trace length as the key of the stream's end; ``None``
+            unless the replay runs in trace order.
     """
 
     events: list
@@ -360,71 +357,72 @@ class _EventStreams(NamedTuple):
     blocks: list[list[int]]
     prefix: list[list[int]] | None
     touches: list[list[tuple[int, int, int]]] | None
-    fetch_pos: list[list[int]] | None
+    trace_keys: list[list[int]] | None
 
 
 def _event_streams(
-    derived: DerivedColumns, hits: _ProvenHits | None, protocol: Protocol
+    derived: DerivedColumns,
+    hits: _ProvenHits | None,
+    protocol: Protocol,
+    by_trace: bool,
 ) -> _EventStreams:
     """Split the sorted columns into per-CPU event streams."""
     counts = derived.counts
     kinds_sorted_np = derived.kinds_sorted
     blocks_sorted_np = derived.blocks_sorted
+    order_np = derived.order
+    total = len(order_np)
     if hits is None:
-        kinds_sorted = kinds_sorted_np.tolist()
-        blocks_sorted = blocks_sorted_np.tolist()
-        kinds, blocks = [], []
-        offset = 0
-        for count in counts:
-            kinds.append(kinds_sorted[offset:offset + count])
-            blocks.append(blocks_sorted[offset:offset + count])
-            offset += count
-        return _EventStreams(
-            [range(count) for count in counts], kinds, blocks,
-            None, None, None,
+        event_mask = None
+    else:
+        event_mask = ~(
+            hits.guaranteed | hits.local_store | hits.near_fetch
+            | hits.near_load
         )
-    event_mask = ~(
-        hits.guaranteed | hits.local_store | hits.near_fetch | hits.near_load
-    )
-    if not protocol.handles_flush:
-        # Unhandled flushes are complete no-ops; leaving them out of
-        # the event set lets the spans run through them.
-        event_mask &= kinds_sorted_np != 3
-    sent_codes = np.zeros(len(event_mask), dtype=np.int64)
-    sent_codes[hits.local_store] = 4
-    sent_codes[hits.near_fetch] = 5
-    sent_codes[hits.near_load] = 6
-    fetch_prefix_np = derived.fetch_prefix
-    is_fetch = derived.is_fetch_sorted
-    may_steal = protocol.may_steal_cycles
+        if not protocol.handles_flush:
+            # Unhandled flushes are complete no-ops; leaving them out
+            # of the event set lets the spans run through them.
+            event_mask &= kinds_sorted_np != 3
+        sent_codes = np.zeros(total, dtype=np.int64)
+        sent_codes[hits.local_store] = 4
+        sent_codes[hits.near_fetch] = 5
+        sent_codes[hits.near_load] = 6
+        fetch_prefix_np = derived.fetch_prefix
     streams = _EventStreams(
-        [], [], [], [], [], [] if may_steal else None
+        [], [], [], None if hits is None else [],
+        None if hits is None else [], [] if by_trace else None,
     )
     offset = 0
     for count in counts:
         stop = offset + count
-        idx = np.flatnonzero(event_mask[offset:stop])
-        k_slice = kinds_sorted_np[offset:stop]
+        if event_mask is None:
+            idx = slice(None)
+            streams.events.append(range(count))
+        else:
+            idx = np.flatnonzero(event_mask[offset:stop])
+            streams.events.append(idx.tolist())
         b_slice = blocks_sorted_np[offset:stop]
-        streams.events.append(idx.tolist())
-        streams.kinds.append(k_slice[idx].tolist())
+        streams.kinds.append(kinds_sorted_np[offset:stop][idx].tolist())
         streams.blocks.append(b_slice[idx].tolist())
-        codes = sent_codes[offset:stop]
-        sidx = np.flatnonzero(codes)
-        streams.touches.append(
-            list(
-                zip(
-                    sidx.tolist(),
-                    codes[sidx].tolist(),
-                    b_slice[sidx].tolist(),
+        if by_trace:
+            keys = order_np[offset:stop][idx].tolist()
+            keys.append(total)
+            streams.trace_keys.append(keys)
+        if event_mask is not None:
+            codes = sent_codes[offset:stop]
+            sidx = np.flatnonzero(codes)
+            streams.touches.append(
+                list(
+                    zip(
+                        sidx.tolist(),
+                        codes[sidx].tolist(),
+                        b_slice[sidx].tolist(),
+                    )
                 )
             )
-        )
-        prefix_slice = fetch_prefix_np[offset:stop + 1]
-        streams.prefix.append((prefix_slice - prefix_slice[0]).tolist())
-        if may_steal:
-            streams.fetch_pos.append(
-                np.flatnonzero(is_fetch[offset:stop]).tolist()
+            prefix_slice = fetch_prefix_np[offset:stop + 1]
+            streams.prefix.append(
+                (prefix_slice - prefix_slice[0]).tolist()
             )
         offset = stop
     return streams
@@ -464,6 +462,403 @@ def _write_back(
     ) = misses
     result.shared_loads = derived.shared_loads
     result.shared_stores = derived.shared_stores
+
+
+def _run_columnar(
+    trace: Trace,
+    order: str,
+    costs: CostTable,
+    caches: list[Cache],
+    protocol: Protocol,
+    bus: TimedBus | ArbitratedBus,
+    result: SimulationResult,
+    block_shift: int,
+    shared_low: int,
+    shared_high: int,
+) -> None:
+    """The columnar replay loop, over either bus and in either order.
+
+    Makes the decisions of the reference for ``bus`` in the same
+    order with the same float arithmetic (``==`` statistics,
+    test-pinned): :meth:`Machine._run_legacy` for a
+    :class:`TimedBus`, :func:`repro.sim.arbitrated.run_deferred_reference`
+    for an :class:`ArbitratedBus`.
+
+    * The runnable processor with the least ``(key, cpu)`` runs next.
+      In time order its key is its clock at its last record boundary
+      (steals land on the clock, not the key); in trace order
+      (``TimedBus`` only) it is the trace position of its pending
+      event.  The chosen processor runs a *burst*: it keeps going
+      while its key stays below the runner-up's and, with an
+      ``ArbitratedBus``, at or before the next arbitration instant,
+      which is cached and recomputed only when a request is posted or
+      a grant served.
+    * A ``TimedBus`` grants a bus operation inside the record.  Under
+      an ``ArbitratedBus`` a processor whose operation needs the bus
+      posts the request and *parks* on its suspended record ``(kind,
+      block, outcome, operation index, ready clock)``; once no
+      runnable key is at or before the arbitration instant, the
+      discipline grants and the winner resumes mid-record.  Steals
+      landing on a parked processor are applied when its grant
+      arrives.
+    * Read hits of ``read_hit_is_free`` protocols use an inline LRU
+      probe, with no protocol call.
+    * With proven hits (:func:`_proven_hits`) only event records are
+      scheduled; each span of proven hits before an event is applied
+      lazily.  In time order a cycle steal moves the victim's frontier
+      past the span records that ran before the broadcast's merge
+      position; their deferred touches replay before the victim's
+      next event.  A broadcast at the end of a granted record sits
+      after every record keyed at or before that grant's arbitration
+      instant: the reference ran all of those before granting, and no
+      later request can move the instant below a key already run.
+    """
+    total = len(trace)
+    n = trace.cpus
+    if total == 0:
+        return
+    derived = derived_columns(trace, block_shift)
+    op_info = _op_info(costs)
+    set_mask = caches[0].set_mask
+    hits = _proven_hits(
+        protocol, derived, op_info, bus.arbitration_cycles, set_mask,
+        caches[0].geometry.associativity,
+    )
+    spans = hits is not None
+    by_trace = order == "trace"
+    # Only a time-ordered merge keys span records by clock, so only it
+    # moves a steal victim's frontier.
+    moves_frontier = spans and not by_trace
+    streams = _event_streams(derived, hits, protocol, by_trace)
+    counts = derived.counts
+    cpu_events = streams.events
+    cpu_prefix = streams.prefix
+    cpu_touches = streams.touches
+
+    clocks = [0.0] * n
+    waits = [0.0] * n
+    steals = [0] * n
+    fetch_misses = 0
+    data_misses = 0
+    shared_data_misses = 0
+    dirty_victims = 0
+
+    handles_flush = protocol.handles_flush
+    fast_hits = protocol.read_hit_is_free
+    fast_shared_loads = fast_hits and protocol.caches_shared_data
+    protocol_access = protocol.access
+    protocol_flush = protocol.flush
+    timed = isinstance(bus, TimedBus)
+    if timed:
+        transact = bus.transact
+    else:
+        request = bus.request
+        next_grant_at = bus.next_grant_at
+        grant_next = bus.grant_next
+    fetch, load, store = KIND_MEMBERS[:3]
+    line_sets = [cache.line_sets for cache in caches]
+    dirty_state = LineState.DIRTY
+    infinity = float("inf")
+
+    # Per-CPU state.  ``positions[cpu]`` is the first stream record
+    # not yet applied and ``next_event[cpu]`` the pending event's
+    # stream position (the stream length once none is left);
+    # ``frontier_keys[cpu]`` is the frozen key of record
+    # ``positions[cpu]``, which excludes steals landed since.
+    # ``parked[cpu]`` holds a parked CPU's suspended record.  The
+    # heap ``runnable`` holds ``(key, cpu)`` of every CPU neither
+    # parked nor finished, keyed by its pending event's merge key;
+    # tuple order breaks key ties toward the lower CPU id.
+    positions = [0] * n
+    event_index = [0] * n
+    touch_index = [0] * n
+    next_event = [0] * n
+    frontier_keys = [infinity] * n
+    parked: list[tuple | None] = [None] * n
+    deferred_steals = [0] * n
+    runnable = []
+    for cpu in range(n):
+        if counts[cpu]:
+            events = cpu_events[cpu]
+            e = events[0] if events else counts[cpu]
+            next_event[cpu] = e
+            frontier_keys[cpu] = 0.0
+            if by_trace:
+                key = streams.trace_keys[cpu][0]
+            elif spans:
+                key = float(cpu_prefix[cpu][e])
+            else:
+                key = 0.0
+            runnable.append((key, cpu))
+    heapq.heapify(runnable)
+    cpu_static = [
+        (
+            cpu_events[cpu], len(cpu_events[cpu]), streams.kinds[cpu],
+            streams.blocks[cpu], counts[cpu], line_sets[cpu],
+            cpu_prefix[cpu] if spans else None,
+            cpu_touches[cpu] if spans else None,
+            streams.trace_keys[cpu] if by_trace else None,
+        )
+        for cpu in range(n)
+    ]
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    def resume(
+        cpu: int,
+        kind_code: int,
+        block: int,
+        outcome,
+        index: int,
+        clock: float,
+        granted: float,
+    ) -> float:
+        """Run ``outcome``'s operations from ``index`` on ``clock``.
+
+        ``granted`` is the service start of the grant that serves
+        operation ``index`` (negative if none).  Returns the clock
+        at the end of the record, or -1.0 once an operation parks
+        on a posted request.
+        """
+        nonlocal fetch_misses, data_misses, shared_data_misses
+        nonlocal dirty_victims
+        operations = outcome.operations
+        while index < len(operations):
+            cpu_cycles, bus_cycles, is_miss, is_dirty, counter = op_info[
+                operations[index]
+            ]
+            if bus_cycles > 0.0:
+                if timed:
+                    granted = transact(clock, bus_cycles)[0]
+                elif granted < 0.0:
+                    request(cpu, clock, bus_cycles)
+                    parked[cpu] = (kind_code, block, outcome, index, clock)
+                    return -1.0
+                waits[cpu] += granted - clock
+                clock = granted + cpu_cycles
+                granted = -1.0
+                if deferred_steals[cpu]:
+                    clock += float(deferred_steals[cpu])
+                    deferred_steals[cpu] = 0
+            else:
+                clock += cpu_cycles
+            counter[0] += 1
+            if is_miss:
+                if kind_code == 0:
+                    fetch_misses += 1
+                else:
+                    data_misses += 1
+                    if shared_low <= block < shared_high:
+                        shared_data_misses += 1
+                if is_dirty:
+                    dirty_victims += 1
+            index += 1
+        return clock
+
+    def delay(cpu: int) -> None:
+        """Move runnable ``cpu``'s merge key one cycle later."""
+        for index, (key, candidate) in enumerate(runnable):
+            if candidate == cpu:
+                runnable[index] = (key + 1.0, cpu)
+                heapq.heapify(runnable)
+                return
+
+    def broadcast(victims, at_key: float, at_cpu: int) -> None:
+        """Land one stolen cycle on each victim; the broadcast sits
+        at merge position ``(at_key, at_cpu)``."""
+        for victim in victims:
+            steals[victim] += 1
+            if parked[victim] is not None:
+                deferred_steals[victim] += 1
+                continue
+            pre_clock = clocks[victim]
+            clocks[victim] = pre_clock + 1.0
+            if not moves_frontier:
+                continue
+            fk = frontier_keys[victim]
+            if fk > at_key or (fk == at_key and victim > at_cpu):
+                # The victim's frontier record had not run yet, so
+                # the steal is in every key from it onwards.
+                if positions[victim] < next_event[victim]:
+                    delay(victim)
+                continue
+            # Span records up to the merge position already ran:
+            # advance the frontier past them, then land the steal
+            # before the rest.  Span record ``m``'s key is the
+            # pre-steal clock plus the fetch prefix from the old
+            # frontier, so the new frontier follows the fetch that
+            # reaches the merge position.  Their deferred MRU touches
+            # stay pending: the victim's burst replays every touch
+            # before its next event, even when the frontier lands on
+            # that event and leaves it an empty span.
+            prefix = cpu_prefix[victim]
+            position = positions[victim]
+            base = prefix[position]
+            target = int(at_key - pre_clock) + base
+            if victim < at_cpu:
+                target += 1
+            if target <= base:
+                frontier = position + 1
+            else:
+                frontier = bisect_left(prefix, target)
+            advance = prefix[frontier] - base
+            if advance:
+                clocks[victim] += advance
+            positions[victim] = frontier
+            frontier_keys[victim] = pre_clock + advance
+            if frontier < next_event[victim]:
+                delay(victim)
+
+    def settle(cpu: int, clock: float) -> float:
+        """Close ``cpu``'s record at ``next_event[cpu]``, which ended
+        at ``clock``; return the (time-order) key of its next event."""
+        position = next_event[cpu] + 1
+        ev = event_index[cpu] + 1
+        events = cpu_events[cpu]
+        e = events[ev] if ev < len(events) else counts[cpu]
+        positions[cpu] = position
+        event_index[cpu] = ev
+        next_event[cpu] = e
+        clocks[cpu] = clock
+        frontier_keys[cpu] = clock
+        if e > position:
+            prefix = cpu_prefix[cpu]
+            return clock + (prefix[e] - prefix[position])
+        return clock
+
+    waiting = 0  # CPUs parked on a posted request
+    decision = infinity  # next arbitration instant, if any pending
+    while True:
+        if not runnable or runnable[0][0] > decision:
+            if not waiting:
+                break
+            # Everyone keyed at or before the arbitration instant
+            # has run: the discipline picks among the posted.
+            granted_at = decision
+            winner, start, _ = grant_next()
+            kind_code, block, outcome, index, ready = parked[winner]
+            parked[winner] = None
+            clock = resume(
+                winner, kind_code, block, outcome, index, ready, start
+            )
+            if clock >= 0.0:
+                waiting -= 1
+                if outcome.steal_from:
+                    broadcast(outcome.steal_from, granted_at, n)
+                heappush(runnable, (settle(winner, clock), winner))
+            decision = next_grant_at() if waiting else infinity
+            continue
+        key, cpu = heappop(runnable)
+        top_key, top_cpu = runnable[0] if runnable else (infinity, n)
+
+        # One burst of ``cpu``: it runs while its key stays at or
+        # before the arbitration instant and below the runner-up's.
+        # Steals only ever delay other keys, so the runner-up read
+        # here can end a burst early, never late.
+        (
+            events, event_count, stream_kinds, stream_blocks, count,
+            cpu_sets, prefix, touches, trace_keys,
+        ) = cpu_static[cpu]
+        ev = event_index[cpu]
+        e = next_event[cpu]
+        position = positions[cpu]
+        clock = clocks[cpu]
+        while True:
+            if spans:
+                # The span of proven hits before the event: fetch
+                # hits cost one cycle each (loads and local store
+                # hits are free); the deferred MRU touches replay
+                # in program order.  A steal may have advanced the
+                # frontier onto the event itself, so the touches
+                # still pending from before it replay even when the
+                # span left is empty.
+                if e > position:
+                    delta = prefix[e] - prefix[position]
+                    if delta:
+                        clock += delta
+                tp = touch_index[cpu]
+                while tp < len(touches) and touches[tp][0] < e:
+                    _, code, t_block = touches[tp]
+                    tp += 1
+                    cache_set = cpu_sets[t_block & set_mask]
+                    if code == 4:
+                        cache_set.pop(t_block)
+                        cache_set[t_block] = dirty_state
+                    else:
+                        state = cache_set.pop(t_block)
+                        cache_set[t_block] = state
+                touch_index[cpu] = tp
+            if e == count:
+                clocks[cpu] = clock
+                positions[cpu] = count
+                frontier_keys[cpu] = infinity
+                break
+            kind_code = stream_kinds[ev]
+            block = stream_blocks[ev]
+            outcome = NO_ACTION
+            if kind_code == 0:
+                clock += 1.0
+                if fast_hits:
+                    cache_set = cpu_sets[block & set_mask]
+                    state = cache_set.pop(block, 0)
+                    if state:
+                        cache_set[block] = state
+                    else:
+                        outcome = protocol_access(cpu, fetch, block)
+                else:
+                    outcome = protocol_access(cpu, fetch, block)
+            elif kind_code == 1:
+                if fast_shared_loads or (
+                    fast_hits
+                    and not shared_low <= block < shared_high
+                ):
+                    cache_set = cpu_sets[block & set_mask]
+                    state = cache_set.pop(block, 0)
+                    if state:
+                        cache_set[block] = state
+                    else:
+                        outcome = protocol_access(cpu, load, block)
+                else:
+                    outcome = protocol_access(cpu, load, block)
+            elif kind_code == 2:
+                outcome = protocol_access(cpu, store, block)
+            elif handles_flush:
+                outcome = protocol_flush(cpu, block)
+            if outcome is not NO_ACTION:
+                clock = resume(cpu, kind_code, block, outcome, 0, clock, -1.0)
+                if clock < 0.0:
+                    positions[cpu] = e
+                    event_index[cpu] = ev
+                    next_event[cpu] = e
+                    waiting += 1
+                    decision = next_grant_at()
+                    break
+                if outcome.steal_from:
+                    broadcast(outcome.steal_from, key, cpu)
+            position = e + 1
+            ev += 1
+            e = events[ev] if ev < event_count else count
+            if by_trace:
+                key = trace_keys[ev]
+            elif e > position:
+                key = clock + (prefix[e] - prefix[position])
+            else:
+                key = clock
+            if key > decision or key > top_key or (
+                key == top_key and cpu > top_cpu
+            ):
+                positions[cpu] = position
+                event_index[cpu] = ev
+                next_event[cpu] = e
+                clocks[cpu] = clock
+                frontier_keys[cpu] = clock
+                heappush(runnable, (key, cpu))
+                break
+
+    _write_back(
+        result, derived, clocks, waits, steals, op_info,
+        (fetch_misses, data_misses, shared_data_misses, dirty_victims),
+    )
 
 
 @dataclass(frozen=True)
@@ -699,19 +1094,19 @@ class Machine:
                 discusses in Section 3).  Per-CPU program order is
                 preserved either way.
             engine: ``"columnar"`` (default) runs the fast
-                array-consuming replay loop; ``"legacy"`` runs the
-                original record loop; ``"arbitrated"`` runs the
-                columnar deferred-grant loop honouring the configured
-                bus discipline.  A non-``fcfs``
-                ``config.bus_discipline`` needs deferred grants, which
-                the synchronous loops cannot express: ``"columnar"``
-                and ``"arbitrated"`` then both run the deferred-grant
-                loop (result ``engine`` ``"arbitrated"``), and
-                ``"legacy"`` runs the generator-driven deferred-grant
-                reference that loop is tested against (result
-                ``engine`` ``"legacy"``).  Under ``fcfs`` the
-                columnar and legacy engines produce identical
-                statistics.
+                array-consuming replay loop over the synchronous fcfs
+                bus; ``"arbitrated"`` runs the same loop over the
+                deferred-grant bus honouring the configured bus
+                discipline; ``"legacy"`` runs the original record
+                loop.  A non-``fcfs`` ``config.bus_discipline`` needs
+                deferred grants, which the synchronous bus cannot
+                express: ``"columnar"`` and ``"arbitrated"`` then
+                both run the loop over the deferred-grant bus (result
+                ``engine`` ``"arbitrated"``), and ``"legacy"`` runs
+                the generator-driven deferred-grant reference that
+                loop is tested against (result ``engine``
+                ``"legacy"``).  Under ``fcfs`` the columnar and legacy
+                engines produce identical statistics.
         """
         if order not in ("time", "trace"):
             raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
@@ -720,7 +1115,7 @@ class Machine:
                 "engine must be 'columnar', 'legacy', or 'arbitrated', "
                 f"got {engine!r}"
             )
-        if cpus is not None and cpus != trace.cpus:
+        if cpus is not None and validate_cpus(cpus, trace.cpus) != trace.cpus:
             trace = trace.restricted_to(cpus)
         deferred = (
             engine == "arbitrated" or self.config.bus_discipline != "fcfs"
@@ -769,31 +1164,20 @@ class Machine:
             cpus=[CpuStats() for _ in range(trace.cpus)],
         )
         started = time.perf_counter()
-        if deferred:
-            # Loaded on first use: the paper's fcfs artefacts never
-            # need deferred grants, so their imports skip it.
-            from repro.sim import arbitrated
-
-            if engine == "legacy":
-                arbitrated.run_deferred_reference(
-                    trace, self.costs, protocol, bus, result, block_shift,
-                    is_shared_block,
-                )
-            else:
-                arbitrated.run_arbitrated(
-                    trace, self.costs, self.config.bus_arbitration_cycles,
-                    caches, protocol, bus, result,
-                    block_shift, shared_low, shared_high,
-                )
-        elif engine == "legacy":
+        if engine != "legacy":
+            _run_columnar(
+                trace, order, self.costs, caches, protocol, bus, result,
+                block_shift, shared_low, shared_high,
+            )
+        elif deferred:
+            run_deferred_reference(
+                trace, self.costs, protocol, bus, result, block_shift,
+                is_shared_block,
+            )
+        else:
             self._run_legacy(
                 trace, order, protocol, bus, result,
                 block_shift, is_shared_block,
-            )
-        else:
-            self._run_columnar(
-                trace, order, caches, protocol, bus, result,
-                block_shift, shared_low, shared_high,
             )
         result.bus_busy_cycles = bus.busy_cycles
         result.bus_transactions = bus.transactions
@@ -808,563 +1192,6 @@ class Machine:
         result.run_wall_s = time.perf_counter() - started
         note_replay(len(trace), engine)
         return result
-
-    # -- columnar engine (default) --------------------------------------
-
-    def _run_columnar(
-        self,
-        trace: Trace,
-        order: str,
-        caches: list[Cache],
-        protocol: Protocol,
-        bus: TimedBus,
-        result: SimulationResult,
-        block_shift: int,
-        shared_low: int,
-        shared_high: int,
-    ) -> None:
-        """Array-consuming replay loop.
-
-        Works on plain python lists derived from the trace columns:
-        block indices and shared-block flags are computed vectorised
-        over the whole trace, then the per-record loop touches only
-        list indexing, dict probes, and float adds.  Statistics are
-        byte-identical to :meth:`_run_legacy` (same arithmetic on the
-        same values in the same sequence).
-        """
-        total = len(trace)
-        n = trace.cpus
-        if total == 0:
-            return
-
-        # Vectorised preprocessing, memoized per (trace content, block
-        # size) in repro.trace.derived: block indices, shared mask,
-        # per-CPU stable sort, reference mix, fetch prefix sums.  A
-        # geometry sweep holding the block size constant (or any two
-        # runs over the same trace — other protocols, the other
-        # engine's cross-check, the fuzz harness) reuses one entry.
-        derived = derived_columns(trace, block_shift)
-        kind_np = trace.kind
-        blocks_np = derived.blocks
-
-        op_info = _op_info(self.costs)
-
-        # Replay-dependent accumulators as plain lists/ints (no
-        # attribute access in the loop); written back at the end.
-        clocks = [0.0] * n
-        waits = [0.0] * n
-        steals = [0] * n
-        fetch_misses = 0
-        data_misses = 0
-        shared_data_misses = 0
-        dirty_victims = 0
-
-        handles_flush = protocol.handles_flush
-        fast_hits = protocol.read_hit_is_free
-        # Shared loads may use the inline probe only when the protocol
-        # caches shared data (all bundled schemes except No-Cache).
-        fast_shared_loads = fast_hits and protocol.caches_shared_data
-        protocol_access = protocol.access
-        protocol_flush = protocol.flush
-        transact = bus.transact
-        kind_members = KIND_MEMBERS
-        line_sets = [cache.line_sets for cache in caches]
-        set_mask = caches[0].set_mask if caches else 0
-        dirty_state = LineState.DIRTY
-
-        order_np = derived.order
-        hits = _proven_hits(
-            protocol, derived, op_info, self.config.bus_arbitration_cycles,
-            set_mask, caches[0].geometry.associativity,
-        )
-
-        # The event-driven time-merge needs to know which CPUs each
-        # broadcast stole from (to maintain their merge keys); when it
-        # is active it binds ``stolen`` to a list and ``slow`` records
-        # the victims there.
-        stolen = None
-
-        def slow(
-            cpu: int, kind_code: int, block: int, shared: bool, clock: float
-        ) -> float:
-            """Full protocol path for references the inline fast path
-            does not cover (misses, stores, shared loads, flushes).
-
-            Takes and returns the issuing CPU's clock so callers can
-            keep it in a local; ``steal_from`` victims are always other
-            CPUs, whose clocks live in ``clocks``.
-            """
-            nonlocal fetch_misses, data_misses, shared_data_misses
-            nonlocal dirty_victims
-            if kind_code == 3:
-                outcome = protocol_flush(cpu, block)
-            else:
-                outcome = protocol_access(cpu, kind_members[kind_code], block)
-            if outcome is NO_ACTION:
-                return clock
-            for operation in outcome.operations:
-                cpu_cycles, bus_cycles, is_miss, is_dirty, counter = op_info[
-                    operation
-                ]
-                counter[0] += 1
-                if bus_cycles > 0.0:
-                    grant, wait = transact(clock, bus_cycles)
-                    clock = grant + cpu_cycles
-                    waits[cpu] += wait
-                else:
-                    clock += cpu_cycles
-                if is_miss:
-                    if kind_code == 0:
-                        fetch_misses += 1
-                    else:
-                        data_misses += 1
-                        if shared:
-                            shared_data_misses += 1
-                    if is_dirty:
-                        dirty_victims += 1
-            for victim_cpu in outcome.steal_from:
-                clocks[victim_cpu] += 1.0
-                steals[victim_cpu] += 1
-                if stolen is not None:
-                    stolen.append(victim_cpu)
-            return clock
-
-        if order == "trace" or n == 1:
-            # NOTE: this record body is duplicated in the time-ordered
-            # loop below; keep the two in sync (the equivalence tests
-            # exercise both).  The shared flag is only needed on the
-            # slow path, so it is computed there (fetch misses, flushes
-            # never consult it).
-            if hits is not None:
-                # Scatter the flags back to trace order (the hit
-                # guarantee is a property of each CPU's stream, so it
-                # holds under either replay order): 1 = pure fetch hit
-                # (one instruction cycle), 2 = pure load hit (free),
-                # 3 = local store hit (dirty the line, MRU touch),
-                # 4 = fetch hit with MRU touch, 5 = load hit with MRU
-                # touch, 0 = full record body.
-                is_fetch = derived.is_fetch_sorted
-                codes_sorted = np.zeros(total, dtype=np.int64)
-                codes_sorted[hits.guaranteed & is_fetch] = 1
-                codes_sorted[hits.guaranteed & ~is_fetch] = 2
-                codes_sorted[hits.local_store] = 3
-                codes_sorted[hits.near_fetch] = 4
-                codes_sorted[hits.near_load] = 5
-                codes_trace = np.empty(total, dtype=np.int64)
-                codes_trace[order_np] = codes_sorted
-                skips = codes_trace.tolist()
-            else:
-                skips = repeat(0)
-            for cpu, kind_code, block, skip in zip(
-                trace.cpu.tolist(),
-                kind_np.tolist(),
-                blocks_np.tolist(),
-                skips,
-            ):
-                if skip:
-                    if skip == 1:
-                        clocks[cpu] += 1.0
-                    elif skip == 3:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        cache_set.pop(block)
-                        cache_set[block] = dirty_state
-                    elif skip == 4:
-                        clocks[cpu] += 1.0
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block)
-                        cache_set[block] = state
-                    elif skip == 5:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block)
-                        cache_set[block] = state
-                    continue
-                if kind_code == 0:
-                    clocks[cpu] += 1.0
-                    if fast_hits:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block, 0)
-                        if state:
-                            cache_set[block] = state
-                            continue
-                    clocks[cpu] = slow(cpu, 0, block, False, clocks[cpu])
-                elif kind_code == 1:
-                    if fast_shared_loads:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block, 0)
-                        if state:
-                            cache_set[block] = state
-                            continue
-                        clocks[cpu] = slow(
-                            cpu, 1, block,
-                            shared_low <= block < shared_high, clocks[cpu],
-                        )
-                    elif shared_low <= block < shared_high:
-                        clocks[cpu] = slow(cpu, 1, block, True, clocks[cpu])
-                    elif fast_hits:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block, 0)
-                        if state:
-                            cache_set[block] = state
-                            continue
-                        clocks[cpu] = slow(cpu, 1, block, False, clocks[cpu])
-                    else:
-                        clocks[cpu] = slow(cpu, 1, block, False, clocks[cpu])
-                elif kind_code == 2:
-                    clocks[cpu] = slow(
-                        cpu, 2, block,
-                        shared_low <= block < shared_high, clocks[cpu],
-                    )
-                else:
-                    if handles_flush:
-                        clocks[cpu] = slow(cpu, 3, block, False, clocks[cpu])
-        else:
-            # Time-ordered merge: split the columns into per-CPU
-            # streams (stable argsort keeps program order), then merge
-            # by processor clock, processing records in the exact
-            # lexicographic ``(key, cpu)`` order the legacy engine's
-            # heap pops them, where a record's key is the issuing
-            # CPU's clock after its previous record.
-            counts = derived.counts
-            streams = _event_streams(derived, hits, protocol)
-            if hits is not None:
-                # Event-driven merge.  Statically-proven hits commute
-                # with every other CPU's records: they never touch the
-                # bus, never steal cycles, and never change anything a
-                # remote snoop can observe (line membership and states
-                # are preserved; only LRU order moves, and LRU order
-                # is invisible across caches).  Only the remaining
-                # "event" records -- potential misses, stores, handled
-                # flushes, uncached shared references -- interact
-                # across CPUs, so the merge schedules just those and
-                # applies each event's preceding span of proven hits
-                # lazily: the span's clock cost is its fetch count
-                # (from a prefix-sum table) and its deferred MRU
-                # touches are walked off a per-CPU list.  An event's
-                # legacy key is the clock after the record before it,
-                # which across a span of proven hits is exactly that
-                # prefix-sum -- no record-by-record replay needed.
-                may_steal = protocol.may_steal_cycles
-                cpu_prefix = streams.prefix
-                cpu_events = streams.events
-                cpu_event_kinds = streams.kinds
-                cpu_event_blocks = streams.blocks
-                cpu_touches = streams.touches
-                cpu_fetch_pos = streams.fetch_pos
-                # Per-CPU merge state.  ``positions[cpu]`` is the
-                # first stream record not yet applied; ``clocks[cpu]``
-                # is the true clock (applied costs plus every steal
-                # landed so far); ``keys[cpu]`` is the pending event's
-                # legacy key; ``frontier_keys[cpu]`` is the frozen key
-                # of record ``positions[cpu]`` -- the key it was
-                # (virtually) pushed with, which excludes steals
-                # landed since.
-                positions = [0] * n
-                event_index = [0] * n
-                touch_index = [0] * n
-                next_event = [0] * n
-                keys = [0.0] * n
-                frontier_keys = [0.0] * n
-                infinity = float("inf")
-                active = []
-                for cpu in range(n):
-                    if not counts[cpu]:
-                        continue
-                    active.append(cpu)
-                    events = cpu_events[cpu]
-                    e = events[0] if events else counts[cpu]
-                    next_event[cpu] = e
-                    keys[cpu] = float(cpu_prefix[cpu][e])
-                if may_steal:
-                    stolen = []
-                while active:
-                    best_key = infinity
-                    cpu = -1
-                    for candidate in active:
-                        key = keys[candidate]
-                        if key < best_key:
-                            best_key = key
-                            cpu = candidate
-                    prefix = cpu_prefix[cpu]
-                    position = positions[cpu]
-                    e = next_event[cpu]
-                    clock = clocks[cpu]
-                    cpu_sets = line_sets[cpu]
-                    if e > position:
-                        # Apply the span of proven hits before the
-                        # event: fetch hits cost one cycle each (loads
-                        # and local store hits are free), and the
-                        # deferred MRU touches replay in program
-                        # order.
-                        delta = prefix[e] - prefix[position]
-                        if delta:
-                            clock += delta
-                        touches_list = cpu_touches[cpu]
-                        tp = touch_index[cpu]
-                        tl = len(touches_list)
-                        while tp < tl and touches_list[tp][0] < e:
-                            _, code, block = touches_list[tp]
-                            tp += 1
-                            cache_set = cpu_sets[block & set_mask]
-                            if code == 4:
-                                cache_set.pop(block)
-                                cache_set[block] = dirty_state
-                            else:
-                                state = cache_set.pop(block)
-                                cache_set[block] = state
-                        touch_index[cpu] = tp
-                    if e == counts[cpu]:
-                        clocks[cpu] = clock
-                        frontier_keys[cpu] = infinity
-                        active.remove(cpu)
-                        continue
-                    ev = event_index[cpu]
-                    kind_code = cpu_event_kinds[cpu][ev]
-                    block = cpu_event_blocks[cpu][ev]
-                    # Same record body as the trace-order loop above.
-                    if kind_code == 0:
-                        clock += 1.0
-                        if fast_hits:
-                            cache_set = cpu_sets[block & set_mask]
-                            state = cache_set.pop(block, 0)
-                            if state:
-                                cache_set[block] = state
-                            else:
-                                clock = slow(cpu, 0, block, False, clock)
-                        else:
-                            clock = slow(cpu, 0, block, False, clock)
-                    elif kind_code == 1:
-                        if fast_shared_loads:
-                            cache_set = cpu_sets[block & set_mask]
-                            state = cache_set.pop(block, 0)
-                            if state:
-                                cache_set[block] = state
-                            else:
-                                clock = slow(
-                                    cpu, 1, block,
-                                    shared_low <= block < shared_high, clock,
-                                )
-                        elif shared_low <= block < shared_high:
-                            clock = slow(cpu, 1, block, True, clock)
-                        elif fast_hits:
-                            cache_set = cpu_sets[block & set_mask]
-                            state = cache_set.pop(block, 0)
-                            if state:
-                                cache_set[block] = state
-                            else:
-                                clock = slow(cpu, 1, block, False, clock)
-                        else:
-                            clock = slow(cpu, 1, block, False, clock)
-                    elif kind_code == 2:
-                        clock = slow(
-                            cpu, 2, block,
-                            shared_low <= block < shared_high, clock,
-                        )
-                    else:
-                        if handles_flush:
-                            clock = slow(cpu, 3, block, False, clock)
-                    clocks[cpu] = clock
-                    if may_steal and stolen:
-                        # Replicate the legacy heap's key staleness
-                        # exactly.  A steal lands on the victim's true
-                        # clock immediately, but enters its merge keys
-                        # only from the first record processed after
-                        # the broadcast: keys already pushed stay
-                        # frozen.  The broadcast's merge position is
-                        # this event's key (``best_key``, tie-broken
-                        # by CPU id).
-                        for victim in stolen:
-                            fk = frontier_keys[victim]
-                            if fk > best_key or (
-                                fk == best_key and victim > cpu
-                            ):
-                                # The victim's next record had not yet
-                                # been processed when the broadcast
-                                # ran, so the steal is in every key
-                                # from the following record onwards --
-                                # including the pending event's, if
-                                # any span records remain before it.
-                                if positions[victim] < next_event[victim]:
-                                    keys[victim] += 1.0
-                            else:
-                                # Span records up to the broadcast's
-                                # merge position were already
-                                # (virtually) processed by the legacy
-                                # engine; materialise them, then land
-                                # the steal before the rest.  The new
-                                # frontier is found by fetch count:
-                                # span record ``m``'s key is the
-                                # victim's pre-steal clock plus the
-                                # fetch prefix from the old frontier.
-                                v_prefix = cpu_prefix[victim]
-                                v_pos = positions[victim]
-                                base = v_prefix[v_pos]
-                                pre_clock = clocks[victim] - 1.0
-                                target = int(best_key - pre_clock) + base
-                                if victim < cpu:
-                                    target += 1
-                                if target <= base:
-                                    frontier = v_pos + 1
-                                else:
-                                    frontier = (
-                                        cpu_fetch_pos[victim][target - 1] + 1
-                                    )
-                                advance = v_prefix[frontier] - base
-                                if advance:
-                                    clocks[victim] += advance
-                                touches_list = cpu_touches[victim]
-                                tp = touch_index[victim]
-                                tl = len(touches_list)
-                                victim_sets = line_sets[victim]
-                                while (
-                                    tp < tl
-                                    and touches_list[tp][0] < frontier
-                                ):
-                                    _, code, t_block = touches_list[tp]
-                                    tp += 1
-                                    cache_set = victim_sets[
-                                        t_block & set_mask
-                                    ]
-                                    if code == 4:
-                                        cache_set.pop(t_block)
-                                        cache_set[t_block] = dirty_state
-                                    else:
-                                        state = cache_set.pop(t_block)
-                                        cache_set[t_block] = state
-                                touch_index[victim] = tp
-                                positions[victim] = frontier
-                                frontier_keys[victim] = pre_clock + advance
-                                if frontier < next_event[victim]:
-                                    keys[victim] += 1.0
-                        del stolen[:]
-                    position = e + 1
-                    positions[cpu] = position
-                    ev += 1
-                    event_index[cpu] = ev
-                    events = cpu_events[cpu]
-                    e = events[ev] if ev < len(events) else counts[cpu]
-                    next_event[cpu] = e
-                    frontier_keys[cpu] = clock
-                    keys[cpu] = clock + (prefix[e] - prefix[position])
-            else:
-                # Per-record merge when nothing is proven: costs or
-                # arbitration overhead are non-integral, or the
-                # protocol declares no static-hit contract (the
-                # oracle shadow).
-                # With a handful of CPUs a linear argmin over the same
-                # frozen keys beats heapq -- no tuple allocation, no
-                # sift -- and pops in the identical lexicographic
-                # order.  Each scan also yields the runner-up key,
-                # which bounds how long the chosen CPU may keep
-                # running: keys never change during a burst, so the
-                # current CPU continues while its clock stays at or
-                # below that bound.
-                cpu_kinds = streams.kinds
-                cpu_blocks = streams.blocks
-                positions = [0] * n
-                infinity = float("inf")
-                keys = [0.0] * n
-                active = [cpu for cpu in range(n) if counts[cpu]]
-                cpu = active[0]
-                if len(active) > 1:
-                    top_clock, top_cpu = 0.0, active[1]
-                else:
-                    top_clock, top_cpu = infinity, -1
-                while True:
-                    # One burst of the current CPU.
-                    stream_kinds = cpu_kinds[cpu]
-                    stream_blocks = cpu_blocks[cpu]
-                    cpu_sets = line_sets[cpu]
-                    length = counts[cpu]
-                    position = positions[cpu]
-                    clock = clocks[cpu]
-                    exhausted = False
-                    while True:
-                        kind_code = stream_kinds[position]
-                        block = stream_blocks[position]
-                        position += 1
-                        # Same record body as the trace-order loop
-                        # above.
-                        if kind_code == 0:
-                            clock += 1.0
-                            if fast_hits:
-                                cache_set = cpu_sets[block & set_mask]
-                                state = cache_set.pop(block, 0)
-                                if state:
-                                    cache_set[block] = state
-                                else:
-                                    clock = slow(cpu, 0, block, False, clock)
-                            else:
-                                clock = slow(cpu, 0, block, False, clock)
-                        elif kind_code == 1:
-                            if fast_shared_loads:
-                                cache_set = cpu_sets[block & set_mask]
-                                state = cache_set.pop(block, 0)
-                                if state:
-                                    cache_set[block] = state
-                                else:
-                                    clock = slow(
-                                        cpu, 1, block,
-                                        shared_low <= block < shared_high,
-                                        clock,
-                                    )
-                            elif shared_low <= block < shared_high:
-                                clock = slow(cpu, 1, block, True, clock)
-                            elif fast_hits:
-                                cache_set = cpu_sets[block & set_mask]
-                                state = cache_set.pop(block, 0)
-                                if state:
-                                    cache_set[block] = state
-                                else:
-                                    clock = slow(cpu, 1, block, False, clock)
-                            else:
-                                clock = slow(cpu, 1, block, False, clock)
-                        elif kind_code == 2:
-                            clock = slow(
-                                cpu, 2, block,
-                                shared_low <= block < shared_high, clock,
-                            )
-                        else:
-                            if handles_flush:
-                                clock = slow(cpu, 3, block, False, clock)
-                        if position == length:
-                            exhausted = True
-                            break
-                        if top_clock < clock or (
-                            top_clock == clock and top_cpu < cpu
-                        ):
-                            break
-                    positions[cpu] = position
-                    clocks[cpu] = clock
-                    if exhausted:
-                        active.remove(cpu)
-                        if not active:
-                            break
-                    else:
-                        keys[cpu] = clock
-                    # Re-select: argmin of (key, cpu) plus the
-                    # runner-up.  ``active`` stays sorted, so strict
-                    # ``<`` comparisons resolve ties toward the lower
-                    # CPU id, matching the heap's tuple ordering.
-                    best_key = infinity
-                    best_cpu = -1
-                    top_clock = infinity
-                    top_cpu = -1
-                    for candidate in active:
-                        key = keys[candidate]
-                        if key < best_key:
-                            top_clock = best_key
-                            top_cpu = best_cpu
-                            best_key = key
-                            best_cpu = candidate
-                        elif key < top_clock:
-                            top_clock = key
-                            top_cpu = candidate
-                    cpu = best_cpu
-
-        _write_back(
-            result, derived, clocks, waits, steals, op_info,
-            (fetch_misses, data_misses, shared_data_misses, dirty_victims),
-        )
 
     # -- legacy engine (reference implementation) ------------------------
 
@@ -1426,14 +1253,14 @@ class Machine:
                 else:
                     cpu_stats.clock += cpu_cost[operation]
                 op_counts[operation] += 1
-                if operation in _MISS_OPERATIONS:
+                if operation in MISS_OPERATIONS:
                     if kind is fetch:
                         result.fetch_misses += 1
                     else:
                         result.data_misses += 1
                         if is_shared_block(block):
                             result.shared_data_misses += 1
-                    if operation in _DIRTY_VICTIM_OPERATIONS:
+                    if operation in DIRTY_VICTIM_OPERATIONS:
                         result.dirty_victim_misses += 1
 
             for victim_cpu in outcome.steal_from:

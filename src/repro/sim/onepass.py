@@ -80,7 +80,7 @@ from repro.sim.machine import (
 )
 from repro.sim.protocols import HYBRID_PROTOCOLS, Protocol, protocol_class
 from repro.trace.derived import DerivedColumns, derived_columns
-from repro.trace.records import Trace
+from repro.trace.records import Trace, validate_cpus
 
 __all__ = [
     "ONEPASS_PROTOCOLS",
@@ -270,7 +270,7 @@ def run_geometry_family(
     if not configs:
         return {}
 
-    if cpus is not None and cpus != trace.cpus:
+    if cpus is not None and validate_cpus(cpus, trace.cpus) != trace.cpus:
         trace = trace.restricted_to(cpus)
 
     engine, reason = family_support(

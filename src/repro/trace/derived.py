@@ -160,9 +160,9 @@ def _derive(trace: Trace, block_shift: int, digest: str) -> DerivedColumns:
     blocks = trace.block_index(block_shift)
     shared = (blocks >= shared_low) & (blocks < shared_high)
 
-    # Identical expressions to the ones Machine._run_columnar used
-    # inline before this module existed — the engine-equivalence suite
-    # pins the numbers, so keep the arithmetic bit-for-bit.
+    # The engine-equivalence suite pins these numbers against the
+    # legacy replay loop's per-record counts, so keep the arithmetic
+    # bit-for-bit.
     mix = np.bincount(
         trace.cpu.astype(np.int64) * 4 + kind_np, minlength=4 * n
     ).reshape(n, 4)

@@ -31,6 +31,7 @@ constructor accepts any iterable of records.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -45,7 +46,29 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "TraceRecords",
+    "validate_cpus",
 ]
+
+
+def validate_cpus(cpus, most: int | None = None) -> int:
+    """Return ``cpus`` if it is a processor count in ``[1, most]``.
+
+    ``most`` is unbounded when ``None``.  A float or bool count is
+    rejected even when it equals an integer: it would otherwise reach
+    list sizing and array reshapes deep inside a replay.
+
+    Raises:
+        ValueError: if ``cpus`` is not an integer or is out of range.
+    """
+    if isinstance(cpus, bool) or not isinstance(cpus, numbers.Integral):
+        raise ValueError(f"cpus must be an integer, got {cpus!r}")
+    if most is None:
+        if cpus < 1:
+            raise ValueError(f"cpus must be >= 1, got {cpus}")
+    elif not 1 <= cpus <= most:
+        raise ValueError(f"cpus must be in [1, {most}], got {cpus}")
+    return cpus
+
 
 #: Column dtypes of the structure-of-arrays trace layout.
 CPU_DTYPE = np.uint16
@@ -204,8 +227,7 @@ class Trace:
         shared_region: AddressRange,
         records: Iterable = (),
     ):
-        if cpus < 1:
-            raise ValueError(f"cpus must be >= 1, got {cpus}")
+        validate_cpus(cpus)
         self.name = name
         self.cpus = cpus
         self.shared_region = shared_region
@@ -247,8 +269,7 @@ class Trace:
         """Build a trace directly from the three columns (no copy when
         dtypes already match)."""
         trace = cls.__new__(cls)
-        if cpus < 1:
-            raise ValueError(f"cpus must be >= 1, got {cpus}")
+        validate_cpus(cpus)
         trace.name = name
         trace.cpus = cpus
         trace.shared_region = shared_region
@@ -306,10 +327,7 @@ class Trace:
         Used by the validation figures, which run the same workload at
         1, 2, 3, and 4 processors.
         """
-        if not 1 <= cpus <= self.cpus:
-            raise ValueError(
-                f"cpus must be in [1, {self.cpus}], got {cpus}"
-            )
+        validate_cpus(cpus, self.cpus)
         keep = self.cpu < cpus
         return Trace.from_arrays(
             name=name if name is not None else f"{self.name}[{cpus}cpu]",

@@ -1,15 +1,19 @@
 """Columnar-vs-legacy replay engine equivalence.
 
-The columnar engine in ``Machine._run_columnar`` is an optimisation,
-not a re-specification: for every protocol and both replay orders it
-must produce statistics identical — including exact float clocks — to
-the original record loop kept as ``Machine._run_legacy``.
+The columnar replay loop (``machine._run_columnar``) is an
+optimisation, not a re-specification: over the fcfs ``TimedBus``, for
+every protocol, both replay orders, integral and fractional costs and
+any arbitration overhead, it must produce statistics identical —
+including exact float clocks — to the original record loop kept as
+``Machine._run_legacy``.
 """
 
 import pytest
 
+from repro.core.operations import CostTable, Operation, OperationCost
 from repro.sim import Machine, SimulationConfig
 from repro.trace import TraceConfig, generate_trace
+from tests.sim.test_arbitration import edge_trace, random_refs
 
 PROTOCOLS = [
     "base",
@@ -56,7 +60,26 @@ def stats_dict(result):
         "shared_data_misses": result.shared_data_misses,
         "bus_busy_cycles": result.bus_busy_cycles,
         "bus_transactions": result.bus_transactions,
+        "bus_arbitration_cycles": result.bus_arbitration_cycles,
     }
+
+
+def fractional_costs():
+    """Table 1 with non-integral miss and broadcast costs, which rule
+    out proven-hit spans: every record is scheduled on its own."""
+    costs = dict(CostTable.bus().items())
+    costs[Operation.CLEAN_MISS_MEMORY] = OperationCost(
+        cpu_cycles=19.5, channel_cycles=19.5
+    )
+    costs[Operation.WRITE_BROADCAST] = OperationCost(
+        cpu_cycles=2.25, channel_cycles=1.25
+    )
+    return CostTable(costs, name="fractional")
+
+
+@pytest.fixture(scope="module")
+def small_trace():
+    return generate_trace(TraceConfig(cpus=4, records_per_cpu=1_000, seed=7))
 
 
 class TestColumnarMatchesLegacy:
@@ -103,6 +126,53 @@ class TestColumnarMatchesLegacy:
         columnar = machine.run(seeded_trace, engine="columnar")
         legacy = machine.run(seeded_trace, engine="legacy")
         assert columnar.protocol_stats == legacy.protocol_stats
+
+    # Table 1 with no overhead is ``test_identical_statistics``; the
+    # other cells of the cost/overhead axis run on a smaller trace and
+    # cache, which still contend for the bus.  An integral overhead
+    # keeps the spans (``columnar+arb``), a fractional one or
+    # fractional costs make the run span-free.
+    @pytest.mark.parametrize(
+        "costs, overhead",
+        [(fractional_costs(), 0.0), (None, 2.0), (None, 2.5)],
+        ids=["fractional", "overhead-2", "overhead-2.5"],
+    )
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("order", ["time", "trace"])
+    def test_identical_across_costs_and_overhead(
+        self, small_trace, protocol, order, costs, overhead
+    ):
+        config = SimulationConfig(
+            cache_bytes=4096, bus_arbitration_cycles=overhead
+        )
+        machine = Machine(protocol, config, costs)
+        columnar = machine.run(small_trace, order=order, engine="columnar")
+        legacy = machine.run(small_trace, order=order, engine="legacy")
+        assert columnar.engine == ("columnar+arb" if overhead else "columnar")
+        assert stats_dict(columnar) == stats_dict(legacy)
+
+    @pytest.mark.parametrize("overhead", [0.0, 2.0])
+    @pytest.mark.parametrize("order", ["time", "trace"])
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            edge_trace("empty", 2, []),
+            edge_trace("one-cpu", 1, random_refs(1, 1, 60, (0, 1, 2))),
+            edge_trace(
+                "one-idle-cpu", 2, random_refs(2, 1, 60, (0, 1, 2))
+            ),
+        ],
+        ids=["empty", "one-cpu", "one-idle-cpu"],
+    )
+    @pytest.mark.parametrize("protocol", ["base", "dragon", "wti"])
+    def test_edge_traces(self, protocol, trace, order, overhead):
+        config = SimulationConfig(
+            cache_bytes=256, bus_arbitration_cycles=overhead
+        )
+        machine = Machine(protocol, config)
+        columnar = machine.run(trace, order=order, engine="columnar")
+        legacy = machine.run(trace, order=order, engine="legacy")
+        assert stats_dict(columnar) == stats_dict(legacy)
 
     def test_restriction_matches(self, seeded_trace):
         machine = Machine("dragon", CONFIG)

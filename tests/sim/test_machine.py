@@ -1,5 +1,8 @@
 """Unit tests for the machine (trace replay + timing)."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import Operation
@@ -174,6 +177,67 @@ class TestRestriction:
         result = Machine("base", CONFIG).run(trace, cpus=1)
         assert len(result.cpus) == 1
         assert result.instructions == 1
+
+    @pytest.mark.parametrize("cpus", [2.5, 1.0, True])
+    def test_rejects_non_integer_cpu_count(self, cpus):
+        trace = make_trace(
+            [TraceRecord(0, I, 0x0), TraceRecord(1, I, 0x8000)]
+        )
+        with pytest.raises(
+            ValueError, match=rf"^cpus must be an integer, got {cpus!r}$"
+        ):
+            Machine("base", CONFIG).run(trace, cpus=cpus)
+
+
+# Run in a fresh interpreter: replays every protocol through the
+# columnar loop on both buses and prints the ``repro`` modules the
+# replays imported.
+_REPLAY_IMPORT_PROBE = """
+import sys
+
+import numpy as np
+
+import repro.sim
+from repro.sim import DISCIPLINES, PROTOCOLS, Machine, SimulationConfig
+from repro.trace.records import AddressRange, Trace
+
+rng = np.random.default_rng(0)
+trace = Trace.from_arrays(
+    name="probe",
+    cpus=3,
+    shared_region=AddressRange(0, 1024),
+    cpu=rng.integers(0, 3, 300),
+    kind=rng.integers(0, 4, 300),
+    address=rng.integers(0, 256, 300) * 16,
+)
+loaded = set(sys.modules)
+for protocol in PROTOCOLS:
+    for engine in ("columnar", "arbitrated"):
+        for discipline in DISCIPLINES:
+            config = SimulationConfig(
+                cache_bytes=256, bus_discipline=discipline
+            )
+            Machine(protocol, config).run(trace, engine=engine)
+print(sorted(
+    name for name in set(sys.modules) - loaded
+    if name.split(".")[0] == "repro"
+))
+"""
+
+
+class TestImports:
+    def test_replays_import_no_module(self):
+        """``import repro.sim`` binds everything a columnar or
+        arbitrated replay runs: a module imported inside a replay is
+        loaded after any instrumentation that rebinds loaded modules
+        was installed, and escapes it."""
+        probe = subprocess.run(
+            [sys.executable, "-c", _REPLAY_IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == "[]"
 
 
 class TestProtocolSelection:

@@ -98,6 +98,19 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(name="x", cpus=0, shared_region=AddressRange(0, 1))
 
+    @pytest.mark.parametrize("cpus", [2.0, 2.5, True])
+    def test_rejects_non_integer_cpus(self, cpus):
+        message = rf"^cpus must be an integer, got {cpus!r}$"
+        with pytest.raises(ValueError, match=message):
+            _toy_trace().restricted_to(cpus)
+        with pytest.raises(ValueError, match=message):
+            Trace(name="x", cpus=cpus, shared_region=AddressRange(0, 1))
+        with pytest.raises(ValueError, match=message):
+            Trace.from_arrays(
+                name="x", cpus=cpus, shared_region=AddressRange(0, 1),
+                cpu=[], kind=[], address=[],
+            )
+
 
 class TestColumnarLayout:
     def test_column_dtypes(self):
