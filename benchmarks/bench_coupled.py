@@ -14,10 +14,10 @@ The module also runs standalone for CI::
     python benchmarks/bench_coupled.py --smoke
 
 which checks family-vs-per-config bit-exactness for Dragon on a
-reduced trace and that a WTI sweep reports its pinned per-config
-fallback reason, then times the Dragon benchmark family against a
-noise-tolerant smoke floor — seconds, not minutes, suitable for
-``scripts/check.sh``.
+reduced trace at associativity 1, 2 and 4 and that a WTI sweep
+reports its pinned per-config fallback reason, then times the Dragon
+benchmark family against a noise-tolerant smoke floor — seconds, not
+minutes, suitable for ``scripts/check.sh``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ _WTI_FALLBACK = "protocol:wti couples geometries and has no epoch engine"
 #: Small smoke family for the exactness check, < 10 s total.
 _SMOKE_SIZES = (4096, 16384, 65536, 262144)
 _SMOKE_RECORDS = 10_000
+_SMOKE_ASSOCIATIVITIES = (1, 2, 4)
 
 _ROUNDS = 5
 #: The recorded claim, enforced by the pytest-benchmark entries.
@@ -60,11 +61,13 @@ def _trace(records: int):
     return preset("pops").generate(records_per_cpu=records)
 
 
-def _per_config_sweep(protocol, trace, sizes) -> dict:
+def _per_config_sweep(protocol, trace, sizes, associativity=2) -> dict:
     """The reference path: one full ``Machine.run`` per cache size."""
     results = {}
     for size in sizes:
-        config = SimulationConfig(cache_bytes=size)
+        config = SimulationConfig(
+            cache_bytes=size, associativity=associativity
+        )
         results[size] = Machine(protocol, config).run(trace)
     return results
 
@@ -153,14 +156,22 @@ def run_smoke() -> int:
     """Dragon bit-exactness, WTI routing + the timing floor; 0 if ok."""
     trace = _trace(_SMOKE_RECORDS)
     failures = _wti_fallback_failures(trace)
-    family = run_geometry_family("dragon", trace, _SMOKE_SIZES)
-    reference = _per_config_sweep("dragon", trace, _SMOKE_SIZES)
-    if not _identical(family, reference):
-        print("MISMATCH epoch/dragon", file=sys.stderr)
-        failures += 1
-    if any(run.engine != "epoch" for run in family.values()):
-        print("FAST PATH NOT USED for dragon", file=sys.stderr)
-        failures += 1
+    for associativity in _SMOKE_ASSOCIATIVITIES:
+        family = run_geometry_family(
+            "dragon", trace, _SMOKE_SIZES, associativity=associativity
+        )
+        reference = _per_config_sweep(
+            "dragon", trace, _SMOKE_SIZES, associativity
+        )
+        if not _identical(family, reference):
+            print(f"MISMATCH epoch/dragon a{associativity}", file=sys.stderr)
+            failures += 1
+        if any(run.engine != "epoch" for run in family.values()):
+            print(
+                f"FAST PATH NOT USED for dragon a{associativity}",
+                file=sys.stderr,
+            )
+            failures += 1
     if failures:
         return 1
 

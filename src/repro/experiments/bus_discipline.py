@@ -198,10 +198,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
         stats_signature(arbitrated) == stats_signature(columnar),
         "swflush statistics match across engines counter for counter",
     )
-    engine, reason = family_support(
-        "swflush", associativity=config.associativity,
-        bus_discipline="round-robin",
-    )
+    engine, reason = family_support("swflush", bus_discipline="round-robin")
     result.add_check(
         "family-engine-falls-back-loudly",
         engine == "fallback"

@@ -58,7 +58,7 @@ def replay_counters() -> tuple[int, str]:
 #: Why geometry-family runs fell back to per-config replay, updated by
 #: ``repro.sim.onepass.run_geometry_family``.  Structured
 #: ``category:detail`` strings (``protocol:...``, ``costs:...``,
-#: ``associativity:...``).  Read via :func:`fallback_counters`.
+#: ``bus-discipline:...``).  Read via :func:`fallback_counters`.
 _fallbacks = 0
 _last_fallback_reason = ""
 

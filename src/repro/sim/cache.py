@@ -14,6 +14,7 @@ Dragon all five).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -59,6 +60,18 @@ class CacheGeometry:
     associativity: int = 1
 
     def __post_init__(self) -> None:
+        for label, value in (
+            ("cache size", self.size_bytes),
+            ("block size", self.block_bytes),
+            ("associativity", self.associativity),
+        ):
+            # A float or bool would otherwise pass the range checks
+            # below (or fail inside them with a TypeError) and reach
+            # the bit arithmetic of every engine.
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.block_bytes <= 0 or self.block_bytes & (self.block_bytes - 1):
             raise ValueError(
                 f"block_bytes must be a positive power of two, got {self.block_bytes}"

@@ -10,17 +10,19 @@ state of the *contended* blocks across epoch boundaries.
 
 Dragon is write-update: remote traffic never evicts
 (``remote_traffic_preserves_residency``), so residency and LRU order
-are functions of each CPU's own stream — classified per geometry by
-the :mod:`repro.sim.segment` kernel.  Only the *outcome labels* are
-coupled: whether a miss is supplied from a cache and whether a store
-hit broadcasts depend on the holders of the block, and holders can
-change only at **epoch boundaries** — misses (fills and evictions) and
-stores to contended blocks (broadcast state transitions).  Blocks
-referenced by a single CPU can never have remote holders, so their
-misses are pre-labelled vectorised; the merge carries a per-CPU map of
-contended-block line states (the sharer/owner columns) and resolves
-boundary events in the exact legacy replay order, including Dragon's
-cycle-steal key-staleness rules.
+are functions of each CPU's own stream — classified for the whole
+family in one walk by :func:`repro.sim.segment.classify_lru`, the
+classifier the geometry-local sweeps use too.  Only the *outcome
+labels* are coupled: whether a miss is supplied from a cache and
+whether a store hit broadcasts depend on the holders of the block,
+and holders can change only at **epoch boundaries** — misses (fills
+and evictions) and stores to contended blocks (broadcast state
+transitions).  Blocks referenced by a single CPU can never have
+remote holders, so their misses are pre-labelled vectorised; the
+merge carries a per-CPU map of contended-block line states (the
+sharer/owner columns) and resolves boundary events in the exact
+legacy replay order, including Dragon's cycle-steal key-staleness
+rules.
 
 Within an epoch every geometry sees identical sharer sets, which is
 what makes per-geometry replays collapsible into per-geometry event
@@ -34,10 +36,10 @@ and ``tests/sim/test_onepass.py``).
 
 Exactness has the same gates as the one-pass engine (integral costs,
 and integral fcfs arbitration overhead — folded into every merge's
-service term exactly as ``TimedBus`` does) plus the segment kernel's
-associativity-1-or-2 bound; ``repro.sim.onepass.family_support``
-routes anything else — WTI, the directory and the hybrids included —
-to the per-config fallback with a recorded reason.
+service term exactly as ``TimedBus`` does), at every associativity;
+``repro.sim.onepass.family_support`` routes anything else — WTI, the
+directory and the hybrids included — to the per-config fallback with
+a recorded reason.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from repro.sim.machine import (
     _op_info,
     _write_back,
 )
-from repro.sim.protocols.dragon import DragonStats
-from repro.sim.segment import classify_lru, dirty_flags, stream_positions
+from repro.sim.protocols.dragon import DragonProtocol, DragonStats
+from repro.sim.segment import DIRTY_MISS, classify_lru
 from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import Trace
 
@@ -97,21 +99,37 @@ def run_coupled_family(
     cost integrality, and geometry family.
     """
     started = time.perf_counter()
-    block_shift = next(iter(configs.values())).geometry.block_shift
-    derived = derived_columns(trace, block_shift)
+    geometries = [config.geometry for config in configs.values()]
+    derived = derived_columns(trace, geometries[0].block_shift)
     views = family_views(derived)
-    spos = stream_positions(derived)
+    events = classify_lru(
+        derived,
+        geometries,
+        DragonProtocol.handles_flush,
+        DragonProtocol.caches_shared_data,
+    )
     # Contended blocks are those referenced by more than one CPU: only
     # they can ever have remote holders.  The mask is the derived
     # entry's cached single-owner proof, shared with ``Machine.run``.
     contended_sorted = ~derived.single_owner_sorted
-    contended = np.unique(derived.blocks_sorted[contended_sorted])
+    blocks = derived.blocks_sorted.astype(np.int64)
+    contended = np.unique(blocks[contended_sorted])
+    is_store = derived.kinds_sorted == 2
+    contended_store = is_store & contended_sorted
+    # Stores to private shared-region blocks are provably exclusive:
+    # each dirties its line locally and, unless it misses, only bumps
+    # the shared-write-hit counter — countable vectorised, never an
+    # epoch boundary.
+    private_shared_store = (
+        is_store & ~contended_sorted & derived.shared_sorted
+    )
     results = {
         size: _run_dragon(
-            trace, config, costs, order, derived, views, spos,
-            contended, contended_sorted,
+            trace, config, costs, order, derived, views, cpu_events,
+            blocks, contended_sorted, contended, contended_store,
+            private_shared_store,
         )
-        for size, config in configs.items()
+        for (size, config), cpu_events in zip(configs.items(), events)
     }
     note_replay(len(trace), "epoch")
     wall = time.perf_counter() - started
@@ -130,60 +148,19 @@ def _run_dragon(
     order: str,
     derived: DerivedColumns,
     views: FamilyViews,
-    spos: np.ndarray,
-    contended: np.ndarray,
+    cpu_events: list[tuple[list[int], list[int], list[int]]],
+    blocks: np.ndarray,
     contended_sorted: np.ndarray,
+    contended: np.ndarray,
+    contended_store: np.ndarray,
+    private_shared_store: np.ndarray,
 ) -> SimulationResult:
     n = trace.cpus
-    geometry = config.geometry
-    kinds = derived.kinds_sorted
-    total = len(kinds)
-    touches = kinds != 3  # Dragon ignores flushes entirely
-    cls = classify_lru(derived, geometry.sets, geometry.associativity, touches)
-    miss = cls.miss
-    is_store = kinds == 2
+    stats = DragonStats()
+    stats.shared_write_hits = int(np.count_nonzero(private_shared_store))
     # Region-based, all kinds: DragonProtocol computes sharedness from
     # the block alone, so fetch misses on shared blocks count too.
     shared_sorted = derived.shared_sorted
-
-    # Epoch boundaries: every miss (fills/evictions change holder
-    # sets) plus every store to a contended block (may broadcast).
-    ev_mask = miss | (is_store & contended_sorted & touches)
-
-    # Store hits on non-contended blocks are provably exclusive: they
-    # dirty the line locally and only bump the shared-write-hit
-    # counter — countable vectorised, never epoch boundaries.
-    stats = DragonStats()
-    stats.shared_write_hits = int(
-        np.count_nonzero(
-            is_store & touches & ~miss & ~contended_sorted & shared_sorted
-        )
-    )
-
-    # Victim dirtiness: contended victims carry merge state; private
-    # victims are dirty iff stored into while resident (they can only
-    # ever be CLEAN/DIRTY — a SHARED fill needs holders).
-    victim_block = cls.victim_block
-    victim_dirty = np.zeros(total, dtype=bool)
-    victim_contended = np.zeros(total, dtype=bool)
-    v_idx = np.flatnonzero(victim_block >= 0)
-    if len(v_idx):
-        v_is_contended = np.isin(
-            victim_block[v_idx].astype(np.uint64), contended
-        )
-        victim_contended[v_idx] = v_is_contended
-        private = v_idx[~v_is_contended]
-        if len(private):
-            victim_dirty[private] = dirty_flags(
-                derived,
-                touches,
-                spos,
-                derived.cpus_sorted[private],
-                victim_block[private],
-                cls.victim_pos[private],
-                spos[private],
-            )
-
     op_info = _op_info(costs)
     bcast = op_info[Operation.WRITE_BROADCAST]
     miss_info = {key: (op_info[op],) for key, op in _MISS_OP.items()}
@@ -192,15 +169,15 @@ def _run_dragon(
     }
     bcast_info = (bcast,)
 
+    # Epoch boundaries: every miss (fills/evictions change holder
+    # sets) plus every store to a contended block (may broadcast).
     # Static pre-resolution: a miss on an untracked block with an
     # untracked victim can have no holders and touches no carried
     # state — its operations (and its shared-miss count) are fixed
-    # before the merge, so the hot loop skips ``resolve`` for it.
-    static = miss & ~contended_sorted & ~victim_contended
-    stats.shared_misses = int(np.count_nonzero(static & shared_sorted))
-
-    offsets = derived.offsets
-    counts = derived.counts
+    # before the merge, so the hot loop skips ``resolve`` for it.  A
+    # private victim can only ever be CLEAN or DIRTY (a SHARED fill
+    # needs holders), so the classifier's dirtiness is exact for it;
+    # a contended victim takes its dirtiness from the carried state.
     epos: list[list[int]] = []
     eops: list[list] = []
     eblock: list[list[int]] = []
@@ -209,21 +186,41 @@ def _run_dragon(
     evictim: list[list[int]] = []
     evictim_tracked: list[list[bool]] = []
     evictim_dirty: list[list[bool]] = []
-    blocks_i64 = derived.blocks_sorted.astype(np.int64)
-    for cpu in range(n):
-        start = offsets[cpu]
-        idx = np.flatnonzero(ev_mask[start : start + counts[cpu]]) + start
+    for start, count, (positions, opcodes, victims) in zip(
+        derived.offsets, derived.counts, cpu_events
+    ):
+        miss_idx = np.asarray(positions, dtype=np.int64) + start
+        idx = np.union1d(
+            miss_idx,
+            np.flatnonzero(contended_store[start : start + count]) + start,
+        )
+        slot = np.searchsorted(idx, miss_idx)
+        miss = np.zeros(len(idx), dtype=bool)
+        miss[slot] = True
+        victim = np.full(len(idx), -1, dtype=np.int64)
+        victim[slot] = victims
+        victim_dirty = np.zeros(len(idx), dtype=bool)
+        victim_dirty[slot] = np.asarray(opcodes) == DIRTY_MISS
+        victim_tracked = np.isin(victim, contended)
+        tracked = contended_sorted[idx]
+        static = miss & ~tracked & ~victim_tracked
+        stats.shared_misses += int(
+            np.count_nonzero(static & shared_sorted[idx])
+        )
+        stats.shared_write_hits -= int(
+            np.count_nonzero(private_shared_store[miss_idx])
+        )
         epos.append((idx - start).tolist())
-        dirty = victim_dirty[idx].tolist()
+        dirty = victim_dirty.tolist()
         eops.append([
             miss_info[False, victim_was_dirty] if fixed else None
-            for fixed, victim_was_dirty in zip(static[idx].tolist(), dirty)
+            for fixed, victim_was_dirty in zip(static.tolist(), dirty)
         ])
-        eblock.append(blocks_i64[idx].tolist())
-        emiss.append(miss[idx].tolist())
-        etracked.append(contended_sorted[idx].tolist())
-        evictim.append(victim_block[idx].tolist())
-        evictim_tracked.append(victim_contended[idx].tolist())
+        eblock.append(blocks[idx].tolist())
+        emiss.append(miss.tolist())
+        etracked.append(tracked.tolist())
+        evictim.append(victim.tolist())
+        evictim_tracked.append(victim_tracked.tolist())
         evictim_dirty.append(dirty)
 
     # Sharer/owner state of contended blocks, per CPU, carried across

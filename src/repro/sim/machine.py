@@ -892,6 +892,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         validate_discipline(self.bus_discipline)
         validate_arbitration_cycles(self.bus_arbitration_cycles)
+        self.geometry  # validate the geometry eagerly
 
     @property
     def geometry(self) -> CacheGeometry:

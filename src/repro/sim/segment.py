@@ -1,40 +1,26 @@
-"""Run-collapse LRU classification: the kernel of the Dragon family.
+"""The one LRU classifier of the cache-size sweep engines.
 
-The Dragon epoch family engine (:mod:`repro.sim.family`) classifies
-every geometry of a sweep here, without a per-record Python loop:
-Dragon's remote traffic never evicts, so each CPU's cache contents
-evolve from its own stream.  The question is *which references miss,
-and which block do they evict?*  For caches of associativity one or
-two it has a closed form over **runs** (maximal sequences of
-consecutive same-block touches within one ``(cpu, set)`` segment), so
-the whole classification collapses to array passes:
+Both sweep engines ask the same per-CPU question of every geometry in
+a family: *which references miss, and which block do they evict?*
+The geometry-local one-pass engine (:mod:`repro.sim.onepass`: Base,
+No-Cache, Software-Flush) and Dragon's epoch-partitioned family
+(:mod:`repro.sim.family`) both hold
+``remote_traffic_preserves_residency``, so each CPU's cache contents
+evolve from its own program-order stream and :func:`classify_lru`
+answers for the whole family in one walk:
 
-* Partition each CPU's touch stream by set (one stable grouped sort),
-  then collapse consecutive same-block touches into runs.  Within a
-  run every touch after the first is trivially a hit.
-* **Associativity 1**: every run *start* misses (the previous run's
-  block occupies the single way) and its victim is exactly the
-  previous run's block in the segment.
-* **Associativity 2**: immediately before run ``r`` starts, the set
-  holds exactly the blocks of runs ``r-1`` and ``r-2`` (LRU order:
-  ``r-2`` then ``r-1``).  So run ``r`` hits iff its block equals run
-  ``r-2``'s, and a missing run's victim is run ``r-2``'s block.
-* A block's **true insertion position** (needed for victim-dirtiness
-  interval queries) chains through hits: run ``r`` continues the
-  residency begun at the most recent run of the same block at stride
-  2.  Chains are resolved with one segmented ``maximum.accumulate``
-  over runs sorted by ``(segment, block)``.
-
-Victim dirtiness then reduces to "did this CPU issue a cachable store
-to the victim's block while it was resident", a batch of interval
-queries over composite ``((block, cpu), position)`` keys answered
-with two ``searchsorted`` calls (:func:`dirty_flags`) — no state
-machine at all.
-
-The geometry-local protocols (Base, No-Cache, Software-Flush) do not
-use this kernel: their one classifier is the family walk
-:func:`repro.sim.onepass._classify`, which also handles flush records
-and every associativity.
+* One traversal of each CPU's stream updates one LRU cache *per
+  geometry* and records only the *events*: misses (with the victim's
+  block and dirtiness), uncached shared read/write-throughs and
+  flushes.  The protocol's declared flags (``handles_flush``,
+  ``caches_shared_data``) select which records touch the cache.
+* A vectorised per-geometry prefilter first drops every reference
+  whose most recent same-set touch was the same block: a guaranteed,
+  already-MRU hit.
+* A victim inserted at stream position ``i`` and evicted (or flushed)
+  at ``q`` is dirty iff the CPU stored to its block in ``[i, q)``: a
+  batch of interval queries answered after the loop with two
+  ``searchsorted`` calls.
 
 This module is a leaf: it must not import :mod:`repro.sim.machine`,
 :mod:`repro.sim.onepass` or :mod:`repro.sim.family`.
@@ -42,171 +28,283 @@ This module is a leaf: it must not import :mod:`repro.sim.machine`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.trace.derived import DerivedColumns
 
 __all__ = [
-    "LruClassification",
+    "CLEAN_FLUSH",
+    "CLEAN_MISS",
+    "DIRTY_FLUSH",
+    "DIRTY_MISS",
+    "READ_THROUGH",
+    "WRITE_THROUGH",
     "classify_lru",
-    "dirty_flags",
-    "stream_positions",
 ]
 
-
-def stream_positions(derived: DerivedColumns) -> np.ndarray:
-    """Program-order position within its CPU's stream, per sorted record."""
-    counts = np.asarray(derived.counts, dtype=np.int64)
-    offsets = np.asarray(derived.offsets, dtype=np.int64)
-    total = int(counts.sum())
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-
-
-@dataclass(frozen=True)
-class LruClassification:
-    """Hit/miss/victim facts for one geometry, in sorted-record space.
-
-    Attributes:
-        miss: True where a touching reference misses its set.
-        victim_block: block evicted by each miss (``-1`` when the set
-            still had a free way), as int64 block numbers.
-        victim_pos: the victim's true insertion position (program
-            order within its CPU's stream), carried through the hits
-            between insertion and eviction; ``-1`` when no victim.
-    """
-
-    miss: np.ndarray
-    victim_block: np.ndarray
-    victim_pos: np.ndarray
+# Event opcodes.  Each dirty opcode is its clean one + 1.
+CLEAN_MISS = 0
+DIRTY_MISS = 1
+READ_THROUGH = 2
+WRITE_THROUGH = 3
+CLEAN_FLUSH = 4
+DIRTY_FLUSH = 5
 
 
 def classify_lru(
     derived: DerivedColumns,
-    sets: int,
-    associativity: int,
-    touches: np.ndarray,
-) -> LruClassification:
-    """Classify every touching reference against an LRU cache family.
+    geometries,
+    handles_flush: bool,
+    caches_shared: bool,
+) -> list[list[tuple[list[int], list[int], list[int]]]]:
+    """One traversal producing per-geometry, per-CPU event lists.
 
-    Exact for promote-on-every-touch, insert-on-miss LRU sets of
-    associativity 1 or 2 whose membership evolves from the CPU's own
-    stream alone (no invalidations among ``touches`` — callers gate).
+    Exact at every associativity for promote-on-every-touch,
+    insert-on-miss LRU caches whose contents evolve from each CPU's
+    own stream.  With ``handles_flush`` a flush invalidates and is an
+    event; otherwise flushes never reach the cache.  Without
+    ``caches_shared`` shared loads and stores are read/write-through
+    events, transparent to cache contents.
+
+    Returns ``events[k][cpu] = (positions, opcodes, victims)``: the
+    stream positions (program order within the CPU) and opcodes of
+    every reference that does bus/protocol work under
+    ``geometries[k]``, and the block each evicts (``-1`` for a miss
+    into a free way and for every event that is not a miss).
     """
-    if associativity not in (1, 2):
-        raise ValueError(
-            f"segment classification needs associativity 1 or 2, "
-            f"got {associativity}"
-        )
-    total = len(derived.kinds_sorted)
-    miss = np.zeros(total, dtype=bool)
-    victim_block = np.full(total, -1, dtype=np.int64)
-    victim_pos = np.full(total, -1, dtype=np.int64)
-    t_idx = np.flatnonzero(touches)
-    if not len(t_idx):
-        return LruClassification(miss, victim_block, victim_pos)
+    kinds = derived.kinds_sorted
+    blocks = derived.blocks_sorted
+    counts = derived.counts
+    offsets = derived.offsets
+    total = len(kinds)
 
-    t_cpu = derived.cpus_sorted[t_idx].astype(np.int64)
-    t_block = derived.blocks_sorted[t_idx]
-    segment = t_cpu * sets
-    segment += (t_block & np.uint64(sets - 1)).astype(np.int64)
-    g_order = np.argsort(segment, kind="stable")
-    g_seg = segment[g_order]
-    g_block = t_block[g_order]
-    g_idx = t_idx[g_order]
-    m = len(g_idx)
+    # Which records touch the cache at all, and which are uncached
+    # shared data references (events in every geometry, transparent
+    # to cache contents).
+    touches = np.ones(total, dtype=bool)
+    uncached = None
+    if not caches_shared:
+        # Shared loads and stores only: flush records are governed by
+        # ``handles_flush`` alone.
+        uncached = ((kinds == 1) | (kinds == 2)) & derived.shared_sorted
+        touches &= ~uncached
+    if not handles_flush:
+        touches &= kinds != 3
 
-    same = np.zeros(m, dtype=bool)
-    same[1:] = (g_seg[1:] == g_seg[:-1]) & (g_block[1:] == g_block[:-1])
-
-    # Collapse to runs of consecutive same-block touches per segment.
-    run_start = np.flatnonzero(~same)
-    runs = len(run_start)
-    run_seg = g_seg[run_start]
-    run_block = g_block[run_start]
-    run_start_idx = g_idx[run_start]
-    spos = stream_positions(derived)
-    run_start_pos = spos[run_start_idx]
-
-    if associativity == 1:
-        # Every run start misses; the victim is the previous run's
-        # block, inserted at that run's own start (every run begins
-        # with a miss, so insertion never chains).
-        run_hit = np.zeros(runs, dtype=bool)
-        has_victim = np.zeros(runs, dtype=bool)
-        has_victim[1:] = run_seg[1:] == run_seg[:-1]
-        stride = 1
-        insert_run = np.arange(runs, dtype=np.int64)
-    else:
-        # Before run r the set holds exactly the blocks of runs r-1
-        # and r-2: hit iff block == run r-2's, victim = run r-2's
-        # block on a miss.
-        pp_same = np.zeros(runs, dtype=bool)
-        pp_same[2:] = run_seg[2:] == run_seg[:-2]
-        run_hit = np.zeros(runs, dtype=bool)
-        run_hit[2:] = pp_same[2:] & (run_block[2:] == run_block[:-2])
-        has_victim = pp_same & ~run_hit
-        stride = 2
-        # True insertion chains through stride-2 hit runs of the same
-        # (segment, block): anchor each chain at its first (missing)
-        # run with a segmented running maximum.
-        pair_order = np.lexsort((run_block, run_seg))
-        chained = np.zeros(runs, dtype=bool)
-        if runs > 1:
-            a, b = pair_order[1:], pair_order[:-1]
-            chained[1:] = (
-                (run_seg[a] == run_seg[b])
-                & (run_block[a] == run_block[b])
-                & (a - b == 2)
-            )
-        anchor = np.where(~chained, np.arange(runs, dtype=np.int64), 0)
-        np.maximum.accumulate(anchor, out=anchor)
-        insert_run = np.empty(runs, dtype=np.int64)
-        insert_run[pair_order] = pair_order[anchor]
-
-    miss[run_start_idx[~run_hit]] = True
-    wv = np.flatnonzero(has_victim)
-    if len(wv):
-        v_runs = wv - stride
-        v_idx = run_start_idx[wv]
-        victim_block[v_idx] = run_block[v_runs].astype(np.int64)
-        victim_pos[v_idx] = run_start_pos[insert_run[v_runs]]
-    return LruClassification(miss, victim_block, victim_pos)
-
-
-def dirty_flags(
-    derived: DerivedColumns,
-    touches: np.ndarray,
-    spos: np.ndarray,
-    query_cpu: np.ndarray,
-    query_block: np.ndarray,
-    query_lo: np.ndarray,
-    query_hi: np.ndarray,
-) -> np.ndarray:
-    """Was a cachable store issued to each queried line while resident?
-
-    Each query asks whether ``query_cpu`` stored to ``query_block`` at
-    a stream position in ``[query_lo, query_hi)`` — the interval from
-    the line's insertion to its eviction.  Cachable stores are the
-    store records among ``touches``.
-    """
-    if not len(query_cpu):
-        return np.zeros(0, dtype=bool)
-    store_idx = np.flatnonzero((derived.kinds_sorted == 2) & touches)
-    if not len(store_idx):
-        return np.zeros(len(query_cpu), dtype=bool)
-    n = np.uint64(len(derived.counts))
-    s_pair = derived.blocks_sorted[store_idx] * n
-    s_pair += derived.cpus_sorted[store_idx].astype(np.uint64)
-    q_pair = query_block.astype(np.uint64) * n
-    q_pair += query_cpu.astype(np.uint64)
-    uniq = np.unique(np.concatenate([s_pair, q_pair]))
-    stride = max(derived.counts) + 1
-    s_keys = np.sort(
-        np.searchsorted(uniq, s_pair) * stride + spos[store_idx]
+    # Per-geometry prefilter: the same-block rule of ``Machine``'s
+    # static hit analysis, evaluated at each geometry's own set mask.
+    # A reference whose most recent same-set touch was the same block
+    # (and left it resident) finds the block resident and already
+    # most-recently-used, so its LRU touch — pop and reinsert — is the
+    # identity: the loop for that geometry can skip it outright.
+    # Finer masks collide less, so bigger caches prove far more of the
+    # stream; each geometry's loop only walks its own residue.  Stores
+    # among the skipped records still dirty their lines, which the
+    # vectorised interval query below observes without visiting them.
+    # The rule is monotone in the mask: provable at a coarser mask
+    # implies provable at every finer one (any provable record between
+    # a reference and its residue predecessor must, by induction along
+    # its own predecessor chain, carry that predecessor's block).  So
+    # test geometries coarsest-first and re-test only the shrinking
+    # residue — the expensive grouped sort runs once at full length.
+    touch_idx = np.flatnonzero(touches)
+    t_cpu = derived.cpus_sorted[touch_idx].astype(np.int64)
+    t_block = blocks[touch_idx]
+    t_leaves = kinds[touch_idx] != 3
+    loop_masks: list[np.ndarray | None] = [None] * len(geometries)
+    by_sets = sorted(
+        range(len(geometries)), key=lambda k: geometries[k].sets
     )
-    q_ids = np.searchsorted(uniq, q_pair) * stride
-    lo = q_ids + query_lo
-    hi = q_ids + query_hi
-    return np.searchsorted(s_keys, hi) > np.searchsorted(s_keys, lo)
+    residue = np.arange(len(touch_idx))
+    prev_sets = -1
+    for k in by_sets:
+        sets = geometries[k].sets
+        if sets != prev_sets:
+            prev_sets = sets
+            mask = np.uint64(sets - 1)
+            r_cpu = t_cpu[residue]
+            r_block = t_block[residue]
+            r_leaves = t_leaves[residue]
+            group_key = r_cpu * sets
+            group_key += (r_block & mask).astype(np.int64)
+            key_order = np.argsort(group_key, kind="stable")
+            keys_grouped = group_key[key_order]
+            blocks_grouped = r_block[key_order]
+            leaves_grouped = r_leaves[key_order]
+            provable_grouped = np.zeros(len(residue), dtype=bool)
+            provable_grouped[1:] = (
+                (keys_grouped[1:] == keys_grouped[:-1])
+                & (blocks_grouped[1:] == blocks_grouped[:-1])
+                & leaves_grouped[:-1]
+            )
+            provable = np.zeros(len(residue), dtype=bool)
+            provable[key_order] = provable_grouped
+            provable &= r_leaves  # flushes always produce an event
+            residue = residue[~provable]
+        loop_mask = np.zeros(total, dtype=bool)
+        loop_mask[touch_idx[residue]] = True
+        loop_masks[k] = loop_mask
+
+    # Cachable stores: dirtiness never alters LRU state, so the loops
+    # record (victim, inserted, evicted) queries and a sorted
+    # (block, position) interval count answers "was the line stored
+    # into while resident" for all of them at once afterwards.
+    dirtying = (kinds == 2) & touches
+
+    k_count = len(geometries)
+    events: list[list[tuple[list[int], list[int], list[int]]]] = [
+        [] for _ in range(k_count)
+    ]
+
+    for cpu in range(len(counts)):
+        start = offsets[cpu]
+        stop = start + counts[cpu]
+        span = int(counts[cpu])
+        # Store stream for the dirtiness queries, sorted by block then
+        # position (positions are already ascending; the stable sort
+        # keeps them so within each block).
+        s_idx = np.flatnonzero(dirtying[start:stop])
+        s_blocks = blocks[start:stop][s_idx]
+        s_order = np.argsort(s_blocks, kind="stable")
+        store_blocks_sorted = s_blocks[s_order]
+        store_pos_sorted = s_idx[s_order]
+        # Lines whose block was never stored to are clean by
+        # construction; only evictions of ever-stored blocks need an
+        # interval query at all.
+        stored_blocks = set(np.unique(s_blocks).tolist())
+        # Uncached shared references are transparent to cache contents
+        # and identical in every geometry: build their events
+        # vectorised, merge them in after the stateful loop.
+        through_pos: np.ndarray | None = None
+        through_ops: np.ndarray | None = None
+        if uncached is not None:
+            through_pos = np.flatnonzero(uncached[start:stop])
+            through_ops = np.where(
+                kinds[start:stop][through_pos] == 2,
+                WRITE_THROUGH,
+                READ_THROUGH,
+            ).astype(np.int64)
+
+        for k in range(k_count):
+            geometry = geometries[k]
+            mask = geometry.sets - 1
+            assoc = geometry.associativity
+            l_idx = np.flatnonzero(loop_masks[k][start:stop])
+            l_blocks = blocks[start:stop][l_idx]
+            # Fresh caches per CPU (streams are independent): insertion-
+            # ordered dicts mapping block -> insertion stream position,
+            # preallocated for exactly the sets this loop will visit.
+            line_sets: dict[int, dict[int, int]] = {
+                int(s): {}
+                for s in np.unique(l_blocks & np.uint64(mask))
+            }
+            positions: list[int] = []
+            opcodes: list[int] = []
+            victims: list[int] = []
+            q_block: list[int] = []
+            q_lo: list[int] = []
+            q_hi: list[int] = []
+            if handles_flush:
+                l_codes = kinds[start:stop][l_idx]
+                for pos, code, block in zip(
+                    l_idx.tolist(), l_codes.tolist(), l_blocks.tolist()
+                ):
+                    cache_set = line_sets[block & mask]
+                    inserted = cache_set.pop(block, -1)
+                    if code == 3:
+                        # FLUSH: invalidate; dirty iff stored into
+                        # since insertion.  Always an event (a flush
+                        # of a non-resident block still costs its
+                        # cycle).
+                        positions.append(pos)
+                        opcodes.append(CLEAN_FLUSH)
+                        victims.append(-1)
+                        if inserted >= 0 and block in stored_blocks:
+                            q_block.append(block)
+                            q_lo.append(inserted)
+                            q_hi.append(pos)
+                    elif inserted >= 0:
+                        # Hit: LRU touch, keep the insertion position.
+                        cache_set[block] = inserted
+                    else:
+                        victim = -1
+                        if len(cache_set) >= assoc:
+                            victim = next(iter(cache_set))
+                            victim_inserted = cache_set.pop(victim)
+                            if victim in stored_blocks:
+                                q_block.append(victim)
+                                q_lo.append(victim_inserted)
+                                q_hi.append(pos)
+                        cache_set[block] = pos
+                        positions.append(pos)
+                        opcodes.append(CLEAN_MISS)
+                        victims.append(victim)
+            else:
+                for pos, block in zip(
+                    l_idx.tolist(), l_blocks.tolist()
+                ):
+                    cache_set = line_sets[block & mask]
+                    inserted = cache_set.pop(block, -1)
+                    if inserted >= 0:
+                        cache_set[block] = inserted
+                        continue
+                    victim = -1
+                    if len(cache_set) >= assoc:
+                        victim = next(iter(cache_set))
+                        victim_inserted = cache_set.pop(victim)
+                        if victim in stored_blocks:
+                            q_block.append(victim)
+                            q_lo.append(victim_inserted)
+                            q_hi.append(pos)
+                    cache_set[block] = pos
+                    positions.append(pos)
+                    opcodes.append(CLEAN_MISS)
+                    victims.append(victim)
+
+            if q_block:
+                # Dirty iff the CPU stored to the line's block while it
+                # was resident: a store position in [inserted, now).
+                # Count via one sorted composite key per block; the
+                # dirty opcode is always clean + 1 for both pairs.
+                # Each query's event is the one at stream position
+                # ``q_hi`` — positions are strictly increasing, so a
+                # binary search recovers the event index.
+                opcode_array = np.asarray(opcodes, dtype=np.int64)
+                query_blocks = np.asarray(q_block, dtype=np.uint64)
+                uniq = np.unique(
+                    np.concatenate([store_blocks_sorted, query_blocks])
+                )
+                store_ids = np.searchsorted(uniq, store_blocks_sorted)
+                query_ids = np.searchsorted(uniq, query_blocks)
+                stride = span + 1
+                store_keys = store_ids * stride + store_pos_sorted
+                high_pos = np.asarray(q_hi, dtype=np.int64)
+                low = query_ids * stride + np.asarray(q_lo, dtype=np.int64)
+                high = query_ids * stride + high_pos
+                dirty = np.searchsorted(store_keys, high) > np.searchsorted(
+                    store_keys, low
+                )
+                event_index = np.searchsorted(
+                    np.asarray(positions, dtype=np.int64), high_pos
+                )
+                opcode_array[event_index[dirty]] += 1
+                opcodes = opcode_array.tolist()
+
+            if through_pos is not None and len(through_pos):
+                all_pos = np.concatenate(
+                    [np.asarray(positions, dtype=np.int64), through_pos]
+                )
+                all_ops = np.concatenate(
+                    [np.asarray(opcodes, dtype=np.int64), through_ops]
+                )
+                all_victims = np.concatenate([
+                    np.asarray(victims, dtype=np.int64),
+                    np.full(len(through_pos), -1, dtype=np.int64),
+                ])
+                merge = np.argsort(all_pos, kind="stable")
+                positions = all_pos[merge].tolist()
+                opcodes = all_ops[merge].tolist()
+                victims = all_victims[merge].tolist()
+
+            events[k].append((positions, opcodes, victims))
+    return events

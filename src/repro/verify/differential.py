@@ -447,9 +447,7 @@ def _check_protocol(
             check_result_invariants(columnar, trace=case.trace)
         except InvariantViolation as violation:
             return failure(f"invariants:{order}", str(violation)), None
-        engine, _ = family_support(
-            protocol, associativity=case.config.associativity
-        )
+        engine, _ = family_support(protocol)
         if engine != "fallback":
             message = _onepass_divergence(
                 case.trace, case.config, protocol, order, columnar

@@ -463,8 +463,7 @@ def _conformance_divergence(
         return "invariants:trace", str(violation)
     if (
         isinstance(protocol, str)
-        and family_support(protocol, associativity=config.associativity)[0]
-        != "fallback"
+        and family_support(protocol)[0] != "fallback"
     ):
         family = run_geometry_family(
             protocol,

@@ -39,6 +39,33 @@ class TestCacheGeometry:
         with pytest.raises(ValueError):
             CacheGeometry(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"size_bytes": 65536.7},
+                "cache size must be an integer, got 65536.7",
+            ),
+            (
+                {"size_bytes": "65536"},
+                "cache size must be an integer, got '65536'",
+            ),
+            ({"block_bytes": 16.0}, "block size must be an integer, got 16.0"),
+            (
+                {"associativity": True},
+                "associativity must be an integer, got True",
+            ),
+            (
+                {"associativity": 2.0},
+                "associativity must be an integer, got 2.0",
+            ),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            CacheGeometry(**kwargs)
+        assert str(raised.value) == message
+
 
 @pytest.fixture()
 def tiny_cache():

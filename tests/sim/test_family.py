@@ -8,8 +8,8 @@ grants, steals, and the protocol's own counters — to one
 family.  WTI, the other geometry-coupled snoopy protocol, has no epoch
 engine: its sweeps are one ``Machine.run`` per configuration, and the
 parametrised equivalence tests keep it to pin that routing exact.
-The run-collapse kernel :func:`repro.sim.classify_lru` that classifies
-Dragon's hits and misses is pinned against a direct LRU simulation.
+The classifier :func:`repro.sim.classify_lru` that the family shares
+with the geometry-local sweeps is pinned in ``test_segment.py``.
 """
 
 import numpy as np
@@ -22,11 +22,10 @@ from repro.sim import (
     FAMILY_PROTOCOLS,
     Machine,
     SimulationConfig,
-    classify_lru,
     family_support,
     run_geometry_family,
 )
-from repro.trace import TraceConfig, derived_columns, generate_trace
+from repro.trace import TraceConfig, generate_trace
 from repro.trace.records import Trace
 from repro.verify.fuzzer import generate_case
 
@@ -104,11 +103,11 @@ class TestEpochMatchesMachine:
     def test_identical_statistics(self, seeded_trace, protocol, order):
         assert_family_matches_machine(seeded_trace, protocol, SIZES, order=order)
 
-    # The epoch engine covers associativities 1 and 2 at every paper
-    # block size; the per-geometry kernels must stay exact on all of
-    # them, not just the default geometry.
+    # The epoch engine covers every associativity at every paper block
+    # size; the per-geometry events must stay exact on all of them,
+    # not just the default geometry.
     @pytest.mark.parametrize("block_bytes", [8, 32, 64])
-    @pytest.mark.parametrize("associativity", [1, 2])
+    @pytest.mark.parametrize("associativity", [1, 2, 4])
     @pytest.mark.parametrize("protocol", COUPLED)
     def test_identical_across_geometry_families(
         self, seeded_trace, protocol, block_bytes, associativity
@@ -260,67 +259,3 @@ class TestEpochProperties:
                 reference = Machine(protocol, config).run(trace)
                 assert stats_dict(family[size]) == stats_dict(reference)
                 assert family[size].protocol_stats == reference.protocol_stats
-
-
-# -- The run-collapse theorem vs a reference LRU simulation ------------
-
-lru_references = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),  # cpu (of 3)
-        st.integers(min_value=1, max_value=2),  # kind: load/store only
-        st.integers(min_value=0, max_value=15),  # block
-    ),
-    min_size=1,
-    max_size=150,
-)
-
-
-def reference_lru(derived, sets, associativity):
-    """Per-record LRU classification by direct simulation."""
-    total = len(derived.kinds_sorted)
-    miss = np.zeros(total, dtype=bool)
-    victim_block = np.full(total, -1, dtype=np.int64)
-    victim_pos = np.full(total, -1, dtype=np.int64)
-    state = {}  # (cpu, set) -> list of [block, insert_pos], MRU first
-    positions = {}
-    for i in range(total):
-        cpu = int(derived.cpus_sorted[i])
-        block = int(derived.blocks_sorted[i])
-        pos = positions.get(cpu, 0)
-        positions[cpu] = pos + 1
-        key = (cpu, block % sets)
-        ways = state.setdefault(key, [])
-        for way, entry in enumerate(ways):
-            if entry[0] == block:
-                ways.insert(0, ways.pop(way))
-                break
-        else:
-            miss[i] = True
-            if len(ways) == associativity:
-                victim = ways.pop()
-                victim_block[i] = victim[0]
-                victim_pos[i] = victim[1]
-            ways.insert(0, [block, pos])
-    return miss, victim_block, victim_pos
-
-
-class TestClassifyLruTheorem:
-    @settings(max_examples=60, deadline=None)
-    @given(lru_references, st.sampled_from([1, 2]), st.sampled_from([2, 4]))
-    def test_matches_reference_simulation(self, refs, associativity, sets):
-        trace = build_trace(refs)
-        derived = derived_columns(trace, 4)
-        touches = np.ones(len(trace), dtype=bool)
-        cls = classify_lru(derived, sets, associativity, touches)
-        miss, victim_block, victim_pos = reference_lru(
-            derived, sets, associativity
-        )
-        np.testing.assert_array_equal(cls.miss, miss)
-        np.testing.assert_array_equal(cls.victim_block, victim_block)
-        np.testing.assert_array_equal(cls.victim_pos, victim_pos)
-
-    def test_rejects_unsupported_associativity(self, seeded_trace):
-        derived = derived_columns(seeded_trace, 4)
-        touches = np.ones(len(seeded_trace), dtype=bool)
-        with pytest.raises(ValueError, match="associativity"):
-            classify_lru(derived, 64, 4, touches)

@@ -6,7 +6,7 @@ it must produce statistics identical — including exact float clocks
 and bus grants — to one ``Machine.run`` per configuration, while
 traversing the trace once per family instead of once per cell.
 A one-size family is the single-configuration entry to the one
-classifier (``repro.sim.onepass._classify``) and must be
+classifier (``repro.sim.segment.classify_lru``) and must be
 byte-identical to ``Machine.run``, including the reference record
 loop on flush-bearing traces.
 """
@@ -212,7 +212,7 @@ class TestOneSizeFamily:
     def test_four_way_stays_onepass(self, seeded_trace):
         # The classifier walk covers associativities above two, so a
         # four-way sweep stays on the one-pass engine.
-        assert family_support("base", associativity=4) == ("onepass", None)
+        assert family_support("base") == ("onepass", None)
         config = SimulationConfig(cache_bytes=8192, associativity=4)
         assert_one_size_family_matches(seeded_trace, "base", config)
 
@@ -319,21 +319,30 @@ class TestFastPathGate:
             assert stats_dict(result) == stats_dict(reference)
             assert result.protocol_stats == reference.protocol_stats
 
-    def test_coupled_high_associativity_falls_back(self, seeded_trace):
-        engine, reason = family_support("dragon", associativity=4)
-        assert engine == "fallback"
-        assert reason.startswith("associativity:4")
-        before, _ = fallback_counters()
-        family = run_geometry_family(
-            "dragon", seeded_trace, [4096], associativity=4
-        )
-        after, recorded = fallback_counters()
-        assert after == before + 1
-        assert recorded == reason
-        assert family[4096].engine == "columnar"
-        config = SimulationConfig(cache_bytes=4096, associativity=4)
-        reference = Machine("dragon", config).run(seeded_trace)
-        assert stats_dict(family[4096]) == stats_dict(reference)
+    def test_coupled_high_associativity_is_exact(self, seeded_trace):
+        # The classifier walk serves every associativity, so a four-way
+        # Dragon sweep stays on the epoch engine, exact and unflagged.
+        for order in ("time", "trace"):
+            for overhead in (0.0, 2.0):
+                before = fallback_counters()
+                family = run_geometry_family(
+                    "dragon", seeded_trace, [4096, 16384],
+                    associativity=4, order=order,
+                    bus_arbitration_cycles=overhead,
+                )
+                assert fallback_counters() == before
+                for size, result in family.items():
+                    assert result.engine == "epoch"
+                    config = SimulationConfig(
+                        cache_bytes=size, associativity=4,
+                        bus_arbitration_cycles=overhead,
+                    )
+                    reference = Machine("dragon", config).run(
+                        seeded_trace, order=order
+                    )
+                    assert stats_signature(result) == stats_signature(
+                        reference
+                    ), (order, overhead, size)
 
     def test_non_integral_costs_fall_back(self, seeded_trace):
         table = CostTable.bus()
@@ -374,12 +383,16 @@ class TestFastPathGate:
             f"got {REMOVED_ENGINE!r}"
         )
 
-    def test_onepass_gate_covers_every_associativity(self):
-        for protocol in ONEPASS_PROTOCOLS:
+    def test_onepass_gate_covers_every_associativity(self, seeded_trace):
+        # Routing never reads the associativity: every sweep engine
+        # runs at every associativity.
+        trace = seeded_trace.restricted_to(2)
+        for protocol in ONEPASS_PROTOCOLS + ("dragon",):
             for associativity in (1, 2, 4):
-                assert family_support(
-                    protocol, associativity=associativity
-                ) == ("onepass", None)
+                family = run_geometry_family(
+                    protocol, trace, [8192], associativity=associativity
+                )
+                assert family[8192].engine == family_support(protocol)[0]
 
     def test_supported_combinations(self):
         for protocol in ONEPASS_PROTOCOLS:
@@ -387,6 +400,39 @@ class TestFastPathGate:
         assert family_support("dragon") == ("epoch", None)
         for protocol in ("wti", "directory"):
             assert family_support(protocol)[0] == "fallback"
+
+
+class TestGeometryInput:
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            (65536.7, "cache size must be an integer, got 65536.7"),
+            ("65536", "cache size must be an integer, got '65536'"),
+        ],
+    )
+    def test_rejects_non_integer_cache_sizes(
+        self, seeded_trace, size, message
+    ):
+        # Each size is checked as given, never coerced to an integer.
+        with pytest.raises(ValueError) as raised:
+            run_geometry_family("base", seeded_trace, [4096, size])
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"cache_bytes": 65536.0},
+                "cache size must be an integer, got 65536.0",
+            ),
+            ({"block_bytes": 16.0}, "block size must be an integer, got 16.0"),
+        ],
+    )
+    def test_config_rejects_non_integer_geometry(self, kwargs, message):
+        # Checked when the config is built, not at its first replay.
+        with pytest.raises(ValueError) as raised:
+            SimulationConfig(**kwargs)
+        assert str(raised.value) == message
 
 
 class TestTraversalSavings:

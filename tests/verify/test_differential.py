@@ -95,18 +95,14 @@ class TestOnepassDiff:
             return real(protocol, trace, sizes, **kwargs)
 
         monkeypatch.setattr(diff, "run_geometry_family", spy)
-        case = generate_case(0, scale=0.3)
         assert run_seed(0, scale=0.3) == []
-        # Every paper protocol with an exact family engine at the
-        # case's associativity gets the stage — including Dragon via
-        # the epoch engine; WTI sweeps per-config and is skipped.
+        # Every paper protocol with an exact family engine gets the
+        # stage — including Dragon via the epoch engine; WTI sweeps
+        # per-config and is skipped.
         expected = {
             protocol
             for protocol in ("dragon", "wti", "swflush", "nocache")
-            if family_support(
-                protocol, associativity=case.config.associativity
-            )[0]
-            != "fallback"
+            if family_support(protocol)[0] != "fallback"
         }
         assert {"swflush", "nocache"} <= expected
         assert set(calls) == {
