@@ -13,6 +13,7 @@ instruction ``w``; then::
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Sequence
 
 from repro.core.model import instruction_cost, transaction_moments
@@ -34,11 +35,20 @@ __all__ = ["BusSystem", "validate_processors"]
 _SERVICE_MODELS = ("exponential", "measured")
 
 
-def validate_processors(processors: int) -> int:
-    """Validate a bus machine size (at least one processor)."""
+def validate_processors(processors) -> int:
+    """Return ``processors`` as an ``int`` if it is a bus machine size
+    (at least one processor).
+
+    A float or bool count is rejected even when it equals an integer:
+    the model would otherwise evaluate a truncated machine.
+    """
+    if isinstance(processors, bool) or not isinstance(
+        processors, numbers.Integral
+    ):
+        raise ValueError(f"processors must be an integer, got {processors!r}")
     if processors < 1:
         raise ValueError(f"processors must be >= 1, got {processors}")
-    return processors
+    return int(processors)
 
 
 class BusSystem:

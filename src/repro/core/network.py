@@ -16,6 +16,7 @@ figure.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable
 
 from repro.core.model import InstructionCost, instruction_cost
@@ -25,7 +26,23 @@ from repro.core.prediction import NetworkPrediction
 from repro.core.schemes import CoherenceScheme
 from repro.queueing.delta import DeltaNetwork, closed_loop_utilization
 
-__all__ = ["BufferedNetworkSystem", "NetworkSystem", "UnsupportedSchemeError"]
+__all__ = [
+    "BufferedNetworkSystem",
+    "NetworkSystem",
+    "UnsupportedSchemeError",
+    "validate_stages",
+]
+
+
+def validate_stages(stages) -> int:
+    """Return ``stages`` as an ``int`` if it is a network stage count
+    (at least one stage); a float or bool count is rejected, as by
+    :func:`repro.core.bus.validate_processors`."""
+    if isinstance(stages, bool) or not isinstance(stages, numbers.Integral):
+        raise ValueError(f"stages must be an integer, got {stages!r}")
+    if stages < 1:
+        raise ValueError(f"stages must be >= 1, got {stages}")
+    return int(stages)
 
 
 class UnsupportedSchemeError(ValueError):
@@ -47,9 +64,7 @@ class NetworkSystem:
     """
 
     def __init__(self, stages: int, costs: CostTable | None = None):
-        if stages < 1:
-            raise ValueError(f"stages must be >= 1, got {stages}")
-        self.stages = stages
+        self.stages = stages = validate_stages(stages)
         self.network = DeltaNetwork(stages=stages)
         self.costs = costs if costs is not None else derive_network_costs(stages)
 
@@ -202,9 +217,7 @@ class BufferedNetworkSystem:
     """
 
     def __init__(self, stages: int, costs: CostTable | None = None):
-        if stages < 1:
-            raise ValueError(f"stages must be >= 1, got {stages}")
-        self.stages = stages
+        self.stages = stages = validate_stages(stages)
         self.costs = costs if costs is not None else derive_network_costs(stages)
 
     @property

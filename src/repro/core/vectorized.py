@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.bus import validate_processors
 from repro.core.operations import CostTable, derive_network_costs
 from repro.core.params import WorkloadParams, validate_parameter
 from repro.core.schemes import CoherenceScheme
@@ -331,11 +332,9 @@ def bus_surface_arrays(
             f"service_model must be 'exponential' or 'measured', "
             f"got {service_model!r}"
         )
-    counts = tuple(int(count) for count in processor_counts)
+    counts = tuple(validate_processors(count) for count in processor_counts)
     if not counts:
         raise ValueError("processor_counts must be non-empty")
-    if min(counts) < 1:
-        raise ValueError(f"processors must be >= 1, got {min(counts)}")
     costs = costs if costs is not None else CostTable.bus()
     cost = instruction_cost_arrays(scheme, grid, costs)
     service = cost.channel_cycles
@@ -420,15 +419,14 @@ def network_surface_arrays(
         UnsupportedSchemeError: for snoopy (broadcast) schemes, as the
             scalar path does.
     """
-    from repro.core.network import UnsupportedSchemeError
+    from repro.core.network import UnsupportedSchemeError, validate_stages
 
     if scheme.requires_broadcast:
         raise UnsupportedSchemeError(
             f"{scheme.name} requires a broadcast medium and cannot run "
             f"on a multistage network"
         )
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
+    stages = validate_stages(stages)
     costs = costs if costs is not None else derive_network_costs(stages)
     cost = instruction_cost_arrays(scheme, grid, costs)
     think = cost.think_time

@@ -77,6 +77,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
       exactly.
     """
     from repro.core import WorkloadParams
+    from repro.obs.metrics import fallback_counters
     from repro.sim import (
         DISCIPLINES,
         Machine,
@@ -84,7 +85,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
         measure_workload_params,
         run_geometry_family,
     )
-    from repro.sim.onepass import family_support
+    from repro.sim.engines import ARBITRATED, FALLBACK, family_support
     from repro.trace import preset
     from repro.verify.differential import stats_signature
     from repro.verify.invariants import (
@@ -199,13 +200,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
         "swflush statistics match across engines counter for counter",
     )
     engine, reason = family_support("swflush", bus_discipline="round-robin")
-    result.add_check(
-        "family-engine-falls-back-loudly",
-        engine == "fallback"
-        and reason is not None
-        and reason.startswith("bus-discipline:"),
-        f"family_support: engine={engine!r}, reason={reason!r}",
-    )
+    fallbacks, _ = fallback_counters()
     family_run = run_geometry_family(
         "swflush",
         trace,
@@ -213,9 +208,16 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
         bus_discipline="round-robin",
         bus_arbitration_cycles=_ARBITRATION_CYCLES,
     )[config.cache_bytes]
+    # Loudly: the family records the gate's reason for the manifest.
+    result.add_check(
+        "family-engine-falls-back-loudly",
+        engine == FALLBACK
+        and fallback_counters() == (fallbacks + 1, reason),
+        f"family_support: engine={engine!r}, reason={reason!r}",
+    )
     result.add_check(
         "family-fallback-runs-arbitrated",
-        family_run.engine == "arbitrated",
+        family_run.engine == ARBITRATED.label,
         f"fallback result engine={family_run.engine!r}",
     )
 

@@ -25,9 +25,9 @@ from repro.sim import (
     Machine,
     SimulationConfig,
     SimulationResult,
-    family_support,
     run_geometry_family,
 )
+from repro.sim.engines import COLUMNAR, FALLBACK, family_support
 from repro.trace import Trace, preset
 
 __all__ = ["sweep_geometries"]
@@ -148,11 +148,14 @@ def geometry_sweep(
     )
 
     expected_engine, _ = family_support(protocol)
-    fast_path = expected_engine != "fallback"
+    fast_path = expected_engine != FALLBACK
+    if not fast_path:
+        # One default Machine.run per cell.
+        expected_engine = COLUMNAR.label
     engines = {run.engine for run in grid.values()}
     result.add_check(
         "one-pass-fast-path-used",
-        engines == ({expected_engine} if fast_path else {"columnar"}),
+        engines == {expected_engine},
         f"engines: {sorted(engines)}",
     )
     replayed = replayed_after - replayed_before

@@ -33,6 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.bus import validate_processors
+from repro.core.network import validate_stages
 from repro.core.operations import CostTable
 from repro.core.params import WorkloadParams
 from repro.core.schemes import CoherenceScheme
@@ -227,7 +229,7 @@ def sweep_grid(
     parameter_grid = spec.parameter_grid()
 
     if machine == "bus":
-        counts = tuple(int(count) for count in processors)
+        counts = tuple(validate_processors(count) for count in processors)
         surface = bus_surface_arrays(
             scheme,
             parameter_grid,
@@ -254,7 +256,7 @@ def sweep_grid(
             },
         )
     if machine == "network":
-        stage_counts = tuple(int(count) for count in stages)
+        stage_counts = tuple(validate_stages(count) for count in stages)
         rows = [
             network_surface_arrays(
                 scheme, parameter_grid, count, costs=costs

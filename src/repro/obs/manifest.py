@@ -17,9 +17,8 @@ per-cell events, each a single JSON object on its own line:
      "records": 480000, "records_per_s": 250133.1, "engine": "columnar",
      "peak_rss_kb": 181240, "fallback_reason": "", "digest": "sha256:ab12..."}
 
-``engine`` is the replay engine of the cell's last simulation
-(``legacy``, ``columnar``, ``columnar+arb``, ``arbitrated``,
-``onepass``, or ``epoch``) and
+``engine`` is the label of the cell's last simulation, one of
+``repro.sim.engines.ENGINES``, and
 ``fallback_reason`` is the structured ``category:detail`` reason when
 a geometry-family call inside the cell fell back to per-config replay
 (empty when nothing fell back) — so a sweep that silently lost its

@@ -41,9 +41,11 @@ _last_engine = ""
 
 
 def note_replay(records: int, engine: str) -> None:
-    """Record that a simulation replayed ``records`` with ``engine``.
+    """Record that a simulation replayed ``records`` under the engine
+    label ``engine`` (a key of ``repro.sim.engines.ENGINES``).
 
-    Called by :meth:`repro.sim.machine.Machine.run` once per run.
+    Called once per run by ``Machine.run`` and once per family by the
+    sweep engines.
     """
     global _records_replayed, _last_engine
     _records_replayed += records
@@ -56,9 +58,9 @@ def replay_counters() -> tuple[int, str]:
 
 
 #: Why geometry-family runs fell back to per-config replay, updated by
-#: ``repro.sim.onepass.run_geometry_family``.  Structured
-#: ``category:detail`` strings (``protocol:...``, ``costs:...``,
-#: ``bus-discipline:...``).  Read via :func:`fallback_counters`.
+#: ``repro.sim.onepass.run_geometry_family``: the structured
+#: ``category:detail`` gate reasons of ``repro.sim.engines``.  Read via
+#: :func:`fallback_counters`.
 _fallbacks = 0
 _last_fallback_reason = ""
 
@@ -67,7 +69,7 @@ def note_family_fallback(reason: str) -> None:
     """Record that a geometry-family run fell back, and why.
 
     Called by :func:`repro.sim.onepass.run_geometry_family` once per
-    fallback, with the structured reason from ``family_support``.
+    fallback, with the reason from ``repro.sim.engines.family_support``.
     """
     global _fallbacks, _last_fallback_reason
     _fallbacks += 1

@@ -31,15 +31,11 @@ merges over one shared classification pass.  That merge,
 one-pass engine (:mod:`repro.sim.onepass`) runs its events through it
 too, with every event pre-labelled and no resolver.  Statistics —
 including ``DragonStats`` and exact float clocks — are bit-identical
-to per-config ``Machine.run`` (enforced by ``tests/sim/test_family.py``
-and ``tests/sim/test_onepass.py``).
+to per-config ``Machine.run`` (enforced by
+``tests/sim/test_conformance.py``).
 
-Exactness has the same gates as the one-pass engine (integral costs,
-and integral fcfs arbitration overhead — folded into every merge's
-service term exactly as ``TimedBus`` does), at every associativity;
-``repro.sim.onepass.family_support`` routes anything else — WTI, the
-directory and the hybrids included — to the per-config fallback with
-a recorded reason.
+Its gate, shared in shape with the one-pass engine's, is declared in
+:mod:`repro.sim.engines`.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ import numpy as np
 
 from repro.core.operations import CostTable, Operation
 from repro.obs.metrics import note_replay
+from repro.sim.engines import EPOCH, FAMILY_PROTOCOLS
 from repro.sim.machine import (
     CpuStats,
     SimulationConfig,
@@ -65,9 +62,6 @@ from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import Trace
 
 __all__ = ["FAMILY_PROTOCOLS", "merge_events", "run_coupled_family"]
-
-#: Geometry-coupled protocols the epoch engine handles.
-FAMILY_PROTOCOLS = ("dragon",)
 
 # Contended-block line states carried across epochs.  DIRTY and
 # SHARED_DIRTY are odd so ``state & 1`` is the is-dirty/is-owner
@@ -131,7 +125,7 @@ def run_coupled_family(
         )
         for (size, config), cpu_events in zip(configs.items(), events)
     }
-    note_replay(len(trace), "epoch")
+    note_replay(len(trace), EPOCH.label)
     wall = time.perf_counter() - started
     for result in results.values():
         result.run_wall_s = wall
@@ -344,7 +338,7 @@ def _run_dragon(
         trace_name=trace.name,
         config=config,
         protocol_stats=stats,
-        engine="epoch",
+        engine=EPOCH.label,
         records_replayed=len(trace),
     )
     return merge_events(

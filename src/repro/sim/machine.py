@@ -17,7 +17,9 @@ Replay engines
 
 ``Machine.run`` has one fast replay loop and two reference loops.  The
 fast loop is held ``==`` (every counter and float clock) to whichever
-reference specifies the bus it runs over.
+reference specifies the bus it runs over.  The labels, their gates and
+their reference contracts are declared once, in
+:mod:`repro.sim.engines`.
 
 * The columnar loop (``engine="columnar"``, the default, and
   ``engine="arbitrated"``) consumes the trace's numpy columns
@@ -42,23 +44,20 @@ reference specifies the bus it runs over.
   runs in *bursts*, until its key passes the runner-up's.
 * Buses differ only in how a bus operation is served.  A
   :class:`~repro.sim.bus.TimedBus` (``fcfs``) grants inside the
-  record, in call order; the result is labelled ``columnar``, or
-  ``columnar+arb`` with an arbitration overhead.  An
-  :class:`~repro.sim.bus.ArbitratedBus` (every non-``fcfs``
-  discipline, and any ``engine="arbitrated"`` run) parks the
-  processor on a posted request until the discipline grants it, once
-  every processor keyed at or before the arbitration instant has run;
-  the result is labelled ``arbitrated``.
+  record, in call order.  An :class:`~repro.sim.bus.ArbitratedBus`
+  parks the processor on a posted request until the discipline grants
+  it, once every processor keyed at or before the arbitration instant
+  has run.
 * Under ``order="trace"`` (``TimedBus`` only) a pending event's merge
   key is its trace position, so records run in trace order and a
   cycle steal lands only on the victim's clock.
-* References: ``engine="legacy"`` runs the original straightforward
-  record loop (``Machine._run_legacy``) under ``fcfs`` — the
-  executable specification of the replay semantics
-  (``tests/sim/test_equivalence.py``) — and the generator-driven
+* References: the original straightforward record loop
+  (``Machine._run_legacy``) over the ``TimedBus`` — the executable
+  specification of the replay semantics — and the generator-driven
   deferred-grant loop
-  (:func:`repro.sim.arbitrated.run_deferred_reference`) under any
-  other discipline (``tests/sim/test_arbitration.py``, ``swcc fuzz``).
+  (:func:`repro.sim.arbitrated.run_deferred_reference`);
+  ``tests/sim/test_conformance.py`` and ``swcc fuzz`` hold the fast
+  loop to them.
 """
 
 from __future__ import annotations
@@ -87,6 +86,7 @@ from repro.sim.bus import (
     validate_discipline,
 )
 from repro.sim.cache import Cache, CacheGeometry, LineState
+from repro.sim.engines import Engine, deferred_grants, machine_engine
 from repro.sim.protocols import Protocol, protocol_class
 from repro.sim.protocols.interface import NO_ACTION
 from repro.trace.derived import DerivedColumns, derived_columns
@@ -876,9 +876,7 @@ class SimulationConfig:
         bus_discipline: bus arbitration discipline, one of
             :data:`repro.sim.bus.DISCIPLINES`.  ``fcfs`` (the default)
             reproduces the pre-discipline simulator; any other value
-            routes ``Machine.run`` to the ``arbitrated`` engine (or,
-            with ``engine="legacy"``, to its deferred-grant
-            reference).
+            needs deferred grants (see :func:`Machine.run`).
         bus_arbitration_cycles: fixed overhead per arbitration (per
             grant, or per grant window under ``batched``).
     """
@@ -1094,33 +1092,34 @@ class Machine:
                 bus "from the future" (the distortion the paper
                 discusses in Section 3).  Per-CPU program order is
                 preserved either way.
-            engine: ``"columnar"`` (default) runs the fast
-                array-consuming replay loop over the synchronous fcfs
-                bus; ``"arbitrated"`` runs the same loop over the
-                deferred-grant bus honouring the configured bus
-                discipline; ``"legacy"`` runs the original record
-                loop.  A non-``fcfs`` ``config.bus_discipline`` needs
-                deferred grants, which the synchronous bus cannot
-                express: ``"columnar"`` and ``"arbitrated"`` then
-                both run the loop over the deferred-grant bus (result
-                ``engine`` ``"arbitrated"``), and ``"legacy"`` runs
-                the generator-driven deferred-grant reference that
-                loop is tested against (result ``engine``
-                ``"legacy"``).  Under ``fcfs`` the columnar and legacy
-                engines produce identical statistics.
+            engine: the loop to run, resolved through the engine
+                registry (:func:`repro.sim.engines.machine_engine`),
+                which declares each label's gate and reference
+                contract.  ``"columnar"`` (default) runs the fast
+                array-consuming loop over the synchronous fcfs bus
+                (label ``columnar``, or ``columnar+arb`` with an
+                arbitration overhead) or, under a non-``fcfs``
+                discipline the synchronous bus cannot express, over
+                the deferred-grant bus (label ``arbitrated``);
+                ``"arbitrated"`` always runs it over the deferred-grant
+                bus.  ``"legacy"`` runs the reference loop the
+                discipline needs: the original record loop under
+                ``fcfs``, the generator-driven deferred-grant reference
+                otherwise.
         """
         if order not in ("time", "trace"):
             raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
-        if engine not in ("columnar", "legacy", "arbitrated"):
-            raise ValueError(
-                "engine must be 'columnar', 'legacy', or 'arbitrated', "
-                f"got {engine!r}"
-            )
+        config = self.config
+        entry = machine_engine(
+            engine,
+            self.protocol_class,
+            self.costs,
+            config.bus_discipline,
+            config.bus_arbitration_cycles,
+        )
         if cpus is not None and validate_cpus(cpus, trace.cpus) != trace.cpus:
             trace = trace.restricted_to(cpus)
-        deferred = (
-            engine == "arbitrated" or self.config.bus_discipline != "fcfs"
-        )
+        deferred = deferred_grants(entry, config.bus_discipline)
         if deferred and order == "trace":
             raise ValueError(
                 "order='trace' cannot be honoured by the arbitrated "
@@ -1128,16 +1127,14 @@ class Machine:
                 "reorder its later records around other CPUs; "
                 "use order='time'"
             )
-        if deferred and engine != "legacy":
-            engine = "arbitrated"
-        return self._replay(trace, order, engine, deferred)
+        return self._replay(trace, order, entry, deferred)
 
     def _replay(
-        self, trace: Trace, order: str, engine: str, deferred: bool
+        self, trace: Trace, order: str, engine: Engine, deferred: bool
     ) -> SimulationResult:
-        """Run one replay loop: ``engine`` names the loop, ``deferred``
-        selects the deferred-grant bus (``"legacy"`` with ``deferred``
-        is the generator-driven reference, whatever the discipline)."""
+        """Run one replay loop under ``engine``'s label: the columnar
+        loop for an entry held to a reference, else the reference loop
+        itself; ``deferred`` selects the deferred-grant bus."""
         geometry = self.config.geometry
         caches = [Cache(geometry) for _ in range(trace.cpus)]
         block_shift = geometry.block_shift
@@ -1165,7 +1162,7 @@ class Machine:
             cpus=[CpuStats() for _ in range(trace.cpus)],
         )
         started = time.perf_counter()
-        if engine != "legacy":
+        if engine.reference is not None:
             _run_columnar(
                 trace, order, self.costs, caches, protocol, bus, result,
                 block_shift, shared_low, shared_high,
@@ -1184,14 +1181,10 @@ class Machine:
         result.bus_transactions = bus.transactions
         result.bus_arbitration_cycles = bus.arbitration_busy_cycles
         result.protocol_stats = getattr(protocol, "stats", None)
-        if engine == "columnar" and self.config.bus_arbitration_cycles:
-            # fcfs arbitration overhead is folded into the synchronous
-            # TimedBus grants; label the provenance distinctly.
-            engine = "columnar+arb"
-        result.engine = engine
+        result.engine = engine.label
         result.records_replayed = len(trace)
         result.run_wall_s = time.perf_counter() - started
-        note_replay(len(trace), engine)
+        note_replay(len(trace), engine.label)
         return result
 
     # -- legacy engine (reference implementation) ------------------------
@@ -1209,7 +1202,7 @@ class Machine:
         """The original per-record replay loop.
 
         Kept as the executable specification of the replay semantics;
-        ``tests/sim/test_equivalence.py`` asserts the columnar engine
+        ``tests/sim/test_conformance.py`` asserts the columnar engine
         matches it exactly for every protocol and both orders.
         """
         cpu_cost = {op: cost.cpu_cycles for op, cost in self.costs.items()}

@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.network import validate_stages
 from repro.queueing.delta import DeltaNetwork, closed_loop_utilization
 
 __all__ = ["NetworkSimResult", "OmegaNetworkSimulator"]
@@ -105,9 +106,7 @@ class OmegaNetworkSimulator:
     """
 
     def __init__(self, stages: int, seed: int = 0):
-        if stages < 1:
-            raise ValueError(f"stages must be >= 1, got {stages}")
-        self.stages = stages
+        self.stages = stages = validate_stages(stages)
         self.processors = 2**stages
         self.seed = seed
 

@@ -25,20 +25,16 @@ alone — the per-geometry work factors cleanly:
    CPUs in the exact ``(key, cpu)`` order of ``Machine``'s engines —
    the resulting :class:`~repro.sim.machine.SimulationResult`
    statistics are **bit-identical** to a per-config ``Machine.run``
-   (``tests/sim/test_onepass.py`` enforces ``==`` on every counter and
+   (``tests/sim/test_conformance.py`` enforces ``==`` on every counter and
    float).
 
-Exactness requires integral operation costs (so batched clock
-advances equal record-by-record ones in float arithmetic — the same
-gate ``Machine``'s static hit analysis applies).  Dragon — whose
-sharing traffic couples the CPUs' cache contents — takes the
-epoch-partitioned family engine in :mod:`repro.sim.family` instead
-(the same classifier and the same merge, with a resolver for the
-coupled outcome labels).  Any remaining case — the other coupled
-protocols (WTI, directory, the hybrids), non-integral cost tables,
-non-fcfs buses — :func:`run_geometry_family` transparently falls back
-to one exact ``Machine.run`` per configuration; :func:`family_support`
-names the engine or the structured fallback reason.
+Dragon takes the epoch-partitioned family engine in
+:mod:`repro.sim.family` instead (the same classifier and the same
+merge, with a resolver for the coupled outcome labels).
+:func:`run_geometry_family` routes by :func:`family_support`, whose
+gates live in the engine registry (:mod:`repro.sim.engines`), and
+falls back to one exact ``Machine.run`` per configuration wherever no
+sweep engine is exact.
 """
 
 from __future__ import annotations
@@ -47,19 +43,21 @@ import time
 
 from repro.core.operations import CostTable, Operation
 from repro.obs.metrics import note_family_fallback, note_replay
-from repro.sim.family import (
-    FAMILY_PROTOCOLS,
-    family_views,
-    merge_events,
-    run_coupled_family,
+from repro.sim.engines import (
+    EPOCH,
+    FALLBACK,
+    ONEPASS,
+    ONEPASS_PROTOCOLS,
+    family_support,
 )
+from repro.sim.family import family_views, merge_events, run_coupled_family
 from repro.sim.machine import (
     Machine,
     SimulationConfig,
     SimulationResult,
     _op_info,
 )
-from repro.sim.protocols import HYBRID_PROTOCOLS, Protocol, protocol_class
+from repro.sim.protocols import Protocol, protocol_class
 from repro.sim.segment import classify_lru
 from repro.trace.derived import derived_columns
 from repro.trace.records import Trace, validate_cpus
@@ -69,13 +67,6 @@ __all__ = [
     "family_support",
     "run_geometry_family",
 ]
-
-#: Protocols the one-pass engine handles.  Membership is by name on
-#: purpose: beyond the contract flags, the engine maps each classifier
-#: opcode onto one fixed operation (:data:`_EVENT_OPERATIONS`: a miss
-#: from memory, a through, a flush), so satisfying the flags alone is
-#: not sufficient.
-ONEPASS_PROTOCOLS = ("base", "nocache", "swflush")
 
 # Operation of each classifier opcode (``repro.sim.segment.CLEAN_MISS``
 # through ``DIRTY_FLUSH``), in opcode order.
@@ -87,94 +78,6 @@ _EVENT_OPERATIONS = (
     Operation.CLEAN_FLUSH,
     Operation.DIRTY_FLUSH,
 )
-
-
-def _protocol_name(protocol: str | type[Protocol]) -> str:
-    if isinstance(protocol, str):
-        return protocol
-    return protocol.name
-
-
-def _integral_costs(table: CostTable) -> bool:
-    return all(
-        float(cost.cpu_cycles).is_integer()
-        and float(cost.channel_cycles).is_integer()
-        for _, cost in table.items()
-    )
-
-
-def family_support(
-    protocol: str | type[Protocol],
-    costs: CostTable | None = None,
-    bus_discipline: str = "fcfs",
-    bus_arbitration_cycles: float = 0.0,
-) -> tuple[str, str | None]:
-    """How :func:`run_geometry_family` will run this combination.
-
-    Returns ``(engine, reason)``: ``("onepass", None)`` for the
-    geometry-local fast path, ``("epoch", None)`` for Dragon's
-    epoch-partitioned engine, or
-    ``("fallback", reason)`` when only per-config replay is exact.
-    Reasons are structured ``category:detail`` strings
-    (``protocol:...``, ``costs:...``, ``bus-discipline:...``) recorded
-    in the run manifest via ``repro.obs.metrics``.
-    """
-    name = _protocol_name(protocol)
-    table = costs if costs is not None else CostTable.bus()
-    if bus_discipline != "fcfs":
-        # Every one-traversal engine assumes call-order FCFS grants;
-        # any other discipline needs the deferred-grant arbitrated
-        # engine, one exact Machine.run per configuration — loudly.
-        return (
-            "fallback",
-            f"bus-discipline:{bus_discipline} needs the deferred-grant "
-            "arbitrated engine",
-        )
-    if bus_arbitration_cycles != 0.0 and not float(
-        bus_arbitration_cycles
-    ).is_integer():
-        # Integral fcfs overhead folds into every merge's service term
-        # exactly as TimedBus applies it; a non-integral overhead
-        # breaks the batched-advance float-exactness gate.
-        return (
-            "fallback",
-            "bus-discipline:arbitration overhead "
-            f"{bus_arbitration_cycles:g} cycles is non-integral and "
-            "cannot be folded exactly into the one-pass merges",
-        )
-    if name in ONEPASS_PROTOCOLS:
-        cls = protocol_class(name) if isinstance(protocol, str) else protocol
-        if not (
-            cls.read_hit_is_free
-            and cls.store_hit_is_local
-            and cls.remote_traffic_preserves_residency
-            and not cls.may_steal_cycles
-        ):
-            return (
-                "fallback",
-                f"protocol:{name} breaks the geometry-local contract flags",
-            )
-        if not _integral_costs(table):
-            return ("fallback", "costs:non-integral operation costs")
-        return ("onepass", None)
-    if name in FAMILY_PROTOCOLS:
-        if not _integral_costs(table):
-            return ("fallback", "costs:non-integral operation costs")
-        return ("epoch", None)
-    if name in HYBRID_PROTOCOLS:
-        # A hybrid's update-or-invalidate decision depends on per-copy
-        # pressure accumulated across the whole interleaving, so epoch
-        # partitioning cannot factor its sharing traffic; sweeps take
-        # one exact Machine.run per configuration, loudly.
-        return (
-            "fallback",
-            f"protocol:{name} adapts per-copy update/invalidate "
-            "pressure across epochs and has no epoch engine",
-        )
-    return (
-        "fallback",
-        f"protocol:{name} couples geometries and has no epoch engine",
-    )
 
 
 def run_geometry_family(
@@ -204,21 +107,17 @@ def run_geometry_family(
         order: ``"time"`` or ``"trace"``, as in ``Machine.run``.
         cpus: optional restriction to the first ``cpus`` processors.
         bus_discipline: bus arbitration discipline shared by the
-            family.  Anything but ``fcfs`` takes the loud per-config
-            fallback with a ``bus-discipline:...`` reason — the
-            one-traversal engines assume call-order FCFS grants.
+            family.
         bus_arbitration_cycles: per-arbitration overhead shared by
-            the family.  Integral fcfs overhead is folded into every
-            merge's service term exactly as ``TimedBus`` applies it;
-            non-integral overhead takes the loud per-config fallback.
+            the family.
 
     Returns:
         ``{cache_bytes: SimulationResult}`` with statistics
         bit-identical to ``Machine(protocol, config, costs).run(trace,
-        order=order)`` per configuration.  Fast-path results carry
-        ``engine="onepass"`` and share the family's wall time; fallback
-        results come straight from ``Machine.run``.  An empty
-        ``cache_sizes`` returns ``{}`` for every protocol.
+        order=order)`` per configuration.  Sweep-engine results share
+        the family's wall time; fallback results (the reason recorded
+        via ``repro.obs.metrics``) come straight from ``Machine.run``.
+        An empty ``cache_sizes`` returns ``{}`` for every protocol.
     """
     if order not in ("time", "trace"):
         raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
@@ -242,7 +141,7 @@ def run_geometry_family(
     engine, reason = family_support(
         protocol, table, bus_discipline, bus_arbitration_cycles
     )
-    if engine == "fallback":
+    if engine == FALLBACK:
         note_family_fallback(reason)
         machines = {
             size: Machine(protocol, config, table)
@@ -253,11 +152,10 @@ def run_geometry_family(
             for size, machine in machines.items()
         }
 
-    if engine == "epoch":
+    if engine == EPOCH.label:
         return run_coupled_family(trace, configs, table, order)
 
-    name = _protocol_name(protocol)
-    cls = protocol_class(name) if isinstance(protocol, str) else protocol
+    cls = protocol_class(protocol) if isinstance(protocol, str) else protocol
     started = time.perf_counter()
     block_shift = next(iter(configs.values())).geometry.block_shift
     derived = derived_columns(trace, block_shift)
@@ -273,10 +171,10 @@ def run_geometry_family(
         op_info = _op_info(table)
         infos = [(op_info[op],) for op in _EVENT_OPERATIONS]
         result = SimulationResult(
-            protocol=name,
+            protocol=cls.name,
             trace_name=trace.name,
             config=config,
-            engine="onepass",
+            engine=ONEPASS.label,
             records_replayed=len(trace),
         )
         results[size] = merge_events(
@@ -291,7 +189,7 @@ def run_geometry_family(
             ],
             op_info,
         )
-    note_replay(len(trace), "onepass")
+    note_replay(len(trace), ONEPASS.label)
     wall = time.perf_counter() - started
     for result in results.values():
         result.run_wall_s = wall

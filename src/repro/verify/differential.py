@@ -1,20 +1,23 @@
 """Differential runner: engines vs oracles vs the analytical model.
 
-For each fuzzed case and protocol, five checks run in order (first
+Every engine-vs-reference comparison goes through one function,
+:func:`engine_divergence`: it runs an engine of the registry
+(:mod:`repro.sim.engines`) and diffs it against the reference contract
+that entry declares — the synchronous record loop, the deferred-grant
+reference, or one ``Machine.run`` per configuration.
+
+For each fuzzed case and protocol, six checks run in order (first
 failure wins for that protocol):
 
-1. **Engine diff** — the columnar and legacy engines must produce
-   *identical* statistics (every counter, every per-CPU float), for
-   both replay orders.
+1. **Engine diff** (``engine-diff:<order>``) — the columnar engine
+   against its reference, for both replay orders.
 2. **Invariants** — the columnar results must satisfy the global
    conservation laws of :mod:`repro.verify.invariants`.
-3. **One-pass diff** — for protocols with a family engine
-   (:func:`repro.sim.family_support` names one other than
-   ``fallback``), a :func:`repro.sim.run_geometry_family` call
-   covering the case's cache size plus a 4x larger one must engage
-   the one-pass or epoch engine, reproduce the columnar statistics
-   exactly at the case's size, and satisfy the invariants at the
-   larger size — both replay orders.
+3. **One-pass diff** (``onepass-diff:<order>``) — for protocols whose
+   sweep :func:`repro.sim.family_support` routes to a family engine
+   (one-pass or epoch), a family of the case's cache size plus a 4x
+   larger one must engage that engine and match per-config replay at
+   both sizes — both replay orders.
 4. **Oracle shadow** — the protocol re-runs with every fast-path
    contract flag disabled while a per-line reference state machine
    (:mod:`repro.verify.oracles`) validates each transition and then
@@ -24,16 +27,17 @@ failure wins for that protocol):
    path, so this differentially validates the fast-path contract
    flags (``read_hit_is_free``, ``store_hit_is_local``, …) and the
    static hit analysis they enable.
-6. **Discipline sweep** — the case re-runs on the deferred-grant
-   arbitrated engine once per requested bus discipline.  Every run
-   must equal the generator-driven deferred-grant reference exactly
-   (every protocol, every discipline) and satisfy the conservation
-   invariants; for the geometry-local
-   protocols (whose outcomes are interleaving-independent) the
-   ``fcfs`` arbitrated run must additionally reproduce the columnar
-   statistics bit-for-bit, and every other discipline must conserve
-   the order-independent counters (operation counts, misses, bus busy
-   cycles, transactions) against the columnar baseline.
+6. **Discipline sweep** (``discipline:<name>``) — the case re-runs on
+   the deferred-grant arbitrated engine once per requested bus
+   discipline.  Every run must equal the deferred-grant reference
+   exactly and satisfy the conservation invariants; for the
+   geometry-local protocols (whose outcomes are
+   interleaving-independent) the ``fcfs`` arbitrated run must
+   additionally reproduce the columnar statistics bit-for-bit, and
+   every other discipline must conserve the order-independent
+   counters (operation counts, misses, bus busy cycles, transactions)
+   against the columnar baseline — a property across the two
+   reference contracts, not an engine diff.
 
 Cases the fuzzer marks ``model_comparable`` (statistically
 well-behaved workload-like traces) additionally compare simulated
@@ -51,14 +55,24 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.core import BASE, DRAGON, NO_CACHE, SOFTWARE_FLUSH, BusSystem
+from repro.core.operations import CostTable
 from repro.sim.bus import DISCIPLINES
+from repro.sim.engines import (
+    ARBITRATED,
+    COLUMNAR,
+    ENGINES,
+    FALLBACK,
+    GEOMETRY_FAMILY,
+    LEGACY,
+    ONEPASS_PROTOCOLS,
+    REF_DEFERRED,
+    REF_MACHINE,
+    Engine,
+    family_support,
+)
 from repro.sim.machine import Machine, SimulationConfig, SimulationResult
 from repro.sim.measure import measure_workload_params
-from repro.sim.onepass import (
-    ONEPASS_PROTOCOLS,
-    family_support,
-    run_geometry_family,
-)
+from repro.sim.onepass import run_geometry_family
 from repro.trace.records import Trace
 from repro.verify.fuzzer import FuzzCase, generate_case
 from repro.verify.invariants import (
@@ -73,6 +87,7 @@ __all__ = [
     "PAPER_PROTOCOLS",
     "FuzzFailure",
     "check_case",
+    "engine_divergence",
     "minimize_failure",
     "oracle_run",
     "run_seed",
@@ -185,7 +200,14 @@ _SIGNATURE_FIELDS = (
     "bus_busy_cycles",
     "bus_transactions",
     "protocol_stats",
+    "bus_arbitration_cycles",
 )
+
+
+def _signature(result: SimulationResult) -> tuple:
+    """:func:`stats_signature` plus the arbitration busy cycles, which
+    the perfbench digest does not hash but the engines must agree on."""
+    return stats_signature(result) + (result.bus_arbitration_cycles,)
 
 
 def _describe_divergence(left: tuple, right: tuple) -> str:
@@ -268,18 +290,83 @@ def seed_worker(
     )
 
 
-#: Backwards-compatible alias (the CLI imported the private name).
-_seed_worker = seed_worker
-
-
 def _run(
     trace: Trace,
     config: SimulationConfig,
     protocol: str,
     order: str,
-    engine: str = "columnar",
 ) -> SimulationResult:
-    return Machine(protocol, config).run(trace, order=order, engine=engine)
+    return Machine(protocol, config).run(trace, order=order)
+
+
+def engine_divergence(
+    engine: Engine,
+    protocol,
+    trace: Trace,
+    config: SimulationConfig,
+    order: str = "time",
+    costs: CostTable | None = None,
+    sizes: Sequence[int] = (),
+    reference: SimulationResult | None = None,
+) -> tuple[SimulationResult, str | None]:
+    """Run ``engine`` at ``config`` and diff it against the reference
+    contract its registry entry declares (:mod:`repro.sim.engines`).
+
+    A sweep engine runs the family of ``config.cache_bytes`` plus
+    ``sizes``, each member diffed against its own configuration;
+    ``reference`` may supply the reference result at ``config``.
+    Returns the engine's result at ``config`` and the first divergence
+    (``None`` when the engine engaged and matched exactly).
+    """
+    if engine.entry == GEOMETRY_FAMILY:
+        family = run_geometry_family(
+            protocol,
+            trace,
+            (config.cache_bytes, *sizes),
+            block_bytes=config.block_bytes,
+            associativity=config.associativity,
+            costs=costs,
+            order=order,
+            bus_discipline=config.bus_discipline,
+            bus_arbitration_cycles=config.bus_arbitration_cycles,
+        )
+        runs = {
+            replace(config, cache_bytes=size): run
+            for size, run in family.items()
+        }
+    else:
+        request = (
+            engine.label
+            if engine.label in engine.requests
+            else engine.requests[0]
+        )
+        machine = Machine(protocol, config, costs)
+        runs = {config: machine.run(trace, order=order, engine=request)}
+    for member, run in runs.items():
+        if run.engine != engine.label:
+            return runs[config], (
+                f"{engine.label} engine not engaged (engine={run.engine!r})"
+            )
+        if engine.reference is None:
+            continue  # the label runs the reference loop itself
+        expected = reference if member == config else None
+        if expected is None:
+            machine = Machine(protocol, member, costs)
+            if engine.reference == REF_MACHINE:
+                expected = machine.run(trace, order=order)
+            else:
+                expected = machine._replay(
+                    trace, order, LEGACY,
+                    deferred=engine.reference == REF_DEFERRED,
+                )
+        left, right = _signature(run), _signature(expected)
+        if left != right:
+            where = f" at {member.cache_bytes}B" if len(runs) > 1 else ""
+            return runs[config], (
+                f"{engine.label} vs {engine.reference} reference{where}: "
+                + _describe_divergence(left, right)
+            )
+    return runs[config], None
 
 
 def _onepass_divergence(
@@ -287,41 +374,20 @@ def _onepass_divergence(
     config: SimulationConfig,
     protocol: str,
     order: str,
-    columnar: SimulationResult,
+    columnar: SimulationResult | None = None,
 ) -> str | None:
-    """Why the one-pass family diverges from ``columnar`` (None = ok).
-
-    The family spans the case's cache size plus a 4x larger one so the
-    incremental per-geometry prefilter actually runs; the case size is
-    compared bit-for-bit against the columnar result and the extra
-    size is invariant-checked.
-    """
-    sizes = (config.cache_bytes, config.cache_bytes * 4)
-    family = run_geometry_family(
+    """Why the protocol's sweep engine diverges (None = ok), over the
+    case's cache size plus a 4x larger one."""
+    _, message = engine_divergence(
+        ENGINES[family_support(protocol)[0]],
         protocol,
         trace,
-        sizes,
-        block_bytes=config.block_bytes,
-        associativity=config.associativity,
-        order=order,
+        config,
+        order,
+        sizes=(config.cache_bytes * 4,),
+        reference=columnar,
     )
-    run = family[config.cache_bytes]
-    if run.engine not in ("onepass", "epoch"):
-        return (
-            f"fast path not engaged (engine={run.engine!r}) for a "
-            "supported protocol"
-        )
-    left = stats_signature(run)
-    right = stats_signature(columnar)
-    if left != right:
-        return "one-pass family vs columnar: " + _describe_divergence(
-            left, right
-        )
-    try:
-        check_result_invariants(family[sizes[1]], trace=trace)
-    except InvariantViolation as violation:
-        return f"invariants at {sizes[1]}B family member: {violation}"
-    return None
+    return message
 
 
 #: Order-independent counters every bus discipline must conserve for
@@ -372,36 +438,25 @@ def _discipline_divergence(
 ) -> str | None:
     """Why the arbitrated engine under ``discipline`` fails (None = ok).
 
-    Every discipline's run must equal the generator-driven
-    deferred-grant reference and satisfy the conservation invariants.
-    For the geometry-local protocols the ``fcfs`` arbitrated run must
-    match the columnar baseline bit-for-bit, and every other
-    discipline must conserve the order-independent counters — only
-    clocks and waits may move with the grant order.
+    Every discipline's run must equal its declared reference
+    (:func:`engine_divergence`) and satisfy the conservation
+    invariants.  For the geometry-local protocols the ``fcfs``
+    arbitrated run must also match the columnar baseline bit-for-bit,
+    and every other discipline must conserve the order-independent
+    counters — only clocks and waits may move with the grant order.
     """
-    machine = Machine(protocol, replace(config, bus_discipline=discipline))
-    run = machine.run(trace, order="time", engine="arbitrated")
-    if run.engine != "arbitrated":
-        return (
-            f"arbitrated engine not engaged (engine={run.engine!r}) "
-            f"for discipline {discipline!r}"
-        )
-    left = stats_signature(run)
-    right = stats_signature(
-        machine._replay(trace, "time", "legacy", deferred=True)
+    run, message = engine_divergence(
+        ARBITRATED, protocol, trace, replace(config, bus_discipline=discipline)
     )
-    if left != right:
-        return (
-            f"{discipline} arbitrated vs deferred-grant reference: "
-            + _describe_divergence(left, right)
-        )
+    if message is not None:
+        return message
     try:
         check_result_invariants(run, trace=trace)
     except InvariantViolation as violation:
         return f"invariants under {discipline} arbitration: {violation}"
     if protocol in ONEPASS_PROTOCOLS:
         if discipline == "fcfs":
-            right = stats_signature(columnar)
+            left, right = stats_signature(run), stats_signature(columnar)
             if left != right:
                 return (
                     "fcfs arbitrated vs columnar: "
@@ -429,26 +484,18 @@ def _check_protocol(
         )
 
     time_result = None
+    sweep, _ = family_support(protocol)
     for order in ("time", "trace"):
-        columnar = _run(case.trace, case.config, protocol, order)
-        legacy = _run(case.trace, case.config, protocol, order, "legacy")
-        left = stats_signature(columnar)
-        right = stats_signature(legacy)
-        if left != right:
-            return (
-                failure(
-                    f"engine-diff:{order}",
-                    "columnar vs legacy: "
-                    + _describe_divergence(left, right),
-                ),
-                None,
-            )
+        columnar, message = engine_divergence(
+            COLUMNAR, protocol, case.trace, case.config, order
+        )
+        if message is not None:
+            return failure(f"engine-diff:{order}", message), None
         try:
             check_result_invariants(columnar, trace=case.trace)
         except InvariantViolation as violation:
             return failure(f"invariants:{order}", str(violation)), None
-        engine, _ = family_support(protocol)
-        if engine != "fallback":
+        if sweep != FALLBACK:
             message = _onepass_divergence(
                 case.trace, case.config, protocol, order, columnar
             )
@@ -533,59 +580,42 @@ def _failure_predicate(
     not of any single record, so they are not minimizable.
     """
     protocol = failure.protocol
-    check = failure.check
-    if check.startswith("engine-diff:") or check.startswith("invariants:"):
-        order = check.split(":", 1)[1]
+    stage, _, arg = failure.check.partition(":")
 
-        def predicate(trace: Trace) -> bool:
-            columnar = _run(trace, config, protocol, order)
-            legacy = _run(trace, config, protocol, order, "legacy")
-            if stats_signature(columnar) != stats_signature(legacy):
+    def predicate(trace: Trace) -> bool:
+        if stage in ("engine-diff", "invariants"):
+            columnar, message = engine_divergence(
+                COLUMNAR, protocol, trace, config, arg
+            )
+            if message is not None:
                 return True
             try:
                 check_result_invariants(columnar, trace=trace)
             except InvariantViolation:
                 return True
             return False
-
-        return predicate
-    if check.startswith("onepass-diff:"):
-        order = check.split(":", 1)[1]
-
-        def predicate(trace: Trace) -> bool:
-            columnar = _run(trace, config, protocol, order)
+        if stage == "onepass-diff":
             return (
-                _onepass_divergence(trace, config, protocol, order, columnar)
-                is not None
+                _onepass_divergence(trace, config, protocol, arg) is not None
             )
-
-        return predicate
-    if check.startswith("discipline:"):
-        discipline = check.split(":", 1)[1]
-
-        def predicate(trace: Trace) -> bool:
+        if stage == "discipline":
             columnar = _run(trace, config, protocol, "time")
             return (
-                _discipline_divergence(
-                    trace, config, protocol, discipline, columnar
-                )
+                _discipline_divergence(trace, config, protocol, arg, columnar)
                 is not None
             )
+        # "oracle" (fuzzer, time order), "oracle:<order>" (the explorer
+        # replays its interleavings in trace order) or "shadow-diff".
+        order = arg or "time"
+        try:
+            shadowed = oracle_run(trace, config, protocol, order=order)
+        except OracleViolation:
+            return True
+        plain = _run(trace, config, protocol, order)
+        return stats_signature(shadowed) != stats_signature(plain)
 
-        return predicate
-    if check == "shadow-diff" or check.startswith("oracle"):
-        # "oracle" (fuzzer, time order) or "oracle:<order>" (the
-        # explorer replays its interleavings in trace order).
-        order = check.split(":", 1)[1] if ":" in check else "time"
-
-        def predicate(trace: Trace) -> bool:
-            try:
-                shadowed = oracle_run(trace, config, protocol, order=order)
-            except OracleViolation:
-                return True
-            plain = _run(trace, config, protocol, order)
-            return stats_signature(shadowed) != stats_signature(plain)
-
+    stages = ("engine-diff", "invariants", "onepass-diff", "discipline")
+    if stage in stages + ("oracle", "shadow-diff"):
         return predicate
     return None
 

@@ -75,9 +75,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.sim.cache import Cache, LineState
-from repro.sim.machine import Machine, SimulationConfig
+from repro.sim.engines import COLUMNAR, ENGINES, FALLBACK, family_support
+from repro.sim.machine import SimulationConfig
 from repro.sim.protocols import protocol_class
-from repro.sim.onepass import family_support, run_geometry_family
 from repro.trace.records import (
     ADDRESS_DTYPE,
     CPU_DTYPE,
@@ -88,9 +88,8 @@ from repro.trace.records import (
 )
 from repro.verify.differential import (
     FuzzFailure,
-    _describe_divergence,
+    engine_divergence,
     oracle_run,
-    stats_signature,
 )
 from repro.verify.invariants import (
     InvariantViolation,
@@ -446,40 +445,24 @@ def _conformance_divergence(
     None.  ``protocol`` may be a registry name or a Protocol class;
     the family cross-check (one-pass or epoch engine) only applies to
     registry names (its routing gate is about the real protocols)."""
-    columnar = Machine(protocol, config).run(trace, order="trace")
-    legacy = Machine(protocol, config).run(
-        trace, order="trace", engine="legacy"
+    columnar, message = engine_divergence(
+        COLUMNAR, protocol, trace, config, "trace"
     )
-    left = stats_signature(columnar)
-    right = stats_signature(legacy)
-    if left != right:
-        return (
-            "engine-diff:trace",
-            "columnar vs legacy: " + _describe_divergence(left, right),
-        )
+    if message is not None:
+        return "engine-diff:trace", message
     try:
         check_result_invariants(columnar, trace=trace)
     except InvariantViolation as violation:
         return "invariants:trace", str(violation)
-    if (
-        isinstance(protocol, str)
-        and family_support(protocol)[0] != "fallback"
-    ):
-        family = run_geometry_family(
-            protocol,
-            trace,
-            [config.cache_bytes],
-            block_bytes=config.block_bytes,
-            associativity=config.associativity,
-            order="trace",
-        )
-        swept = stats_signature(family[config.cache_bytes])
-        if swept != left:
-            return (
-                "onepass-diff:trace",
-                "family engine vs columnar: "
-                + _describe_divergence(swept, left),
+    if isinstance(protocol, str):
+        sweep, _ = family_support(protocol)
+        if sweep != FALLBACK:
+            _, message = engine_divergence(
+                ENGINES[sweep], protocol, trace, config, "trace",
+                reference=columnar,
             )
+            if message is not None:
+                return "onepass-diff:trace", message
     return None
 
 

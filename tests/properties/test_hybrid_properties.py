@@ -14,7 +14,7 @@ Two algebraic limits pin the hybrids between their parents:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.operations import Operation
+from repro.core.operations import MISS_OPERATIONS
 from repro.sim import Cache, CacheGeometry, DragonProtocol
 from repro.sim.protocols.hybrid import HybridProtocol
 from repro.sim.protocols.wti import WriteThroughInvalidateProtocol
@@ -30,14 +30,6 @@ accesses = st.lists(
     ),
     max_size=300,
 )
-
-_MISS_OPERATIONS = {
-    Operation.CLEAN_MISS_MEMORY,
-    Operation.DIRTY_MISS_MEMORY,
-    Operation.CLEAN_MISS_CACHE,
-    Operation.DIRTY_MISS_CACHE,
-}
-
 
 class HybridInfiniteK(HybridProtocol):
     name = "hybrid-inf"
@@ -98,10 +90,10 @@ class TestKOneIsWtiResidency:
             reference = wti.access(cpu, kind, block)
             candidate = hybrid.access(cpu, kind, block)
             reference_missed = bool(
-                _MISS_OPERATIONS.intersection(reference.operations)
+                MISS_OPERATIONS.intersection(reference.operations)
             )
             candidate_missed = bool(
-                _MISS_OPERATIONS.intersection(candidate.operations)
+                MISS_OPERATIONS.intersection(candidate.operations)
             )
             assert candidate_missed == reference_missed
             # Same copies resident in the same caches after every step

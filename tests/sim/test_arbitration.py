@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.sim import (
@@ -14,11 +13,12 @@ from repro.sim import (
     run_geometry_family,
     validate_discipline,
 )
+from repro.sim.engines import ARBITRATED
 from repro.sim.onepass import ONEPASS_PROTOCOLS, family_support
-from repro.trace.records import Trace
-from repro.verify.differential import stats_signature
+from repro.verify.differential import engine_divergence, stats_signature
 from repro.verify.fuzzer import generate_case
 from repro.verify.invariants import check_result_invariants
+from tests.sim.test_conformance import edge_trace, random_refs
 
 
 @pytest.fixture(scope="module")
@@ -215,36 +215,9 @@ class TestArbitratedEngine:
 
 def assert_matches_reference(protocol, config, trace):
     """The columnar deferred-grant loop ``==`` the generator-driven
-    reference it replaced."""
-    machine = Machine(protocol, config)
-    run = machine.run(trace, engine="arbitrated")
-    assert run.engine == "arbitrated"
-    reference = machine._replay(trace, "time", "legacy", deferred=True)
-    assert stats_signature(run) == stats_signature(reference)
-
-
-def edge_trace(name, cpus, refs):
-    """A trace of ``(cpu, kind, block)`` rows; blocks 12..23 shared."""
-    refs = np.array(refs, dtype=np.int64).reshape(-1, 3)
-    return Trace.from_arrays(
-        name=name,
-        cpus=cpus,
-        shared_region=range(12 * 16, 24 * 16),
-        cpu=refs[:, 0],
-        kind=refs[:, 1],
-        address=refs[:, 2] * 16,
-    )
-
-
-def random_refs(seed, cpus, count, kinds):
-    rng = np.random.default_rng(seed)
-    return np.column_stack(
-        [
-            rng.integers(0, cpus, count),
-            rng.choice(kinds, count),
-            rng.integers(0, 24, count),
-        ]
-    )
+    reference it replaced, through the verifier's engine diff."""
+    _, message = engine_divergence(ARBITRATED, protocol, trace, config)
+    assert message is None, message
 
 
 @pytest.fixture(scope="module")
@@ -354,12 +327,10 @@ class TestDeferredGrantGeometrySweep:
                         bus_discipline=discipline,
                         bus_arbitration_cycles=overhead,
                     )
-                    machine = Machine(protocol, config)
-                    run = machine.run(case.trace, engine="arbitrated")
-                    reference = machine._replay(
-                        case.trace, "time", "legacy", deferred=True
+                    _, message = engine_divergence(
+                        ARBITRATED, protocol, case.trace, config
                     )
-                    if stats_signature(run) != stats_signature(reference):
+                    if message is not None:
                         mismatched.append((seed, associativity, overhead))
         assert not mismatched, mismatched[:10]
 

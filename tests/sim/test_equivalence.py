@@ -10,10 +10,16 @@ including exact float clocks — to the original record loop kept as
 
 import pytest
 
-from repro.core.operations import CostTable, Operation, OperationCost
 from repro.sim import Machine, SimulationConfig
+from repro.sim.engines import COLUMNAR, COLUMNAR_ARB
 from repro.trace import TraceConfig, generate_trace
-from tests.sim.test_arbitration import edge_trace, random_refs
+from repro.verify.differential import engine_divergence
+from tests.sim.test_conformance import (
+    edge_trace,
+    fractional_costs,
+    random_refs,
+    signature,
+)
 
 PROTOCOLS = [
     "base",
@@ -36,45 +42,15 @@ def seeded_trace():
     return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
 
 
-def stats_dict(result):
-    """Every statistic a run produces, exact (no approx)."""
-    return {
-        "per_cpu": [
-            (
-                cpu.instructions,
-                cpu.loads,
-                cpu.stores,
-                cpu.flushes,
-                cpu.clock,
-                cpu.wait_cycles,
-                cpu.stolen_cycles,
-            )
-            for cpu in result.cpus
-        ],
-        "operation_counts": dict(result.operation_counts),
-        "fetch_misses": result.fetch_misses,
-        "data_misses": result.data_misses,
-        "dirty_victim_misses": result.dirty_victim_misses,
-        "shared_loads": result.shared_loads,
-        "shared_stores": result.shared_stores,
-        "shared_data_misses": result.shared_data_misses,
-        "bus_busy_cycles": result.bus_busy_cycles,
-        "bus_transactions": result.bus_transactions,
-        "bus_arbitration_cycles": result.bus_arbitration_cycles,
-    }
-
-
-def fractional_costs():
-    """Table 1 with non-integral miss and broadcast costs, which rule
-    out proven-hit spans: every record is scheduled on its own."""
-    costs = dict(CostTable.bus().items())
-    costs[Operation.CLEAN_MISS_MEMORY] = OperationCost(
-        cpu_cycles=19.5, channel_cycles=19.5
+def assert_matches_legacy(protocol, config, trace, order="time", costs=None):
+    """The columnar loop ``==`` the legacy record loop, through the
+    verifier's engine diff: ``columnar+arb`` when an overhead keeps
+    the spans."""
+    engine = COLUMNAR_ARB if config.bus_arbitration_cycles else COLUMNAR
+    _, message = engine_divergence(
+        engine, protocol, trace, config, order, costs
     )
-    costs[Operation.WRITE_BROADCAST] = OperationCost(
-        cpu_cycles=2.25, channel_cycles=1.25
-    )
-    return CostTable(costs, name="fractional")
+    assert message is None, message
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +62,7 @@ class TestColumnarMatchesLegacy:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("order", ["time", "trace"])
     def test_identical_statistics(self, seeded_trace, protocol, order):
-        machine = Machine(protocol, CONFIG)
-        columnar = machine.run(seeded_trace, order=order, engine="columnar")
-        legacy = machine.run(seeded_trace, order=order, engine="legacy")
-        assert stats_dict(columnar) == stats_dict(legacy)
+        assert_matches_legacy(protocol, CONFIG, seeded_trace, order)
 
     # The static hit analysis has geometry-dependent rules (the
     # previous-run rule only holds for associativity >= 2), so the
@@ -112,20 +85,13 @@ class TestColumnarMatchesLegacy:
     def test_identical_across_geometries(
         self, seeded_trace, protocol, geometry
     ):
-        machine = Machine(protocol, geometry)
         for order in ("time", "trace"):
-            columnar = machine.run(
-                seeded_trace, order=order, engine="columnar"
-            )
-            legacy = machine.run(seeded_trace, order=order, engine="legacy")
-            assert stats_dict(columnar) == stats_dict(legacy)
+            assert_matches_legacy(protocol, geometry, seeded_trace, order)
 
     @pytest.mark.parametrize("protocol", ["dragon", "wti", "directory"])
     def test_identical_protocol_stats(self, seeded_trace, protocol):
-        machine = Machine(protocol, CONFIG)
-        columnar = machine.run(seeded_trace, engine="columnar")
-        legacy = machine.run(seeded_trace, engine="legacy")
-        assert columnar.protocol_stats == legacy.protocol_stats
+        # The signature holds the protocol's own counters.
+        assert_matches_legacy(protocol, CONFIG, seeded_trace)
 
     # Table 1 with no overhead is ``test_identical_statistics``; the
     # other cells of the cost/overhead axis run on a smaller trace and
@@ -145,11 +111,7 @@ class TestColumnarMatchesLegacy:
         config = SimulationConfig(
             cache_bytes=4096, bus_arbitration_cycles=overhead
         )
-        machine = Machine(protocol, config, costs)
-        columnar = machine.run(small_trace, order=order, engine="columnar")
-        legacy = machine.run(small_trace, order=order, engine="legacy")
-        assert columnar.engine == ("columnar+arb" if overhead else "columnar")
-        assert stats_dict(columnar) == stats_dict(legacy)
+        assert_matches_legacy(protocol, config, small_trace, order, costs)
 
     @pytest.mark.parametrize("overhead", [0.0, 2.0])
     @pytest.mark.parametrize("order", ["time", "trace"])
@@ -169,16 +131,13 @@ class TestColumnarMatchesLegacy:
         config = SimulationConfig(
             cache_bytes=256, bus_arbitration_cycles=overhead
         )
-        machine = Machine(protocol, config)
-        columnar = machine.run(trace, order=order, engine="columnar")
-        legacy = machine.run(trace, order=order, engine="legacy")
-        assert stats_dict(columnar) == stats_dict(legacy)
+        assert_matches_legacy(protocol, config, trace, order)
 
     def test_restriction_matches(self, seeded_trace):
         machine = Machine("dragon", CONFIG)
         columnar = machine.run(seeded_trace, cpus=2, engine="columnar")
         legacy = machine.run(seeded_trace, cpus=2, engine="legacy")
-        assert stats_dict(columnar) == stats_dict(legacy)
+        assert signature(columnar) == signature(legacy)
 
     def test_rejects_unknown_engine(self, seeded_trace):
         with pytest.raises(ValueError, match="engine"):
@@ -196,7 +155,7 @@ class TestOrderEquivalence:
         machine = Machine("swflush", CONFIG)
         by_time = machine.run(trace, order="time")
         by_trace = machine.run(trace, order="trace")
-        assert stats_dict(by_time) == stats_dict(by_trace)
+        assert signature(by_time) == signature(by_trace)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_single_cpu_orders_identical_all_protocols(self, protocol):
@@ -206,4 +165,4 @@ class TestOrderEquivalence:
         machine = Machine(protocol, CONFIG)
         by_time = machine.run(trace, order="time")
         by_trace = machine.run(trace, order="trace")
-        assert stats_dict(by_time) == stats_dict(by_trace)
+        assert signature(by_time) == signature(by_trace)

@@ -28,6 +28,10 @@ from repro.sim import (
 from repro.trace import TraceConfig, generate_trace
 from repro.trace.records import Trace
 from repro.verify.fuzzer import generate_case
+from tests.sim.test_conformance import (
+    assert_family_matches_machine,
+    signature,
+)
 
 SIZES = [4096, 16384, 65536, 262144]
 
@@ -41,60 +45,6 @@ def seeded_trace():
     # Small caches + a real seeded workload: misses, dirty victims,
     # contended blocks, write broadcasts, and steal-prone timing.
     return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
-
-
-def stats_dict(result):
-    """Every statistic a run produces, exact (no approx)."""
-    return {
-        "per_cpu": [
-            (
-                cpu.instructions,
-                cpu.loads,
-                cpu.stores,
-                cpu.flushes,
-                cpu.clock,
-                cpu.wait_cycles,
-                cpu.stolen_cycles,
-            )
-            for cpu in result.cpus
-        ],
-        "operation_counts": dict(result.operation_counts),
-        "fetch_misses": result.fetch_misses,
-        "data_misses": result.data_misses,
-        "dirty_victim_misses": result.dirty_victim_misses,
-        "shared_loads": result.shared_loads,
-        "shared_stores": result.shared_stores,
-        "shared_data_misses": result.shared_data_misses,
-        "bus_busy_cycles": result.bus_busy_cycles,
-        "bus_transactions": result.bus_transactions,
-    }
-
-
-def assert_family_matches_machine(
-    trace, protocol, sizes, block_bytes=16, associativity=2, order="time"
-):
-    family = run_geometry_family(
-        protocol,
-        trace,
-        sizes,
-        block_bytes=block_bytes,
-        associativity=associativity,
-        order=order,
-    )
-    assert sorted(family) == sorted(set(sizes))
-    for size in sizes:
-        config = SimulationConfig(
-            cache_bytes=size,
-            block_bytes=block_bytes,
-            associativity=associativity,
-        )
-        reference = Machine(protocol, config).run(trace, order=order)
-        assert stats_dict(family[size]) == stats_dict(reference), (
-            f"{protocol} {order} b{block_bytes} a{associativity} {size}"
-        )
-        assert family[size].protocol_stats == reference.protocol_stats, (
-            f"{protocol} {order} b{block_bytes} a{associativity} {size}"
-        )
 
 
 class TestEpochMatchesMachine:
@@ -139,8 +89,7 @@ class TestEpochMatchesMachine:
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
             reference = Machine(protocol, config).run(restricted)
-            assert stats_dict(family[size]) == stats_dict(reference)
-            assert family[size].protocol_stats == reference.protocol_stats
+            assert signature(family[size]) == signature(reference)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_traces(self, seed):
@@ -234,11 +183,7 @@ class TestEpochProperties:
                     reference = Machine(protocol, config).run(
                         trace, order=order
                     )
-                    assert stats_dict(family[size]) == stats_dict(reference)
-                    assert (
-                        family[size].protocol_stats
-                        == reference.protocol_stats
-                    )
+                    assert signature(family[size]) == signature(reference)
 
     @settings(max_examples=25, deadline=None)
     @given(references)
@@ -257,5 +202,4 @@ class TestEpochProperties:
                     cache_bytes=size, block_bytes=16, associativity=1
                 )
                 reference = Machine(protocol, config).run(trace)
-                assert stats_dict(family[size]) == stats_dict(reference)
-                assert family[size].protocol_stats == reference.protocol_stats
+                assert signature(family[size]) == signature(reference)

@@ -8,7 +8,8 @@ traversing the trace once per family instead of once per cell.
 A one-size family is the single-configuration entry to the one
 classifier (``repro.sim.segment.classify_lru``) and must be
 byte-identical to ``Machine.run``, including the reference record
-loop on flush-bearing traces.
+loop on flush-bearing traces.  Every registry engine on one grid of
+buses, geometries and edge traces is ``tests/sim/test_conformance.py``.
 """
 
 import numpy as np
@@ -30,6 +31,10 @@ from repro.trace import TraceConfig, generate_trace
 from repro.trace.records import Trace
 from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
+from tests.sim.test_conformance import (
+    assert_family_matches_machine,
+    signature,
+)
 
 SIZES = [4096, 16384, 65536, 262144]
 
@@ -43,57 +48,6 @@ def seeded_trace():
     # Small caches + a real seeded workload: plenty of misses, dirty
     # victims, flushes, and shared traffic to exercise every branch.
     return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
-
-
-def stats_dict(result):
-    """Every statistic a run produces, exact (no approx)."""
-    return {
-        "per_cpu": [
-            (
-                cpu.instructions,
-                cpu.loads,
-                cpu.stores,
-                cpu.flushes,
-                cpu.clock,
-                cpu.wait_cycles,
-                cpu.stolen_cycles,
-            )
-            for cpu in result.cpus
-        ],
-        "operation_counts": dict(result.operation_counts),
-        "fetch_misses": result.fetch_misses,
-        "data_misses": result.data_misses,
-        "dirty_victim_misses": result.dirty_victim_misses,
-        "shared_loads": result.shared_loads,
-        "shared_stores": result.shared_stores,
-        "shared_data_misses": result.shared_data_misses,
-        "bus_busy_cycles": result.bus_busy_cycles,
-        "bus_transactions": result.bus_transactions,
-    }
-
-
-def assert_family_matches_machine(
-    trace, protocol, sizes, block_bytes=16, associativity=2, order="time"
-):
-    family = run_geometry_family(
-        protocol,
-        trace,
-        sizes,
-        block_bytes=block_bytes,
-        associativity=associativity,
-        order=order,
-    )
-    assert sorted(family) == sorted(set(sizes))
-    for size in sizes:
-        config = SimulationConfig(
-            cache_bytes=size,
-            block_bytes=block_bytes,
-            associativity=associativity,
-        )
-        reference = Machine(protocol, config).run(trace, order=order)
-        assert stats_dict(family[size]) == stats_dict(reference), (
-            f"{protocol} {order} b{block_bytes} a{associativity} {size}"
-        )
 
 
 def without_flushes(trace):
@@ -170,7 +124,7 @@ class TestOnepassMatchesMachine:
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
             reference = Machine("swflush", config).run(restricted)
-            assert stats_dict(family[size]) == stats_dict(reference)
+            assert signature(family[size]) == signature(reference)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_traces(self, seed):
@@ -256,8 +210,7 @@ class TestFastPathGate:
             assert result.engine == "epoch"
             config = SimulationConfig(cache_bytes=size)
             reference = Machine("dragon", config).run(seeded_trace)
-            assert stats_dict(result) == stats_dict(reference)
-            assert result.protocol_stats == reference.protocol_stats
+            assert signature(result) == signature(reference)
 
     def test_wti_sweeps_per_config(self, seeded_trace):
         # WTI has no epoch engine: its sweeps are one exact Machine.run
@@ -276,13 +229,14 @@ class TestFastPathGate:
             assert result.engine == "columnar"
             config = SimulationConfig(cache_bytes=size)
             reference = Machine("wti", config).run(seeded_trace)
-            assert stats_dict(result) == stats_dict(reference)
-            assert result.protocol_stats == reference.protocol_stats
+            assert signature(result) == signature(reference)
 
     def test_directory_protocol_falls_back(self, seeded_trace):
         engine, reason = family_support("directory")
-        assert engine == "fallback"
-        assert reason.startswith("protocol:directory")
+        assert (engine, reason) == (
+            "fallback",
+            "protocol:directory couples geometries and has no epoch engine",
+        )
         before, _ = fallback_counters()
         family = run_geometry_family("directory", seeded_trace, [4096, 16384])
         after, recorded = fallback_counters()
@@ -292,8 +246,7 @@ class TestFastPathGate:
             assert result.engine == "columnar"
             config = SimulationConfig(cache_bytes=size)
             reference = Machine("directory", config).run(seeded_trace)
-            assert stats_dict(result) == stats_dict(reference)
-            assert result.protocol_stats == reference.protocol_stats
+            assert signature(result) == signature(reference)
 
     @pytest.mark.parametrize(
         "protocol", ["hybrid-2", "hybrid-4", "hybrid-limit"]
@@ -304,9 +257,11 @@ class TestFastPathGate:
         # have no epoch engine; the gate must say so loudly and the
         # fallback must stay bit-identical to per-config replay.
         engine, reason = family_support(protocol)
-        assert engine == "fallback"
-        assert reason.startswith(f"protocol:{protocol}")
-        assert "pressure" in reason
+        assert (engine, reason) == (
+            "fallback",
+            f"protocol:{protocol} adapts per-copy update/invalidate "
+            "pressure across epochs and has no epoch engine",
+        )
         before, _ = fallback_counters()
         family = run_geometry_family(protocol, seeded_trace, [4096, 16384])
         after, recorded = fallback_counters()
@@ -316,8 +271,7 @@ class TestFastPathGate:
             assert result.engine == "columnar"
             config = SimulationConfig(cache_bytes=size)
             reference = Machine(protocol, config).run(seeded_trace)
-            assert stats_dict(result) == stats_dict(reference)
-            assert result.protocol_stats == reference.protocol_stats
+            assert signature(result) == signature(reference)
 
     def test_coupled_high_associativity_is_exact(self, seeded_trace):
         # The classifier walk serves every associativity, so a four-way
@@ -370,7 +324,7 @@ class TestFastPathGate:
             reference = Machine(
                 protocol, SimulationConfig(cache_bytes=4096), fractional
             ).run(seeded_trace)
-            assert stats_dict(family[4096]) == stats_dict(reference)
+            assert signature(family[4096]) == signature(reference)
 
     def test_segment_engine_refused(self, seeded_trace):
         # ``segment`` is not an engine label; family_support routes.
@@ -491,7 +445,7 @@ class TestOnepassProperties:
                     cache_bytes=size, block_bytes=16, associativity=2
                 )
                 reference = Machine(protocol, config).run(trace)
-                assert stats_dict(family[size]) == stats_dict(reference)
+                assert signature(family[size]) == signature(reference)
                 misses.append(family[size].total_misses)
             # LRU inclusion: a larger cache's contents are a superset,
             # so hit counts are monotone non-decreasing in cache size —

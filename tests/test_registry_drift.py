@@ -1,13 +1,17 @@
-"""Anti-drift tests: one protocol registry, every surface agrees.
+"""Anti-drift tests: one registry per fact, every surface agrees.
 
 The protocol set is defined once (``repro.sim.protocols.PROTOCOLS``);
 the oracle table, the fuzz/check CLI defaults, the analytical scheme
 lookup, and the generated help text must all track it.  Each of these
 once drifted by hand-maintained lists (the fuzz default silently
 omitted ``base`` and ``directory``; the predict help hard-coded four
-schemes), which these tests make impossible to reintroduce.
+schemes), which these tests make impossible to reintroduce.  The
+engines are declared once too (``repro.sim.engines.ENGINES``): the
+documented support matrices and the benchmark's per-engine metrics
+must name what the registry routes.
 """
 
+import ast
 from pathlib import Path
 
 from repro.cli import (
@@ -17,12 +21,28 @@ from repro.cli import (
     registry_protocols,
 )
 from repro.core.bus import BusSystem
+from repro.core.operations import (
+    DIRTY_VICTIM_OPERATIONS,
+    MISS_OPERATIONS,
+    CostTable,
+)
 from repro.core.schemes import known_schemes, scheme_by_name
 from repro.queueing.disciplines import SERVICE_DISCIPLINES, solve_bus_discipline
 from repro.sim.bus import DISCIPLINES
+from repro.sim.engines import (
+    ARBITRATED,
+    COLUMNAR,
+    ENGINES,
+    FALLBACK,
+    LEGACY,
+    MACHINE_RUN,
+    deferred_grants,
+    family_support,
+    machine_engine,
+)
 from repro.sim.machine import SimulationConfig
-from repro.sim.onepass import family_support
-from repro.sim.protocols import PROTOCOLS, protocol_aliases
+from repro.sim.protocols import PROTOCOLS, protocol_aliases, protocol_class
+from repro.verify import invariants
 from repro.verify.oracles import ORACLES
 
 
@@ -123,18 +143,26 @@ class TestProtocolAliases:
         assert "competitive" in protocol_aliases("hybrid-limit")
 
 
-ARCHITECTURE = Path(__file__).resolve().parents[1] / "docs" / "ARCHITECTURE.md"
+class TestVerifierOperationSets:
+    """The invariant checker keeps its own miss and dirty-victim sets on
+    purpose (it must not share a bug with the engines it checks), so
+    their agreement with ``repro.core.operations`` lives here."""
+
+    def test_miss_operations_agree(self):
+        assert invariants._MISS_OPERATIONS == MISS_OPERATIONS
+
+    def test_dirty_victim_operations_agree(self):
+        assert invariants._DIRTY_VICTIM_OPERATIONS == DIRTY_VICTIM_OPERATIONS
 
 
-def documented_sweep_engines() -> dict[str, str]:
-    """Protocol -> sweep-engine column of ARCHITECTURE's
-    "Protocol × engine support" table, as ``family_support`` names it
-    (``onepass``, ``epoch``, or ``fallback``)."""
+ROOT = Path(__file__).resolve().parents[1]
+ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
+
+
+def documented_table(heading: str) -> tuple[list[str], list[list[str]]]:
+    """Header and body rows of the first table after ``heading``."""
     lines = ARCHITECTURE.read_text(encoding="utf-8").splitlines()
-    start = next(
-        i for i, line in enumerate(lines)
-        if line.startswith("Protocol × engine support")
-    )
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
     rows = []
     for line in lines[start + 1:]:
         if line.startswith("|"):
@@ -142,27 +170,91 @@ def documented_sweep_engines() -> dict[str, str]:
         elif rows:
             break
     header, _rule, *body = rows
-    column = header.index("sweep engine")
-    engines = {}
+    return header, body
+
+
+def documented_protocols() -> dict[str, list[str]]:
+    """Protocol -> columnar, proven-hit spans and sweep engine cells of
+    the "Protocol × engine support" table (its mechanism column is
+    prose)."""
+    header, body = documented_table("Protocol × engine support")
+    assert header[:4] == [
+        "protocol", "columnar", "proven-hit spans", "sweep engine"
+    ]
+    documented = {}
     for row in body:
-        engine = row[column].strip("`")
-        if engine == "per-config fallback":
-            engine = "fallback"
         for name in row[0].split(" / "):
-            assert name not in engines, f"{name} listed twice"
-            engines[name] = engine
-    return engines
+            assert name not in documented, f"{name} listed twice"
+            documented[name] = row[1:4]
+    return documented
+
+
+def spans(cls) -> str:
+    """Which records ``machine._proven_hits`` may prove, by flags."""
+    if cls.read_hit_is_free and cls.remote_traffic_preserves_residency:
+        return "every record"
+    return "single-owner blocks" if cls.private_blocks_are_local else "none"
 
 
 class TestEngineSupportDocAgreement:
-    """The support matrix in docs/ARCHITECTURE.md is prose; the gate
-    is ``family_support``.  Every registered protocol must appear in
-    the table, with the sweep engine the gate actually routes it to."""
+    """The support matrices in docs/ARCHITECTURE.md are prose; the
+    routing is the engine registry.  Every registered protocol and
+    every bus configuration row must show what the registry routes."""
 
     def test_every_protocol_is_documented_once(self):
-        assert set(documented_sweep_engines()) == set(PROTOCOLS)
+        assert set(documented_protocols()) == set(PROTOCOLS)
 
     def test_sweep_engine_column_matches_family_support(self):
-        documented = documented_sweep_engines()
-        for name in PROTOCOLS:
-            assert documented[name] == family_support(name)[0], name
+        documented = documented_protocols()
+        for name, cls in PROTOCOLS.items():
+            columnar = machine_engine(
+                COLUMNAR.label, cls, CostTable.bus(), "fcfs", 0.0
+            )
+            sweep = family_support(name)[0]
+            assert documented[name] == [
+                "yes" if columnar is COLUMNAR else "no",
+                spans(cls),
+                "per-config fallback" if sweep == FALLBACK else f"`{sweep}`",
+            ], name
+
+    def test_bus_matrix_matches_the_registry(self):
+        header, body = documented_table("Support matrix (bus configuration")
+        # Each of these labels is also the request that runs it.
+        requests = [COLUMNAR.label, LEGACY.label, ARBITRATED.label]
+        assert header[1:4] == [f'`engine="{r}"`' for r in requests]
+        base, dragon = protocol_class("base"), protocol_class("dragon")
+        for row in body:
+            discipline = row[0].split("`")[1]
+            overhead = float(row[0].rsplit(" ", 1)[1])
+            routed = [
+                machine_engine(r, base, CostTable.bus(), discipline, overhead)
+                for r in requests
+            ]
+            cells = [
+                f"`{engine.label}`"
+                + (" (deferred grants)"
+                   if deferred_grants(engine, discipline) else "")
+                for engine in routed
+            ]
+            sweeps = [
+                family_support(cls, None, discipline, overhead)[0]
+                for cls in (base, dragon)
+            ]
+            cells.append(" / ".join(f"`{s}`" for s in sweeps))
+            assert row[1:] == cells, row[0]
+
+    def test_benchmark_keys_are_replay_labels(self):
+        """``perfbench/run.py`` keys ``ns_per_record`` on labels; a
+        renamed label would silently empty that metric."""
+        tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+        keys = next(
+            ast.literal_eval(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(
+                getattr(target, "id", None) == "MACHINE_ENGINES"
+                for target in node.targets
+            )
+        )
+        replay = {e.label for e in ENGINES.values() if e.entry == MACHINE_RUN}
+        assert set(keys) <= replay

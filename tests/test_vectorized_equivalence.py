@@ -1,5 +1,8 @@
 """The exactness contract: vectorized kernels == scalar model, bitwise.
 
+Also the machine-size rule the grid kernels share with the scalar
+model.
+
 ISSUE 4's tentpole promises that every cell of a
 :func:`repro.experiments.surface.sweep_grid` surface equals the scalar
 ``BusSystem.evaluate`` / ``NetworkSystem.evaluate`` result for the
@@ -18,6 +21,7 @@ import pytest
 
 from repro.core import (
     ALL_SCHEMES,
+    BASE,
     HYBRID_2,
     HYBRID_4,
     HYBRID_LIMIT,
@@ -250,3 +254,51 @@ class TestSweepGridEquivalence:
         spec = _spec()
         for index, params in _cells():
             assert spec.workload_at(index) == params
+
+
+MIDDLE = WorkloadParams.middle()
+
+
+class TestMachineCounts:
+    """One rule for machine sizes: an integer, at least one, never
+    coerced (``int(2.7)`` would silently evaluate a 2-processor bus)."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"processors": (2.7,)},
+                "processors must be an integer, got 2.7",
+            ),
+            (
+                {"processors": (True,)},
+                "processors must be an integer, got True",
+            ),
+            ({"processors": (0,)}, "processors must be >= 1, got 0"),
+            (
+                {"machine": "network", "stages": (3.9,)},
+                "stages must be an integer, got 3.9",
+            ),
+            (
+                {"machine": "network", "stages": (0,)},
+                "stages must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_sweep_grid_rejects(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            sweep_grid(BASE, MIDDLE, **kwargs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("processors", [2.7, True])
+    def test_scalar_bus_rejects(self, processors):
+        with pytest.raises(ValueError) as raised:
+            BusSystem().evaluate(BASE, MIDDLE, processors)
+        assert str(raised.value) == (
+            f"processors must be an integer, got {processors!r}"
+        )
+
+    def test_scalar_network_rejects(self):
+        with pytest.raises(ValueError) as raised:
+            NetworkSystem(3.9)
+        assert str(raised.value) == "stages must be an integer, got 3.9"

@@ -19,7 +19,7 @@ from repro.verify import (
 from repro.verify.differential import (
     _MODEL_SCHEMES,
     _describe_divergence,
-    _seed_worker,
+    seed_worker,
 )
 
 
@@ -30,7 +30,7 @@ class TestCleanSweep:
 
     def test_seed_worker_matches_run_seed(self):
         item = (1, 0.4, PAPER_PROTOCOLS, True, DISCIPLINES)
-        assert _seed_worker(item) == run_seed(1, scale=0.4)
+        assert seed_worker(item) == run_seed(1, scale=0.4)
 
     def test_protocol_subset_is_respected(self):
         case = generate_case(0, scale=0.3)

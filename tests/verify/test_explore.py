@@ -249,17 +249,18 @@ class TestEpochFamilyConformance:
     a family engine that drifts from columnar is a counterexample."""
 
     def test_clean_dragon_runs_the_epoch_family(self, monkeypatch):
-        import repro.verify.explore as explore
+        # The engine diff the explorer calls runs the family.
+        import repro.verify.differential as differential
 
         engines = []
-        real = explore.run_geometry_family
+        real = differential.run_geometry_family
 
         def spy(*args, **kwargs):
             family = real(*args, **kwargs)
             engines.extend(run.engine for run in family.values())
             return family
 
-        monkeypatch.setattr(explore, "run_geometry_family", spy)
+        monkeypatch.setattr(differential, "run_geometry_family", spy)
         report = explore_protocol("dragon", SMALL)
         assert report.exhaustive
         assert engines and set(engines) == {"epoch"}
