@@ -58,6 +58,10 @@ python -m repro.cli check --cpus 2 --lines 1 --sets 1 --depth 8 \
     --manifest "${TMPDIR:-/tmp}/swcc-check-manifest.jsonl"
 
 echo "== benchmark smoke (micro substrates) =="
+# Also enforces the speedup floors inside bench_micro.py: the columnar
+# replay over the legacy loop (test_single_owner_span_speedup) and the
+# trace generator over its record-at-a-time reference
+# (test_trace_generation_speedup).
 python -m pytest benchmarks/bench_micro.py --benchmark-only \
     --benchmark-disable-gc -q
 

@@ -142,15 +142,15 @@ def run_geometry_family(
         protocol, table, bus_discipline, bus_arbitration_cycles
     )
     if engine == FALLBACK:
-        note_family_fallback(reason)
-        machines = {
-            size: Machine(protocol, config, table)
+        # Counted only once the runs succeed: a request Machine.run
+        # rejects (order='trace' under a deferred-grant discipline)
+        # raises before the first replay and leaves no fallback behind.
+        results = {
+            size: Machine(protocol, config, table).run(trace, order=order)
             for size, config in configs.items()
         }
-        return {
-            size: machine.run(trace, order=order)
-            for size, machine in machines.items()
-        }
+        note_family_fallback(reason)
+        return results
 
     if engine == EPOCH.label:
         return run_coupled_family(trace, configs, table, order)

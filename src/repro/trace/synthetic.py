@@ -20,12 +20,26 @@ paper's workload model measures:
 Every knob lives in :class:`TraceConfig`; :mod:`repro.trace.workloads`
 provides POPS/THOR/PERO-like presets whose *measured* parameters land
 inside the paper's Table 7 ranges.
+
+:func:`generate_trace` runs in three phases that reproduce, bit for bit,
+the record-at-a-time loop kept in ``tests/trace/reference_generator.py``:
+
+1. the scheduler's RNG never reads process state, so its loop runs
+   alone and yields the burst table ``(host cpu, process, length)``;
+2. each process's program-order stream is generated to exactly its
+   demand in one loop over locals, keeping three draw orders: a
+   section's exit FLUSHes precede the data reference that ended it; a
+   word offset is drawn before its store/load draw; a new loop is drawn
+   after the fetch that ends the old one, before that fetch's ``ls`` draw;
+3. numpy gathers the streams into trace order by the burst table.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,13 +54,27 @@ from repro.trace.records import (
 
 __all__ = ["SyntheticWorkload", "TraceConfig", "generate_trace"]
 
-# Kind codes emitted by the generator; records are built as plain
-# (kind, address) int pairs and only become columns at the end, so the
-# generator never allocates per-record objects.
+# Kind codes of the generated records.
 _FETCH = int(AccessType.INST_FETCH)
 _LOAD = int(AccessType.LOAD)
 _STORE = int(AccessType.STORE)
 _FLUSH = int(AccessType.FLUSH)
+
+#: Integer knobs of :class:`TraceConfig` that must be >= 1.
+_COUNT_FIELDS = (
+    "cpus",
+    "records_per_cpu",
+    "instruction_bytes",
+    "code_blocks_per_cpu",
+    "loop_blocks_mean",
+    "loop_iterations_mean",
+    "private_blocks_per_cpu",
+    "private_working_set",
+    "shared_objects",
+    "object_blocks",
+    "section_length_mean",
+    "scheduler_burst_mean",
+)
 
 
 @dataclass(frozen=True)
@@ -123,25 +151,31 @@ class TraceConfig:
     migration_interval: int = 0
 
     def __post_init__(self) -> None:
-        if self.cpus < 1:
-            raise ValueError(f"cpus must be >= 1, got {self.cpus}")
+        for name in ("seed", "layout_cpus", "migration_interval", "block_bytes",
+                     *_COUNT_FIELDS):
+            value = getattr(self, name)
+            # A float or bool would otherwise die inside range() or the
+            # RNG, or silently generate a trace.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in _COUNT_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.layout_cpus < self.cpus:
             raise ValueError(
                 f"layout_cpus ({self.layout_cpus}) must be >= cpus "
                 f"({self.cpus})"
             )
-        if self.block_bytes & (self.block_bytes - 1):
+        if self.block_bytes < 4 or self.block_bytes & (self.block_bytes - 1):
             raise ValueError(
-                f"block_bytes must be a power of two, got {self.block_bytes}"
+                "block_bytes must be a power of two >= 4 (data references "
+                f"are 4-byte words), got {self.block_bytes}"
             )
         if self.migration_interval < 0:
             raise ValueError(
                 f"migration_interval must be >= 0, got "
                 f"{self.migration_interval}"
-            )
-        if self.records_per_cpu < 1:
-            raise ValueError(
-                f"records_per_cpu must be >= 1, got {self.records_per_cpu}"
             )
         if self.block_bytes < self.instruction_bytes:
             raise ValueError("block_bytes must be >= instruction_bytes")
@@ -160,19 +194,6 @@ class TraceConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in (
-            "code_blocks_per_cpu",
-            "loop_blocks_mean",
-            "loop_iterations_mean",
-            "private_blocks_per_cpu",
-            "private_working_set",
-            "shared_objects",
-            "object_blocks",
-            "section_length_mean",
-            "scheduler_burst_mean",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.private_working_set > self.private_blocks_per_cpu:
             raise ValueError(
                 "private_working_set cannot exceed private_blocks_per_cpu"
@@ -227,151 +248,6 @@ class SyntheticWorkload:
         return generate_trace(config, name=self.name)
 
 
-class _CpuProcess:
-    """The reference stream of one processor, generated lazily."""
-
-    def __init__(self, cpu: int, config: TraceConfig, rng: random.Random):
-        self.cpu = cpu
-        self.config = config
-        self.rng = rng
-        self.pending: list[tuple[int, int]] = []
-        # Instruction stream state.
-        self.code_base = config.code_base + cpu * config.code_bytes_per_cpu
-        self.loop_start_block = 0
-        self.loop_blocks = 1
-        self.loop_remaining_iterations = 0
-        self.instruction_index = 0
-        self._new_loop()
-        # Private data state.
-        self.private_base = config.private_base + cpu * config.private_bytes_per_cpu
-        self.working_set = list(range(config.private_working_set))
-        # Critical-section state.
-        self.section_remaining = 0
-        self.section_object = 0
-        self.section_writes = False
-        self.section_touched: set[int] = set()
-        gap = self._section_gap_mean()
-        self.enter_probability = 0.0 if gap is None else 1.0 / gap
-
-    def _section_gap_mean(self) -> float | None:
-        """Mean non-shared data references between critical sections.
-
-        Chosen so that the long-run fraction of shared data references
-        equals ``shd``.  None when ``shd`` is 0 (never enter a
-        section).
-        """
-        config = self.config
-        if config.shd == 0.0:
-            return None
-        if config.shd >= 1.0:
-            return 1e-9  # effectively always in a section
-        return config.section_length_mean * (1.0 - config.shd) / config.shd
-
-    # -- instruction stream ------------------------------------------------
-
-    def _new_loop(self) -> None:
-        config, rng = self.config, self.rng
-        self.loop_blocks = min(
-            1 + _geometric(rng, config.loop_blocks_mean),
-            config.code_blocks_per_cpu,
-        )
-        self.loop_start_block = rng.randrange(
-            config.code_blocks_per_cpu - self.loop_blocks + 1
-        )
-        self.loop_remaining_iterations = 1 + _geometric(
-            rng, config.loop_iterations_mean
-        )
-        self.instruction_index = 0
-
-    def _next_fetch(self) -> int:
-        """Address of the next instruction fetch."""
-        config = self.config
-        instructions_per_loop = (
-            self.loop_blocks * config.block_bytes // config.instruction_bytes
-        )
-        address = (
-            self.code_base
-            + self.loop_start_block * config.block_bytes
-            + self.instruction_index * config.instruction_bytes
-        )
-        self.instruction_index += 1
-        if self.instruction_index >= instructions_per_loop:
-            self.loop_remaining_iterations -= 1
-            self.instruction_index = 0
-            if self.loop_remaining_iterations <= 0:
-                self._new_loop()
-        return address
-
-    # -- data streams --------------------------------------------------
-
-    def _private_reference(self) -> tuple[int, int]:
-        config, rng = self.config, self.rng
-        if rng.random() < config.private_locality:
-            block = rng.choice(self.working_set)
-        else:
-            block = rng.randrange(config.private_blocks_per_cpu)
-            # Rotate the newcomer into the working set.
-            victim = rng.randrange(len(self.working_set))
-            self.working_set[victim] = block
-        offset = rng.randrange(config.block_bytes // 4) * 4
-        address = self.private_base + block * config.block_bytes + offset
-        kind = (
-            _STORE
-            if rng.random() < config.private_write_fraction
-            else _LOAD
-        )
-        return kind, address
-
-    def _enter_section(self) -> None:
-        config, rng = self.config, self.rng
-        self.section_object = rng.randrange(config.shared_objects)
-        self.section_remaining = 1 + _geometric(rng, config.section_length_mean)
-        self.section_writes = rng.random() >= config.readonly_section_fraction
-        self.section_touched = set()
-
-    def _shared_reference(self) -> tuple[int, int]:
-        config, rng = self.config, self.rng
-        block_in_object = rng.randrange(config.object_blocks)
-        block = self.section_object * config.object_blocks + block_in_object
-        self.section_touched.add(block)
-        offset = rng.randrange(config.block_bytes // 4) * 4
-        address = config.shared_base + block * config.block_bytes + offset
-        write = (
-            self.section_writes
-            and rng.random() < config.shared_write_fraction
-        )
-        kind = _STORE if write else _LOAD
-        self.section_remaining -= 1
-        if self.section_remaining <= 0:
-            self._exit_section()
-        return kind, address
-
-    def _exit_section(self) -> None:
-        if self.config.flush_on_exit:
-            for block in sorted(self.section_touched):
-                address = self.config.shared_base + block * self.config.block_bytes
-                self.pending.append((_FLUSH, address))
-        self.section_touched = set()
-
-    # -- record stream ---------------------------------------------------
-
-    def next_record(self) -> tuple[int, int]:
-        """The next ``(kind, address)`` of this CPU, in program order."""
-        if self.pending:
-            return self.pending.pop(0)
-
-        address = self._next_fetch()
-        if self.rng.random() < self.config.ls:
-            if self.section_remaining > 0:
-                self.pending.append(self._shared_reference())
-            elif self.rng.random() < self.enter_probability:
-                self._enter_section()
-                self.pending.append(self._shared_reference())
-            else:
-                self.pending.append(self._private_reference())
-        return _FETCH, address
-
-
 def _geometric(rng: random.Random, mean: float) -> int:
     """A geometric variate with the given mean, in ``{0, 1, 2, ...}``."""
     if mean <= 0.0:
@@ -386,6 +262,172 @@ def _geometric(rng: random.Random, mean: float) -> int:
     return count
 
 
+def _schedule(config: TraceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 1: every scheduler burst as ``(host cpu, process, length)``.
+
+    The scheduler's RNG never reads process state, so its loop runs
+    alone; ``choice(active)`` and :func:`_geometric` are inlined with
+    their exact draws.
+    """
+    rng = random.Random((config.seed << 8) ^ 0x5C0DE)
+    getrandbits, draw = rng.getrandbits, rng.random
+    assignment = list(range(config.cpus))  # host cpu -> process
+    remaining = [config.records_per_cpu] * config.cpus
+    active = list(range(config.cpus))
+    live, bits = config.cpus, config.cpus.bit_length()
+    mean = config.scheduler_burst_mean - 1
+    probability = 1.0 / (mean + 1.0)
+    interval = until_migration = config.migration_interval
+    hosts, owners, lengths = [], [], []
+    while active:
+        pick = getrandbits(bits)
+        while pick >= live:
+            pick = getrandbits(bits)
+        cpu = active[pick]
+        burst = 1
+        if mean > 0:
+            while draw() >= probability:
+                burst += 1
+                if burst > 1_000_001:  # pragma: no cover - as in _geometric
+                    break
+        left = remaining[cpu]
+        if burst >= left:
+            burst = left
+            active.remove(cpu)
+            live -= 1
+            bits = live.bit_length()
+        else:
+            remaining[cpu] = left - burst
+        hosts.append(cpu)
+        owners.append(assignment[cpu])
+        lengths.append(burst)
+        if interval and live >= 2:
+            until_migration -= burst
+            if until_migration <= 0:
+                first, second = rng.sample(active, 2)
+                assignment[first], assignment[second] = (
+                    assignment[second],
+                    assignment[first],
+                )
+                until_migration = interval
+    return (
+        np.asarray(hosts, dtype=CPU_DTYPE),
+        np.asarray(owners, dtype=np.intp),
+        np.asarray(lengths, dtype=np.intp),
+    )
+
+
+def _program(
+    process: int, config: TraceConfig, kinds: bytearray, addresses: array,
+    start: int, stop: int,
+) -> None:
+    """Phase 2: write one process's first ``stop - start`` records, in
+    program order, to ``kinds``/``addresses`` from ``start`` on.
+
+    Everything is a local: ``randrange(n)`` is a ``getrandbits``
+    rejection loop and ``choice(ws)`` is ``ws[randrange(len(ws))]``.
+    A fetch writes only its address (``kinds`` starts zeroed, and zero
+    is ``_FETCH``); the last fetch may spill up to ``object_blocks + 1``
+    records past ``stop``, whose kinds are cleared again on return.
+    """
+    rng = random.Random((config.seed << 16) | process)
+    draw, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
+    block_bytes, step = config.block_bytes, config.instruction_bytes
+    code_blocks = config.code_blocks_per_cpu
+    code_base = config.code_base + process * config.code_bytes_per_cpu
+    private_base = config.private_base + process * config.private_bytes_per_cpu
+    shared_base, flush_on_exit = config.shared_base, config.flush_on_exit
+    ls, locality, shd = config.ls, config.private_locality, config.shd
+    private_write = config.private_write_fraction
+    shared_write = config.shared_write_fraction
+    working_set = list(range(config.private_working_set))
+    working, private_blocks = len(working_set), config.private_blocks_per_cpu
+    words, object_blocks = block_bytes // 4, config.object_blocks
+    working_bits, private_bits, word_bits, object_bits = (
+        n.bit_length() for n in (working, private_blocks, words, object_blocks)
+    )
+    # 1 / the mean gap between sections, so that a fraction shd of data
+    # references is shared; shd = 1 is effectively always in a section.
+    enter = 0.0 if shd == 0.0 else 1.0 / (
+        1e-9 if shd >= 1.0 else config.section_length_mean * (1.0 - shd) / shd
+    )
+
+    def new_loop() -> tuple[int, int, int]:
+        blocks = min(1 + _geometric(rng, config.loop_blocks_mean), code_blocks)
+        start = code_base + randrange(code_blocks - blocks + 1) * block_bytes
+        iterations = 1 + _geometric(rng, config.loop_iterations_mean)
+        return start, start + blocks * block_bytes, iterations
+
+    loop_start, loop_end, iterations = new_loop()
+    fetch = loop_start
+    section_left = 0
+    section_base = 0
+    section_writes = False
+    touched: set[int] = set()
+    i = start
+    while i < stop:
+        addresses[i] = fetch
+        i += 1
+        fetch += step
+        if fetch == loop_end:
+            iterations -= 1
+            fetch = loop_start
+            if iterations <= 0:
+                loop_start, loop_end, iterations = new_loop()
+                fetch = loop_start
+        if draw() >= ls:
+            continue
+        if section_left > 0 or draw() < enter:
+            if section_left <= 0:
+                section_base = randrange(config.shared_objects) * object_blocks
+                section_left = 1 + _geometric(rng, config.section_length_mean)
+                section_writes = draw() >= config.readonly_section_fraction
+                touched = set()
+            pick = getrandbits(object_bits)
+            while pick >= object_blocks:
+                pick = getrandbits(object_bits)
+            block = section_base + pick
+            touched.add(block)
+            pick = getrandbits(word_bits)
+            while pick >= words:
+                pick = getrandbits(word_bits)
+            address = shared_base + block * block_bytes + pick * 4
+            kind = _STORE if section_writes and draw() < shared_write else _LOAD
+            section_left -= 1
+            if section_left <= 0:
+                # Exit FLUSHes precede the reference that ended the section.
+                if flush_on_exit:
+                    for block in sorted(touched):
+                        kinds[i] = _FLUSH
+                        addresses[i] = shared_base + block * block_bytes
+                        i += 1
+                touched = set()
+        else:
+            if draw() < locality:
+                pick = getrandbits(working_bits)
+                while pick >= working:
+                    pick = getrandbits(working_bits)
+                block = working_set[pick]
+            else:
+                block = getrandbits(private_bits)
+                while block >= private_blocks:
+                    block = getrandbits(private_bits)
+                # Rotate the newcomer into the working set.
+                pick = getrandbits(working_bits)
+                while pick >= working:
+                    pick = getrandbits(working_bits)
+                working_set[pick] = block
+            pick = getrandbits(word_bits)
+            while pick >= words:
+                pick = getrandbits(word_bits)
+            address = private_base + block * block_bytes + pick * 4
+            kind = _STORE if draw() < private_write else _LOAD
+        kinds[i] = kind
+        addresses[i] = address
+        i += 1
+    kinds[stop:i] = bytes(i - stop)
+
+
 def generate_trace(config: TraceConfig, name: str = "synthetic") -> Trace:
     """Generate an interleaved multiprocessor trace.
 
@@ -398,50 +440,30 @@ def generate_trace(config: TraceConfig, name: str = "synthetic") -> Trace:
         config: the generator knobs.
         name: label stored on the returned :class:`Trace`.
     """
-    scheduler_rng = random.Random((config.seed << 8) ^ 0x5C0DE)
-    processes = [
-        _CpuProcess(cpu, config, random.Random((config.seed << 16) | cpu))
-        for cpu in range(config.cpus)
-    ]
-    # assignment[host cpu] -> process index; identity without migration.
-    assignment = list(range(config.cpus))
-    remaining = [config.records_per_cpu] * config.cpus
-    active = list(range(config.cpus))
-    # Generate straight into the trace columns; the host CPU is the
-    # scheduler's choice, so migrated processes need no record rewrite.
-    cpu_column: list[int] = []
-    kind_column: list[int] = []
-    address_column: list[int] = []
-    until_migration = config.migration_interval
-
-    while active:
-        cpu = scheduler_rng.choice(active)
-        burst = 1 + _geometric(scheduler_rng, config.scheduler_burst_mean - 1)
-        process = processes[assignment[cpu]]
-        emitted = min(burst, remaining[cpu])
-        for _ in range(emitted):
-            kind, address = process.next_record()
-            cpu_column.append(cpu)
-            kind_column.append(kind)
-            address_column.append(address)
-        remaining[cpu] -= emitted
-        if remaining[cpu] <= 0:
-            active.remove(cpu)
-        if config.migration_interval and len(active) >= 2:
-            until_migration -= emitted
-            if until_migration <= 0:
-                first, second = scheduler_rng.sample(active, 2)
-                assignment[first], assignment[second] = (
-                    assignment[second],
-                    assignment[first],
-                )
-                until_migration = config.migration_interval
-
+    hosts, owners, lengths = _schedule(config)
+    demand = np.bincount(owners, weights=lengths, minlength=config.cpus)
+    bounds = [0, *np.cumsum(demand).astype(np.intp).tolist()]
+    total = bounds[-1]
+    # Programs are laid out in process order, with slack for the last
+    # fetch's FLUSHes and data reference.
+    kinds = bytearray(total + config.object_blocks + 1)
+    addresses = array("Q", [0]) * len(kinds)
+    for process in range(config.cpus):
+        _program(process, config, kinds, addresses, *bounds[process : process + 2])
+    # Phase 3: burst b reads the next lengths[b] records of its
+    # process's program, so a stable sort by process gives each burst's
+    # offset in the programs; index maps trace positions to those.
+    order = np.argsort(owners, kind="stable")
+    ordered = lengths[order]
+    source = np.empty_like(lengths)
+    source[order] = np.cumsum(ordered) - ordered
+    index = np.repeat(source - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(total)
     return Trace.from_arrays(
         name=name,
         cpus=config.cpus,
         shared_region=config.shared_region,
-        cpu=np.asarray(cpu_column, dtype=CPU_DTYPE),
-        kind=np.asarray(kind_column, dtype=KIND_DTYPE),
-        address=np.asarray(address_column, dtype=ADDRESS_DTYPE),
+        cpu=np.repeat(hosts, lengths),
+        kind=np.frombuffer(kinds, dtype=KIND_DTYPE)[index],
+        address=np.frombuffer(addresses, dtype=ADDRESS_DTYPE)[index],
     )

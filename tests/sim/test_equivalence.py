@@ -58,6 +58,11 @@ def small_trace():
     return generate_trace(TraceConfig(cpus=4, records_per_cpu=1_000, seed=7))
 
 
+@pytest.fixture(scope="module")
+def single_cpu_trace():
+    return generate_trace(TraceConfig(cpus=1, records_per_cpu=2_000, seed=3))
+
+
 class TestColumnarMatchesLegacy:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("order", ["time", "trace"])
@@ -158,11 +163,10 @@ class TestOrderEquivalence:
         assert signature(by_time) == signature(by_trace)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_single_cpu_orders_identical_all_protocols(self, protocol):
-        trace = generate_trace(
-            TraceConfig(cpus=1, records_per_cpu=2_000, seed=3)
-        )
+    def test_single_cpu_orders_identical_all_protocols(
+        self, protocol, single_cpu_trace
+    ):
         machine = Machine(protocol, CONFIG)
-        by_time = machine.run(trace, order="time")
-        by_trace = machine.run(trace, order="trace")
+        by_time = machine.run(single_cpu_trace, order="time")
+        by_trace = machine.run(single_cpu_trace, order="trace")
         assert signature(by_time) == signature(by_trace)

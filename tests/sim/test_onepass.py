@@ -143,6 +143,17 @@ class TestOnepassMatchesMachine:
         with pytest.raises(ValueError, match="order"):
             run_geometry_family("base", seeded_trace, [4096], order="clock")
 
+    def test_rejected_trace_order_notes_no_fallback(self, seeded_trace):
+        # A deferred-grant discipline cannot honour order='trace'; the
+        # family must raise Machine.run's message and count nothing.
+        before = fallback_counters()
+        with pytest.raises(ValueError, match="order='trace' cannot be honoured"):
+            run_geometry_family(
+                "base", seeded_trace, [4096], order="trace",
+                bus_discipline="round-robin",
+            )
+        assert fallback_counters() == before
+
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_empty_cache_sizes(self, seeded_trace, protocol):
         # An empty family is empty for every engine, not a

@@ -19,6 +19,12 @@ L, S, I, F = (
 )
 
 
+@pytest.fixture(scope="module")
+def thor_trace():
+    # Shared by the module: policies build new traces, never edit theirs.
+    return preset("thor").generate(records_per_cpu=2_000)
+
+
 def make_trace(records, cpus=2):
     return Trace(name="t", cpus=cpus, shared_region=SHARED, records=records)
 
@@ -164,10 +170,8 @@ class TestImpliedApl:
         assert implied_apl(trace) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("policy", FLUSH_POLICIES)
-    def test_matches_record_loop(self, policy):
-        trace = apply_flush_policy(
-            preset("thor").generate(records_per_cpu=2_000), policy
-        )
+    def test_matches_record_loop(self, policy, thor_trace):
+        trace = apply_flush_policy(thor_trace, policy)
         shared = flushes = 0
         for record in trace.records:
             if record.kind is F:

@@ -7,8 +7,9 @@ from repro.trace.io import TraceFormatError
 from repro.trace.records import AccessType, AddressRange, Trace, TraceRecord
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def small_trace():
+    # Shared by the module: every test only saves or reads it.
     return generate_trace(
         TraceConfig(cpus=2, records_per_cpu=500, seed=42), name="roundtrip"
     )

@@ -1,12 +1,22 @@
 """Unit tests for the synthetic trace generator."""
 
+import random
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.trace import AccessType, TraceConfig, generate_trace
 from repro.trace.synthetic import SyntheticWorkload, _geometric
-import random
 
 SMALL = TraceConfig(cpus=2, records_per_cpu=5_000, seed=7)
+
+
+@pytest.fixture(scope="module")
+def small_trace():
+    # Shared by the module's read-only tests.
+    return generate_trace(SMALL)
 
 
 class TestTraceConfig:
@@ -41,6 +51,49 @@ class TestTraceConfig:
         with pytest.raises(ValueError):
             TraceConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cpus", 2.0),
+            ("records_per_cpu", 10.5),
+            ("records_per_cpu", True),
+            ("seed", 1.5),
+            ("layout_cpus", 64.0),
+            ("migration_interval", 2.5),
+            ("block_bytes", 16.0),
+            ("instruction_bytes", False),
+            ("object_blocks", 1.5),
+            ("loop_iterations_mean", "3"),
+            ("private_working_set", 8.0),
+            ("shared_objects", True),
+            ("scheduler_burst_mean", 6.0),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, field, value):
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TraceConfig(**{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = TraceConfig(cpus=np.int64(2), seed=np.uint8(7))
+        assert type(config.cpus) is int and type(config.seed) is int
+        assert generate_trace(
+            replace(config, records_per_cpu=50)
+        ).per_cpu_counts() == [50, 50]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"block_bytes": 2, "instruction_bytes": 2},
+            {"block_bytes": 0},
+            {"instruction_bytes": 0},
+            {"migration_interval": -1},
+        ],
+    )
+    def test_rejects_unusable_sizes(self, overrides):
+        with pytest.raises(ValueError):
+            TraceConfig(**overrides)
+
 
 class TestGenerateTrace:
     def test_deterministic_for_same_seed(self):
@@ -48,25 +101,20 @@ class TestGenerateTrace:
         second = generate_trace(SMALL)
         assert first.records == second.records
 
-    def test_different_seeds_differ(self):
-        import dataclasses
+    def test_different_seeds_differ(self, small_trace):
+        other = replace(SMALL, seed=8)
+        assert small_trace.records != generate_trace(other).records
 
-        other = dataclasses.replace(SMALL, seed=8)
-        assert generate_trace(SMALL).records != generate_trace(other).records
-
-    def test_record_count(self):
-        trace = generate_trace(SMALL)
-        counts = trace.per_cpu_counts()
+    def test_record_count(self, small_trace):
+        counts = small_trace.per_cpu_counts()
         assert all(count == SMALL.records_per_cpu for count in counts)
 
-    def test_all_cpus_present(self):
-        trace = generate_trace(SMALL)
-        assert {record.cpu for record in trace} == {0, 1}
+    def test_all_cpus_present(self, small_trace):
+        assert {record.cpu for record in small_trace} == {0, 1}
 
-    def test_addresses_lie_in_their_regions(self):
+    def test_addresses_lie_in_their_regions(self, small_trace):
         config = SMALL
-        trace = generate_trace(config)
-        for cpu, kind, address in trace:
+        for cpu, kind, address in small_trace:
             if kind is AccessType.INST_FETCH:
                 base = config.code_base + cpu * config.code_bytes_per_cpu
                 assert base <= address < base + config.code_bytes_per_cpu
@@ -102,11 +150,10 @@ class TestGenerateTrace:
         )
         assert not any(r.kind is AccessType.FLUSH for r in trace)
 
-    def test_flush_records_only_in_shared_region(self):
-        trace = generate_trace(SMALL)
-        flushes = [r for r in trace if r.kind is AccessType.FLUSH]
+    def test_flush_records_only_in_shared_region(self, small_trace):
+        flushes = [r for r in small_trace if r.kind is AccessType.FLUSH]
         assert flushes, "expected critical sections to flush"
-        assert all(trace.is_shared(r.address) for r in flushes)
+        assert all(small_trace.is_shared(r.address) for r in flushes)
 
     def test_flush_can_be_disabled(self):
         import dataclasses
