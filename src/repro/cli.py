@@ -886,10 +886,10 @@ def _command_bench(args: argparse.Namespace) -> int:
 def _validated_number(module_name: str, validator_name: str, kind=int):
     """Build an argparse type shim around a library validator.
 
-    Like :func:`_jobs_count`, validation lives in the library (the
-    named ``validate_*`` function), so the CLI and the API reject the
-    same inputs for the same reason; the shim only converts the
-    failure into argparse's error type.
+    Validation lives in the library (the named ``validate_*``
+    function), so the CLI and the API reject the same inputs for the
+    same reason; the shim only converts the failure into argparse's
+    error type.
     """
 
     def parse(value: str):
@@ -931,29 +931,7 @@ _arbitration_cycles = _validated_number(
     "repro.sim.bus", "validate_arbitration_cycles", kind=float
 )
 _processors = _validated_number("repro.core.bus", "validate_processors")
-
-
-def _jobs_count(value: str) -> int:
-    """``--jobs`` argument type: a non-negative integer.
-
-    Validation lives in
-    :func:`repro.experiments.parallel.validate_jobs`, so the CLI and
-    the library reject the same inputs for the same reason; this shim
-    only converts the failure into argparse's error type.
-    """
-    from repro.experiments.parallel import validate_jobs
-
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}"
-        ) from None
-    try:
-        validate_jobs(jobs)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return jobs
+_jobs_count = _validated_number("repro.experiments.parallel", "validate_jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:

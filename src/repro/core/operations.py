@@ -59,6 +59,12 @@ class Operation(enum.Enum):
     # invalidation round, used by the directory coherence scheme.
     INVALIDATE = "invalidate"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==``; ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``) would cost a call per cost-table probe in
+    # the replay loop.
+    __hash__ = object.__hash__
+
 
 #: The operations that service a cache miss, and those of them that
 #: also write a dirty victim back.

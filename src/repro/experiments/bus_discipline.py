@@ -86,7 +86,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
         run_geometry_family,
     )
     from repro.sim.engines import ARBITRATED, FALLBACK, family_support
-    from repro.trace import preset
+    from repro.trace import preset_trace
     from repro.verify.differential import stats_signature
     from repro.verify.invariants import (
         InvariantViolation,
@@ -94,7 +94,7 @@ def bus_discipline_effect(fast: bool = True, **_) -> ExperimentResult:
     )
 
     records = 8_000 if fast else 32_000
-    trace = preset("pops").generate(records_per_cpu=records)
+    trace = preset_trace("pops", records)
     config = SimulationConfig()
     result = ExperimentResult(
         experiment_id="extension-bus-discipline",

@@ -97,9 +97,9 @@ def directory_vs_flush(stages: int = 8, **_) -> ExperimentResult:
     # measured from each simulated cell.
     from repro.experiments.geometry import sweep_geometries
     from repro.sim import SimulationConfig, measure_workload_params
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
-    trace = preset("pops").generate(records_per_cpu=8_000)
+    trace = preset_trace("pops", 8_000)
     cache_sizes = (16384, 65536, 262144)
     grid = sweep_geometries("dragon", trace, cache_sizes)
     measured_rows = []
@@ -165,14 +165,10 @@ def block_size_effect(fast: bool = True, **_) -> ExperimentResult:
     from repro.core.operations import derive_bus_costs
     from repro.experiments.geometry import sweep_geometries
     from repro.sim import SimulationConfig
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
     records = 40_000 if fast else None
-    trace = (
-        preset("pops").generate(records_per_cpu=records)
-        if records
-        else preset("pops").generate()
-    )
+    trace = preset_trace("pops", records)
     result = ExperimentResult(
         experiment_id="extension-block-size",
         title="Block size, simulated with matching transfer costs (pops)",
@@ -251,7 +247,7 @@ def why_dragon(fast: bool = True, **_) -> ExperimentResult:
     """
     from repro.core import WRITE_THROUGH_INVALIDATE
     from repro.sim import Machine, SimulationConfig, run_geometry_family
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
     params = WorkloadParams.middle()
     bus = BusSystem()
@@ -291,11 +287,7 @@ def why_dragon(fast: bool = True, **_) -> ExperimentResult:
     )
 
     records = 30_000 if fast else None
-    trace = (
-        preset("thor").generate(records_per_cpu=records)
-        if records
-        else preset("thor").generate()
-    )
+    trace = preset_trace("thor", records)
     # Dragon rides the epoch-partitioned family path; WTI has no
     # family engine, so its one cell is a plain Machine.run.
     config = SimulationConfig()
@@ -352,16 +344,12 @@ def flush_policy_comparison(fast: bool = True, **_) -> ExperimentResult:
     calls an *optimistic* — i.e. oracle — estimate).
     """
     from repro.sim import Machine, SimulationConfig
-    from repro.trace import preset
+    from repro.trace import preset_trace
     from repro.trace.flushing import apply_flush_policy, implied_apl
     from repro.trace.stats import shared_run_lengths
 
     records = 40_000 if fast else None
-    base_trace = (
-        preset("thor").generate(records_per_cpu=records)
-        if records
-        else preset("thor").generate()
-    )
+    base_trace = preset_trace("thor", records)
     machine = Machine("swflush", SimulationConfig())
     result = ExperimentResult(
         experiment_id="extension-flush-policies",
@@ -586,14 +574,10 @@ def service_model_ablation(fast: bool = True, **_) -> ExperimentResult:
     from repro.core.model import transaction_moments
     from repro.core.operations import CostTable
     from repro.sim import Machine, SimulationConfig, measure_workload_params
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
     records = 40_000 if fast else None
-    trace = (
-        preset("pops").generate(records_per_cpu=records)
-        if records
-        else preset("pops").generate()
-    )
+    trace = preset_trace("pops", records)
     config = SimulationConfig()
     simulated = Machine("dragon", config).run(trace)
     params = measure_workload_params(trace, config, simulated)
@@ -667,7 +651,7 @@ def update_vs_invalidate(fast: bool = True, **_) -> ExperimentResult:
     """
     from repro.core import Operation
     from repro.sim import Machine, SimulationConfig
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
     records = 40_000 if fast else None
     config = SimulationConfig()
@@ -678,11 +662,7 @@ def update_vs_invalidate(fast: bool = True, **_) -> ExperimentResult:
     rows = []
     agreements = []
     for workload in ("thor", "pero"):
-        trace = (
-            preset(workload).generate(records_per_cpu=records)
-            if records
-            else preset(workload).generate()
-        )
+        trace = preset_trace(workload, records)
         dragon = Machine("dragon", config).run(trace)
         directory = Machine("directory", config).run(trace)
         rows.append(

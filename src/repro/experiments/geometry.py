@@ -28,7 +28,7 @@ from repro.sim import (
     run_geometry_family,
 )
 from repro.sim.engines import COLUMNAR, FALLBACK, family_support
-from repro.trace import Trace, preset
+from repro.trace import Trace, preset_trace
 
 __all__ = ["sweep_geometries"]
 
@@ -106,11 +106,7 @@ def geometry_sweep(
     rates fall monotonically with cache size at every block size.
     """
     records = 40_000 if fast else None
-    trace = (
-        preset(workload).generate(records_per_cpu=records)
-        if records
-        else preset(workload).generate()
-    )
+    trace = preset_trace(workload, records)
     cache_sizes = (16384, 65536, 262144)
     block_sizes = (8, 16, 32)
 

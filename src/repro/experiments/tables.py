@@ -348,14 +348,10 @@ def ablation_replay_order(fast: bool = True, **_) -> ExperimentResult:
     inflates contention (trace order shows lower processing power).
     """
     from repro.sim import Machine, SimulationConfig
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
     records = 40_000 if fast else None
-    trace = (
-        preset("pops").generate(records_per_cpu=records)
-        if records
-        else preset("pops").generate()
-    )
+    trace = preset_trace("pops", records)
     machine = Machine("dragon", SimulationConfig())
     result = ExperimentResult(
         experiment_id="ablation-replay-order",

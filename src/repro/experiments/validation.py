@@ -24,7 +24,7 @@ from repro.sim import (
     measure_workload_params,
     run_geometry_family,
 )
-from repro.trace import Trace, preset
+from repro.trace import Trace, preset_trace
 
 __all__ = ["model_vs_simulation", "validation_points", "validation_sweep"]
 
@@ -35,14 +35,6 @@ _SCHEME_BY_PROTOCOL: dict[str, CoherenceScheme] = {
 
 #: records_per_cpu used when an experiment is run with fast=True.
 _FAST_RECORDS = 40_000
-
-
-@lru_cache(maxsize=16)
-def _trace(workload: str, records_per_cpu: int | None) -> Trace:
-    recipe = preset(workload)
-    if records_per_cpu is None:
-        return recipe.generate()
-    return recipe.generate(records_per_cpu=records_per_cpu)
 
 
 @lru_cache(maxsize=32)
@@ -56,7 +48,7 @@ def _restricted(
     the derived-column memo in :mod:`repro.trace.derived`, one set of
     decoded column arrays) instead of re-deriving both per cell.
     """
-    trace = _trace(workload, records_per_cpu)
+    trace = preset_trace(workload, records_per_cpu)
     return trace.restricted_to(cpus) if cpus != trace.cpus else trace
 
 

@@ -19,7 +19,10 @@ Replay engines
 fast loop is held ``==`` (every counter and float clock) to whichever
 reference specifies the bus it runs over.  The labels, their gates and
 their reference contracts are declared once, in
-:mod:`repro.sim.engines`.
+:mod:`repro.sim.engines`.  The fast loop, :func:`_run_columnar`, is
+also the one event merge of the cache-size sweeps
+(:mod:`repro.sim.onepass`, :mod:`repro.sim.family`), which hand it
+each event's outcome instead of a protocol to step.
 
 * The columnar loop (``engine="columnar"``, the default, and
   ``engine="arbitrated"``) consumes the trace's numpy columns
@@ -88,7 +91,7 @@ from repro.sim.bus import (
 from repro.sim.cache import Cache, CacheGeometry, LineState
 from repro.sim.engines import Engine, deferred_grants, machine_engine
 from repro.sim.protocols import Protocol, protocol_class
-from repro.sim.protocols.interface import NO_ACTION
+from repro.sim.protocols.interface import NO_ACTION, AccessOutcome
 from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import KIND_MEMBERS, AccessType, Trace, validate_cpus
 
@@ -331,11 +334,12 @@ def _proven_hits(
 class _EventStreams(NamedTuple):
     """Per-CPU record streams of the columnar replay loop.
 
-    Only *event* records are scheduled one by one; the proven hits
-    between two events form a span applied lazily (a fetch-count clock
-    advance plus deferred MRU touches).  Without proven hits every
-    record is an event.  One list per CPU, positions relative to that
-    CPU's stream.
+    Only *event* records are scheduled one by one; the records between
+    two events form a span applied lazily (a fetch-count clock advance
+    plus deferred MRU touches).  ``Machine.run`` makes its events the
+    records not proven to hit (every record without proven hits); a
+    sweep makes them one geometry's classifier events.  One list per
+    CPU, positions relative to that CPU's stream.
 
     Attributes:
         events: stream positions of the event records.
@@ -346,7 +350,7 @@ class _EventStreams(NamedTuple):
         touches: deferred MRU touches of the proven hits,
             ``(position, code, block)``; code 4 dirties the line (a
             local store hit), 5 and 6 only touch it.  ``None`` when
-            every record is an event.
+            no span record touches a cache.
         trace_keys: trace position of each event record, plus the
             trace length as the key of the stream's end; ``None``
             unless the replay runs in trace order.
@@ -360,130 +364,120 @@ class _EventStreams(NamedTuple):
     trace_keys: list[list[int]] | None
 
 
+def _fetch_prefixes(derived: DerivedColumns) -> list[list[int]]:
+    """Per-CPU fetch prefix sums, ``count + 1`` entries each: the clock
+    cost of any span of hits."""
+    prefixes = []
+    for start, count in zip(derived.offsets, derived.counts):
+        prefix = derived.fetch_prefix[start : start + count + 1]
+        prefixes.append((prefix - prefix[0]).tolist())
+    return prefixes
+
+
 def _event_streams(
+    derived: DerivedColumns,
+    events: list[np.ndarray] | None,
+    prefix: list[list[int]] | None,
+    touches: list[list[tuple[int, int, int]]] | None,
+    by_trace: bool,
+) -> _EventStreams:
+    """Gather the event records of each CPU's stream.
+
+    ``events[cpu]`` holds the CPU's event positions, as a list or an
+    int64 array; ``None`` makes every record an event.
+    """
+    streams = _EventStreams(
+        [], [], [], prefix, touches, [] if by_trace else None
+    )
+    total = len(derived.order)
+    for cpu, (start, count) in enumerate(zip(derived.offsets, derived.counts)):
+        if events is None:
+            rows = slice(start, start + count)
+            streams.events.append(range(count))
+        else:
+            positions = events[cpu]
+            rows = np.asarray(positions, dtype=np.int64) + start
+            if not isinstance(positions, list):
+                positions = positions.tolist()
+            streams.events.append(positions)
+        streams.kinds.append(derived.kinds_sorted[rows].tolist())
+        streams.blocks.append(derived.blocks_sorted[rows].tolist())
+        if by_trace:
+            keys = derived.order[rows].tolist()
+            keys.append(total)
+            streams.trace_keys.append(keys)
+    return streams
+
+
+def _replay_streams(
     derived: DerivedColumns,
     hits: _ProvenHits | None,
     protocol: Protocol,
     by_trace: bool,
 ) -> _EventStreams:
-    """Split the sorted columns into per-CPU event streams."""
-    counts = derived.counts
-    kinds_sorted_np = derived.kinds_sorted
-    blocks_sorted_np = derived.blocks_sorted
-    order_np = derived.order
-    total = len(order_np)
+    """``Machine.run``'s event streams: every record not proven to hit
+    is an event, and the proven hits become spans and touches."""
     if hits is None:
-        event_mask = None
-    else:
-        event_mask = ~(
-            hits.guaranteed | hits.local_store | hits.near_fetch
-            | hits.near_load
-        )
-        if not protocol.handles_flush:
-            # Unhandled flushes are complete no-ops; leaving them out
-            # of the event set lets the spans run through them.
-            event_mask &= kinds_sorted_np != 3
-        sent_codes = np.zeros(total, dtype=np.int64)
-        sent_codes[hits.local_store] = 4
-        sent_codes[hits.near_fetch] = 5
-        sent_codes[hits.near_load] = 6
-        fetch_prefix_np = derived.fetch_prefix
-    streams = _EventStreams(
-        [], [], [], None if hits is None else [],
-        None if hits is None else [], [] if by_trace else None,
+        return _event_streams(derived, None, None, None, by_trace)
+    kinds_sorted_np = derived.kinds_sorted
+    event_mask = ~(
+        hits.guaranteed | hits.local_store | hits.near_fetch | hits.near_load
     )
-    offset = 0
-    for count in counts:
-        stop = offset + count
-        if event_mask is None:
-            idx = slice(None)
-            streams.events.append(range(count))
-        else:
-            idx = np.flatnonzero(event_mask[offset:stop])
-            streams.events.append(idx.tolist())
-        b_slice = blocks_sorted_np[offset:stop]
-        streams.kinds.append(kinds_sorted_np[offset:stop][idx].tolist())
-        streams.blocks.append(b_slice[idx].tolist())
-        if by_trace:
-            keys = order_np[offset:stop][idx].tolist()
-            keys.append(total)
-            streams.trace_keys.append(keys)
-        if event_mask is not None:
-            codes = sent_codes[offset:stop]
-            sidx = np.flatnonzero(codes)
-            streams.touches.append(
-                list(
-                    zip(
-                        sidx.tolist(),
-                        codes[sidx].tolist(),
-                        b_slice[sidx].tolist(),
-                    )
+    if not protocol.handles_flush:
+        # Unhandled flushes are complete no-ops; leaving them out of
+        # the event set lets the spans run through them.
+        event_mask &= kinds_sorted_np != 3
+    sent_codes = np.zeros(len(kinds_sorted_np), dtype=np.int64)
+    sent_codes[hits.local_store] = 4
+    sent_codes[hits.near_fetch] = 5
+    sent_codes[hits.near_load] = 6
+    events = []
+    touches = []
+    for start, count in zip(derived.offsets, derived.counts):
+        stop = start + count
+        events.append(np.flatnonzero(event_mask[start:stop]))
+        codes = sent_codes[start:stop]
+        sidx = np.flatnonzero(codes)
+        touches.append(
+            list(
+                zip(
+                    sidx.tolist(),
+                    codes[sidx].tolist(),
+                    derived.blocks_sorted[start:stop][sidx].tolist(),
                 )
             )
-            prefix_slice = fetch_prefix_np[offset:stop + 1]
-            streams.prefix.append(
-                (prefix_slice - prefix_slice[0]).tolist()
-            )
-        offset = stop
-    return streams
-
-
-def _write_back(
-    result: SimulationResult,
-    derived: DerivedColumns,
-    clocks: list[float],
-    waits: list[float],
-    steals: list[int],
-    op_info: dict,
-    misses: tuple[int, int, int, int],
-) -> None:
-    """Write a columnar loop's accumulators into ``result``.
-
-    ``misses`` is ``(fetch, data, shared data, dirty victim)``; the
-    reference mix comes from the derived columns.
-    """
-    mix = derived.mix
-    for index, cpu_stats in enumerate(result.cpus):
-        cpu_stats.instructions = int(mix[index, 0])
-        cpu_stats.loads = int(mix[index, 1])
-        cpu_stats.stores = int(mix[index, 2])
-        cpu_stats.flushes = int(mix[index, 3])
-        cpu_stats.clock = clocks[index]
-        cpu_stats.wait_cycles = waits[index]
-        cpu_stats.stolen_cycles = steals[index]
-    result.operation_counts = Counter(
-        {op: info[4][0] for op, info in op_info.items() if info[4][0]}
+        )
+    return _event_streams(
+        derived, events, _fetch_prefixes(derived), touches, by_trace
     )
-    (
-        result.fetch_misses,
-        result.data_misses,
-        result.shared_data_misses,
-        result.dirty_victim_misses,
-    ) = misses
-    result.shared_loads = derived.shared_loads
-    result.shared_stores = derived.shared_stores
 
 
 def _run_columnar(
-    trace: Trace,
-    order: str,
-    costs: CostTable,
-    caches: list[Cache],
-    protocol: Protocol,
+    derived: DerivedColumns,
+    streams: _EventStreams,
+    op_info: dict,
     bus: TimedBus | ArbitratedBus,
     result: SimulationResult,
-    block_shift: int,
-    shared_low: int,
-    shared_high: int,
+    protocol: Protocol | None = None,
+    caches: list[Cache] | None = None,
+    outcomes: list[list[AccessOutcome | None]] | None = None,
+    resolve=None,
 ) -> None:
-    """The columnar replay loop, over either bus and in either order.
+    """The one event merge: the columnar replay loop, over either bus
+    and in either order, and the merge of every sweep engine.
 
     Makes the decisions of the reference for ``bus`` in the same
     order with the same float arithmetic (``==`` statistics,
     test-pinned): :meth:`Machine._run_legacy` for a
     :class:`TimedBus`, :func:`repro.sim.arbitrated.run_deferred_reference`
-    for an :class:`ArbitratedBus`.
+    for an :class:`ArbitratedBus`.  Writes the per-CPU statistics into
+    ``result`` (whose ``cpus`` it fills) and the bus statistics into
+    ``bus``.
 
+    * Each event is stepped through ``protocol`` over ``caches``
+      (``Machine.run``) or, for a sweep, taken from ``outcomes``:
+      ``outcomes[cpu][i]`` is the :class:`AccessOutcome` of the CPU's
+      event ``i``, or ``None`` to ask ``resolve(cpu, i)``.
     * The runnable processor with the least ``(key, cpu)`` runs next.
       In time order its key is its clock at its last record boundary
       (steals land on the clock, not the key); in trace order
@@ -493,47 +487,38 @@ def _run_columnar(
       ``ArbitratedBus``, at or before the next arbitration instant,
       which is cached and recomputed only when a request is posted or
       a grant served.
-    * A ``TimedBus`` grants a bus operation inside the record.  Under
-      an ``ArbitratedBus`` a processor whose operation needs the bus
-      posts the request and *parks* on its suspended record ``(kind,
-      block, outcome, operation index, ready clock)``; once no
+    * A ``TimedBus`` grants a bus operation inside the record; its
+      state lives in locals until the loop ends.  Under an
+      ``ArbitratedBus`` a processor whose operation needs the bus
+      posts the request and *parks* on its suspended record: the
+      operations left, the steals, and the ready clock.  Once no
       runnable key is at or before the arbitration instant, the
-      discipline grants and the winner resumes mid-record.  Steals
-      landing on a parked processor are applied when its grant
+      discipline grants and the winner resumes its burst mid-record.
+      Steals landing on a parked processor are applied when its grant
       arrives.
     * Read hits of ``read_hit_is_free`` protocols use an inline LRU
       probe, with no protocol call.
-    * With proven hits (:func:`_proven_hits`) only event records are
-      scheduled; each span of proven hits before an event is applied
-      lazily.  In time order a cycle steal moves the victim's frontier
-      past the span records that ran before the broadcast's merge
-      position; their deferred touches replay before the victim's
-      next event.  A broadcast at the end of a granted record sits
-      after every record keyed at or before that grant's arbitration
-      instant: the reference ran all of those before granting, and no
-      later request can move the instant below a key already run.
+    * With spans (``streams.prefix``) only event records are
+      scheduled; each span before an event is applied lazily.  In
+      time order a cycle steal moves the victim's frontier past the
+      span records that ran before the broadcast's merge position;
+      their deferred touches replay before the victim's next event.
+      A broadcast at the end of a granted record sits after every
+      record keyed at or before that grant's arbitration instant: the
+      reference ran all of those before granting, and no later
+      request can move the instant below a key already run.
     """
-    total = len(trace)
-    n = trace.cpus
-    if total == 0:
-        return
-    derived = derived_columns(trace, block_shift)
-    op_info = _op_info(costs)
-    set_mask = caches[0].set_mask
-    hits = _proven_hits(
-        protocol, derived, op_info, bus.arbitration_cycles, set_mask,
-        caches[0].geometry.associativity,
-    )
-    spans = hits is not None
-    by_trace = order == "trace"
+    counts = derived.counts
+    n = len(counts)
+    spans = streams.prefix is not None
+    by_trace = streams.trace_keys is not None
     # Only a time-ordered merge keys span records by clock, so only it
     # moves a steal victim's frontier.
     moves_frontier = spans and not by_trace
-    streams = _event_streams(derived, hits, protocol, by_trace)
-    counts = derived.counts
     cpu_events = streams.events
     cpu_prefix = streams.prefix
-    cpu_touches = streams.touches
+    shared_low = derived.shared_low
+    shared_high = derived.shared_high
 
     clocks = [0.0] * n
     waits = [0.0] * n
@@ -543,21 +528,32 @@ def _run_columnar(
     shared_data_misses = 0
     dirty_victims = 0
 
-    handles_flush = protocol.handles_flush
-    fast_hits = protocol.read_hit_is_free
-    fast_shared_loads = fast_hits and protocol.caches_shared_data
-    protocol_access = protocol.access
-    protocol_flush = protocol.flush
+    # ``cpu_steps[cpu]`` decides the CPU's events: its outcomes (a
+    # sweep) or its cache sets, probed and stepped (``Machine.run``).
+    presolved = outcomes is not None
+    if presolved:
+        cpu_steps = outcomes
+    else:
+        handles_flush = protocol.handles_flush
+        fast_hits = protocol.read_hit_is_free
+        fast_shared_loads = fast_hits and protocol.caches_shared_data
+        protocol_access = protocol.access
+        protocol_flush = protocol.flush
+        fetch, load, store = KIND_MEMBERS[:3]
+        set_mask = caches[0].set_mask
+        dirty_state = LineState.DIRTY
+        cpu_steps = [cache.line_sets for cache in caches]
     timed = isinstance(bus, TimedBus)
     if timed:
-        transact = bus.transact
+        arbitration = bus.arbitration_cycles
+        bus_free = bus.free_at
+        bus_busy = bus.busy_cycles
+        bus_arbitration = bus.arbitration_busy_cycles
+        bus_transactions = bus.transactions
     else:
         request = bus.request
         next_grant_at = bus.next_grant_at
         grant_next = bus.grant_next
-    fetch, load, store = KIND_MEMBERS[:3]
-    line_sets = [cache.line_sets for cache in caches]
-    dirty_state = LineState.DIRTY
     infinity = float("inf")
 
     # Per-CPU state.  ``positions[cpu]`` is the first stream record
@@ -594,74 +590,16 @@ def _run_columnar(
     cpu_static = [
         (
             cpu_events[cpu], len(cpu_events[cpu]), streams.kinds[cpu],
-            streams.blocks[cpu], counts[cpu], line_sets[cpu],
+            streams.blocks[cpu], counts[cpu], cpu_steps[cpu],
             cpu_prefix[cpu] if spans else None,
-            cpu_touches[cpu] if spans else None,
+            streams.touches[cpu] if streams.touches else None,
             streams.trace_keys[cpu] if by_trace else None,
         )
         for cpu in range(n)
     ]
     heappush = heapq.heappush
     heappop = heapq.heappop
-
-    def resume(
-        cpu: int,
-        kind_code: int,
-        block: int,
-        outcome,
-        index: int,
-        clock: float,
-        granted: float,
-    ) -> float:
-        """Run ``outcome``'s operations from ``index`` on ``clock``.
-
-        ``granted`` is the service start of the grant that serves
-        operation ``index`` (negative if none).  Returns the clock
-        at the end of the record, or -1.0 once an operation parks
-        on a posted request.
-        """
-        nonlocal fetch_misses, data_misses, shared_data_misses
-        nonlocal dirty_victims
-        operations = outcome.operations
-        while index < len(operations):
-            cpu_cycles, bus_cycles, is_miss, is_dirty, counter = op_info[
-                operations[index]
-            ]
-            if bus_cycles > 0.0:
-                if timed:
-                    granted = transact(clock, bus_cycles)[0]
-                elif granted < 0.0:
-                    request(cpu, clock, bus_cycles)
-                    parked[cpu] = (kind_code, block, outcome, index, clock)
-                    return -1.0
-                waits[cpu] += granted - clock
-                clock = granted + cpu_cycles
-                granted = -1.0
-                if deferred_steals[cpu]:
-                    clock += float(deferred_steals[cpu])
-                    deferred_steals[cpu] = 0
-            else:
-                clock += cpu_cycles
-            counter[0] += 1
-            if is_miss:
-                if kind_code == 0:
-                    fetch_misses += 1
-                else:
-                    data_misses += 1
-                    if shared_low <= block < shared_high:
-                        shared_data_misses += 1
-                if is_dirty:
-                    dirty_victims += 1
-            index += 1
-        return clock
-
-    def delay(cpu: int) -> None:
-        """Move runnable ``cpu``'s merge key one cycle later."""
-        for index, (key, candidate) in enumerate(runnable):
-            if candidate == cpu:
-                runnable[index] = (key + 1.0, cpu)
-                heapq.heapify(runnable)
-                return
+    heappushpop = heapq.heappushpop
 
     def broadcast(victims, at_key: float, at_cpu: int) -> None:
         """Land one stolen cycle on each victim; the broadcast sits
@@ -679,76 +617,73 @@ def _run_columnar(
             if fk > at_key or (fk == at_key and victim > at_cpu):
                 # The victim's frontier record had not run yet, so
                 # the steal is in every key from it onwards.
-                if positions[victim] < next_event[victim]:
-                    delay(victim)
-                continue
-            # Span records up to the merge position already ran:
-            # advance the frontier past them, then land the steal
-            # before the rest.  Span record ``m``'s key is the
-            # pre-steal clock plus the fetch prefix from the old
-            # frontier, so the new frontier follows the fetch that
-            # reaches the merge position.  Their deferred MRU touches
-            # stay pending: the victim's burst replays every touch
-            # before its next event, even when the frontier lands on
-            # that event and leaves it an empty span.
-            prefix = cpu_prefix[victim]
-            position = positions[victim]
-            base = prefix[position]
-            target = int(at_key - pre_clock) + base
-            if victim < at_cpu:
-                target += 1
-            if target <= base:
-                frontier = position + 1
+                if positions[victim] >= next_event[victim]:
+                    continue
             else:
-                frontier = bisect_left(prefix, target)
-            advance = prefix[frontier] - base
-            if advance:
-                clocks[victim] += advance
-            positions[victim] = frontier
-            frontier_keys[victim] = pre_clock + advance
-            if frontier < next_event[victim]:
-                delay(victim)
-
-    def settle(cpu: int, clock: float) -> float:
-        """Close ``cpu``'s record at ``next_event[cpu]``, which ended
-        at ``clock``; return the (time-order) key of its next event."""
-        position = next_event[cpu] + 1
-        ev = event_index[cpu] + 1
-        events = cpu_events[cpu]
-        e = events[ev] if ev < len(events) else counts[cpu]
-        positions[cpu] = position
-        event_index[cpu] = ev
-        next_event[cpu] = e
-        clocks[cpu] = clock
-        frontier_keys[cpu] = clock
-        if e > position:
-            prefix = cpu_prefix[cpu]
-            return clock + (prefix[e] - prefix[position])
-        return clock
+                # Span records up to the merge position already ran:
+                # advance the frontier past them, then land the steal
+                # before the rest.  Span record ``m``'s key is the
+                # pre-steal clock plus the fetch prefix from the old
+                # frontier, so the new frontier follows the fetch that
+                # reaches the merge position.  Their deferred MRU
+                # touches stay pending: the victim's burst replays
+                # every touch before its next event, even when the
+                # frontier lands on that event and leaves it an empty
+                # span.
+                prefix = cpu_prefix[victim]
+                position = positions[victim]
+                base = prefix[position]
+                target = int(at_key - pre_clock) + base
+                if victim < at_cpu:
+                    target += 1
+                if target <= base:
+                    frontier = position + 1
+                else:
+                    frontier = bisect_left(prefix, target)
+                advance = prefix[frontier] - base
+                if advance:
+                    clocks[victim] += advance
+                positions[victim] = frontier
+                frontier_keys[victim] = pre_clock + advance
+                if frontier >= next_event[victim]:
+                    continue
+            # A span record is pending, so the steal is in the
+            # victim's merge key: move it one cycle later.
+            for index, (key, candidate) in enumerate(runnable):
+                if candidate == victim:
+                    runnable[index] = (key + 1.0, victim)
+                    heapq.heapify(runnable)
+                    break
 
     waiting = 0  # CPUs parked on a posted request
     decision = infinity  # next arbitration instant, if any pending
+    granted = -1.0  # service start of the grant being resumed
+    handoff = False  # the last burst's exchange already chose ``cpu``
     while True:
-        if not runnable or runnable[0][0] > decision:
+        if not handoff and (
+            not runnable or (waiting and runnable[0][0] > decision)
+        ):
             if not waiting:
                 break
             # Everyone keyed at or before the arbitration instant
-            # has run: the discipline picks among the posted.
-            granted_at = decision
-            winner, start, _ = grant_next()
-            kind_code, block, outcome, index, ready = parked[winner]
-            parked[winner] = None
-            clock = resume(
-                winner, kind_code, block, outcome, index, ready, start
-            )
-            if clock >= 0.0:
-                waiting -= 1
-                if outcome.steal_from:
-                    broadcast(outcome.steal_from, granted_at, n)
-                heappush(runnable, (settle(winner, clock), winner))
+            # has run: the discipline picks among the posted, and the
+            # winner resumes its parked record, whose broadcast sits
+            # at merge position ``(instant, n)``.
+            key = decision
+            at_cpu = n
+            cpu, granted, _ = grant_next()
+            operations, steal_from, clock = parked[cpu]
+            outcome = (operations, steal_from)
+            parked[cpu] = None
+            waiting -= 1
             decision = next_grant_at() if waiting else infinity
-            continue
-        key, cpu = heappop(runnable)
+        else:
+            if not handoff:
+                key, cpu = heappop(runnable)
+            handoff = False
+            at_cpu = cpu
+            outcome = None
+            clock = clocks[cpu]
         top_key, top_cpu = runnable[0] if runnable else (infinity, n)
 
         # One burst of ``cpu``: it runs while its key stays at or
@@ -757,84 +692,146 @@ def _run_columnar(
         # here can end a burst early, never late.
         (
             events, event_count, stream_kinds, stream_blocks, count,
-            cpu_sets, prefix, touches, trace_keys,
+            steps, prefix, touches, trace_keys,
         ) = cpu_static[cpu]
         ev = event_index[cpu]
         e = next_event[cpu]
         position = positions[cpu]
-        clock = clocks[cpu]
         while True:
-            if spans:
-                # The span of proven hits before the event: fetch
-                # hits cost one cycle each (loads and local store
-                # hits are free); the deferred MRU touches replay
-                # in program order.  A steal may have advanced the
-                # frontier onto the event itself, so the touches
-                # still pending from before it replay even when the
-                # span left is empty.
-                if e > position:
-                    delta = prefix[e] - prefix[position]
-                    if delta:
-                        clock += delta
-                tp = touch_index[cpu]
-                while tp < len(touches) and touches[tp][0] < e:
-                    _, code, t_block = touches[tp]
-                    tp += 1
-                    cache_set = cpu_sets[t_block & set_mask]
-                    if code == 4:
-                        cache_set.pop(t_block)
-                        cache_set[t_block] = dirty_state
-                    else:
-                        state = cache_set.pop(t_block)
-                        cache_set[t_block] = state
-                touch_index[cpu] = tp
-            if e == count:
-                clocks[cpu] = clock
-                positions[cpu] = count
-                frontier_keys[cpu] = infinity
-                break
-            kind_code = stream_kinds[ev]
-            block = stream_blocks[ev]
-            outcome = NO_ACTION
-            if kind_code == 0:
-                clock += 1.0
-                if fast_hits:
-                    cache_set = cpu_sets[block & set_mask]
-                    state = cache_set.pop(block, 0)
-                    if state:
-                        cache_set[block] = state
-                    else:
-                        outcome = protocol_access(cpu, fetch, block)
+            if outcome is None:
+                if spans:
+                    # The span before the event: fetch hits cost one
+                    # cycle each (loads and local store hits are
+                    # free); the deferred MRU touches replay in
+                    # program order.  A steal may have advanced the
+                    # frontier onto the event itself, so the touches
+                    # still pending from before it replay even when
+                    # the span left is empty.
+                    if e > position:
+                        delta = prefix[e] - prefix[position]
+                        if delta:
+                            clock += delta
+                    if touches:
+                        tp = touch_index[cpu]
+                        while tp < len(touches) and touches[tp][0] < e:
+                            _, code, t_block = touches[tp]
+                            tp += 1
+                            cache_set = steps[t_block & set_mask]
+                            if code == 4:
+                                cache_set.pop(t_block)
+                                cache_set[t_block] = dirty_state
+                            else:
+                                state = cache_set.pop(t_block)
+                                cache_set[t_block] = state
+                        touch_index[cpu] = tp
+                if e == count:
+                    clocks[cpu] = clock
+                    positions[cpu] = count
+                    frontier_keys[cpu] = infinity
+                    break
+                kind_code = stream_kinds[ev]
+                if presolved:
+                    if kind_code == 0:
+                        clock += 1.0
+                    outcome = steps[ev]
+                    if outcome is None:
+                        outcome = resolve(cpu, ev)
                 else:
-                    outcome = protocol_access(cpu, fetch, block)
-            elif kind_code == 1:
-                if fast_shared_loads or (
-                    fast_hits
-                    and not shared_low <= block < shared_high
-                ):
-                    cache_set = cpu_sets[block & set_mask]
-                    state = cache_set.pop(block, 0)
-                    if state:
-                        cache_set[block] = state
-                    else:
-                        outcome = protocol_access(cpu, load, block)
-                else:
-                    outcome = protocol_access(cpu, load, block)
-            elif kind_code == 2:
-                outcome = protocol_access(cpu, store, block)
-            elif handles_flush:
-                outcome = protocol_flush(cpu, block)
+                    block = stream_blocks[ev]
+                    outcome = NO_ACTION
+                    if kind_code == 0:
+                        clock += 1.0
+                        if fast_hits:
+                            cache_set = steps[block & set_mask]
+                            state = cache_set.pop(block, 0)
+                            if state:
+                                cache_set[block] = state
+                            else:
+                                outcome = protocol_access(cpu, fetch, block)
+                        else:
+                            outcome = protocol_access(cpu, fetch, block)
+                    elif kind_code == 1:
+                        if fast_shared_loads or (
+                            fast_hits
+                            and not shared_low <= block < shared_high
+                        ):
+                            cache_set = steps[block & set_mask]
+                            state = cache_set.pop(block, 0)
+                            if state:
+                                cache_set[block] = state
+                            else:
+                                outcome = protocol_access(cpu, load, block)
+                        else:
+                            outcome = protocol_access(cpu, load, block)
+                    elif kind_code == 2:
+                        outcome = protocol_access(cpu, store, block)
+                    elif handles_flush:
+                        outcome = protocol_flush(cpu, block)
+            else:
+                kind_code = stream_kinds[ev]
             if outcome is not NO_ACTION:
-                clock = resume(cpu, kind_code, block, outcome, 0, clock, -1.0)
-                if clock < 0.0:
+                operations, steal_from = outcome
+                for operation in operations:
+                    cpu_cycles, bus_cycles, is_miss, is_dirty, counter = (
+                        op_info[operation]
+                    )
+                    if bus_cycles > 0.0:
+                        if timed:
+                            grant = bus_free if bus_free > clock else clock
+                            if arbitration:
+                                grant += arbitration
+                                bus_arbitration += arbitration
+                            bus_free = grant + bus_cycles
+                            bus_busy += bus_cycles
+                            bus_transactions += 1
+                            if grant > clock:
+                                waits[cpu] += grant - clock
+                            clock = grant + cpu_cycles
+                        elif granted < 0.0:
+                            # Park on the operations left, this one
+                            # first: every bus operation before it was
+                            # served, so it is the first occurrence of
+                            # its operation among ``operations``.
+                            request(cpu, clock, bus_cycles)
+                            parked[cpu] = (
+                                operations[operations.index(operation):],
+                                steal_from,
+                                clock,
+                            )
+                            break
+                        else:
+                            # The resumed record's first operation,
+                            # served by the grant.
+                            waits[cpu] += granted - clock
+                            clock = granted + cpu_cycles
+                            granted = -1.0
+                            operations = operations[1:]
+                            if deferred_steals[cpu]:
+                                clock += float(deferred_steals[cpu])
+                                deferred_steals[cpu] = 0
+                    else:
+                        clock += cpu_cycles
+                    counter[0] += 1
+                    if is_miss:
+                        if kind_code == 0:
+                            fetch_misses += 1
+                        else:
+                            data_misses += 1
+                            if shared_low <= stream_blocks[ev] < shared_high:
+                                shared_data_misses += 1
+                        if is_dirty:
+                            dirty_victims += 1
+                if not timed and parked[cpu] is not None:
                     positions[cpu] = e
                     event_index[cpu] = ev
                     next_event[cpu] = e
                     waiting += 1
                     decision = next_grant_at()
                     break
-                if outcome.steal_from:
-                    broadcast(outcome.steal_from, key, cpu)
+                if steal_from:
+                    broadcast(steal_from, key, at_cpu)
+                at_cpu = cpu
+            outcome = None
             position = e + 1
             ev += 1
             e = events[ev] if ev < event_count else count
@@ -844,21 +841,50 @@ def _run_columnar(
                 key = clock + (prefix[e] - prefix[position])
             else:
                 key = clock
-            if key > decision or key > top_key or (
+            if key > top_key or (
                 key == top_key and cpu > top_cpu
-            ):
+            ) or key > decision:
                 positions[cpu] = position
                 event_index[cpu] = ev
                 next_event[cpu] = e
                 clocks[cpu] = clock
                 frontier_keys[cpu] = clock
-                heappush(runnable, (key, cpu))
+                if waiting:
+                    heappush(runnable, (key, cpu))
+                else:
+                    # Nothing waits on a grant, so the least key runs
+                    # next: exchange in one heap operation.
+                    key, cpu = heappushpop(runnable, (key, cpu))
+                    handoff = True
                 break
 
-    _write_back(
-        result, derived, clocks, waits, steals, op_info,
-        (fetch_misses, data_misses, shared_data_misses, dirty_victims),
+    if timed:
+        bus.free_at = bus_free
+        bus.busy_cycles = bus_busy
+        bus.arbitration_busy_cycles = bus_arbitration
+        bus.transactions = bus_transactions
+    mix = derived.mix
+    result.cpus = [
+        CpuStats(
+            instructions=int(mix[cpu, 0]),
+            loads=int(mix[cpu, 1]),
+            stores=int(mix[cpu, 2]),
+            flushes=int(mix[cpu, 3]),
+            clock=clocks[cpu],
+            wait_cycles=waits[cpu],
+            stolen_cycles=steals[cpu],
+        )
+        for cpu in range(n)
+    ]
+    result.operation_counts = Counter(
+        {op: info[4][0] for op, info in op_info.items() if info[4][0]}
     )
+    result.fetch_misses = fetch_misses
+    result.data_misses = data_misses
+    result.shared_data_misses = shared_data_misses
+    result.dirty_victim_misses = dirty_victims
+    result.shared_loads = derived.shared_loads
+    result.shared_stores = derived.shared_stores
 
 
 @dataclass(frozen=True)
@@ -1163,10 +1189,19 @@ class Machine:
         )
         started = time.perf_counter()
         if engine.reference is not None:
-            _run_columnar(
-                trace, order, self.costs, caches, protocol, bus, result,
-                block_shift, shared_low, shared_high,
-            )
+            # An empty trace leaves every statistic at zero.
+            if len(trace):
+                derived = derived_columns(trace, block_shift)
+                op_info = _op_info(self.costs)
+                hits = _proven_hits(
+                    protocol, derived, op_info, bus.arbitration_cycles,
+                    caches[0].set_mask, geometry.associativity,
+                )
+                _run_columnar(
+                    derived,
+                    _replay_streams(derived, hits, protocol, order == "trace"),
+                    op_info, bus, result, protocol, caches,
+                )
         elif deferred:
             run_deferred_reference(
                 trace, self.costs, protocol, bus, result, block_shift,

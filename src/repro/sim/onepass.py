@@ -15,22 +15,24 @@ alone — the per-geometry work factors cleanly:
    victim's dirtiness), uncached shared read/write-throughs
    (No-Cache), and flushes (Software-Flush).
 
-2. **Merge per geometry** (:func:`repro.sim.family.merge_events`, the
-   one sweep event merge, shared with the Dragon family): hits never
-   touch the bus, never perturb another CPU's clock, and cost exactly
-   their fetch cycles, so the full timing of a run is reconstructible
-   from the event list alone.  Each opcode maps onto its operation's
-   ``machine._op_info`` entry; the merge advances clocks over
-   event-free spans with fetch prefix sums and merges events across
-   CPUs in the exact ``(key, cpu)`` order of ``Machine``'s engines —
-   the resulting :class:`~repro.sim.machine.SimulationResult`
-   statistics are **bit-identical** to a per-config ``Machine.run``
+2. **Merge per geometry** in ``Machine.run``'s replay loop
+   (``machine._run_columnar``, the one event merge, through
+   :func:`repro.sim.family.replay_events`): hits never touch the bus,
+   never perturb another CPU's clock, and cost exactly their fetch
+   cycles, so the full timing of a run is reconstructible from the
+   event list alone.  Each opcode maps onto one shared
+   :class:`~repro.sim.protocols.interface.AccessOutcome`; the loop
+   advances clocks over event-free spans with the family's fetch
+   prefix sums and merges events across CPUs in its exact ``(key,
+   cpu)`` order — the resulting
+   :class:`~repro.sim.machine.SimulationResult` statistics are
+   **bit-identical** to a per-config ``Machine.run``
    (``tests/sim/test_conformance.py`` enforces ``==`` on every counter and
    float).
 
 Dragon takes the epoch-partitioned family engine in
 :mod:`repro.sim.family` instead (the same classifier and the same
-merge, with a resolver for the coupled outcome labels).
+loop, with a resolver for the coupled outcome labels).
 :func:`run_geometry_family` routes by :func:`family_support`, whose
 gates live in the engine registry (:mod:`repro.sim.engines`), and
 falls back to one exact ``Machine.run`` per configuration wherever no
@@ -50,14 +52,17 @@ from repro.sim.engines import (
     ONEPASS_PROTOCOLS,
     family_support,
 )
-from repro.sim.family import family_views, merge_events, run_coupled_family
+from repro.sim.family import replay_events, run_coupled_family
 from repro.sim.machine import (
     Machine,
     SimulationConfig,
     SimulationResult,
+    _event_streams,
+    _fetch_prefixes,
     _op_info,
 )
 from repro.sim.protocols import Protocol, protocol_class
+from repro.sim.protocols.interface import AccessOutcome
 from repro.sim.segment import classify_lru
 from repro.trace.derived import derived_columns
 from repro.trace.records import Trace, validate_cpus
@@ -68,15 +73,18 @@ __all__ = [
     "run_geometry_family",
 ]
 
-# Operation of each classifier opcode (``repro.sim.segment.CLEAN_MISS``
+# Outcome of each classifier opcode (``repro.sim.segment.CLEAN_MISS``
 # through ``DIRTY_FLUSH``), in opcode order.
-_EVENT_OPERATIONS = (
-    Operation.CLEAN_MISS_MEMORY,
-    Operation.DIRTY_MISS_MEMORY,
-    Operation.READ_THROUGH,
-    Operation.WRITE_THROUGH,
-    Operation.CLEAN_FLUSH,
-    Operation.DIRTY_FLUSH,
+_EVENT_OUTCOMES = tuple(
+    AccessOutcome((operation,))
+    for operation in (
+        Operation.CLEAN_MISS_MEMORY,
+        Operation.DIRTY_MISS_MEMORY,
+        Operation.READ_THROUGH,
+        Operation.WRITE_THROUGH,
+        Operation.CLEAN_FLUSH,
+        Operation.DIRTY_FLUSH,
+    )
 )
 
 
@@ -163,13 +171,16 @@ def run_geometry_family(
     events = classify_lru(
         derived, geometries, cls.handles_flush, cls.caches_shared_data
     )
-    views = family_views(derived)
+    prefixes = _fetch_prefixes(derived)
     results: dict[int, SimulationResult] = {}
     for (size, config), cpu_events in zip(configs.items(), events):
-        # Fresh counters per configuration; every opcode maps onto one
-        # operation, so an event's info tuple is shared, not rebuilt.
-        op_info = _op_info(table)
-        infos = [(op_info[op],) for op in _EVENT_OPERATIONS]
+        streams = _event_streams(
+            derived,
+            [positions for positions, _, _ in cpu_events],
+            prefixes,
+            None,
+            order == "trace",
+        )
         result = SimulationResult(
             protocol=cls.name,
             trace_name=trace.name,
@@ -177,17 +188,17 @@ def run_geometry_family(
             engine=ONEPASS.label,
             records_replayed=len(trace),
         )
-        results[size] = merge_events(
+        # Fresh counters per configuration; every opcode maps onto one
+        # shared outcome.
+        results[size] = replay_events(
             result,
-            order,
             derived,
-            views,
-            [positions for positions, _, _ in cpu_events],
+            streams,
+            _op_info(table),
             [
-                [infos[code] for code in opcodes]
+                [_EVENT_OUTCOMES[code] for code in opcodes]
                 for _, opcodes, _ in cpu_events
             ],
-            op_info,
         )
     note_replay(len(trace), ONEPASS.label)
     wall = time.perf_counter() - started

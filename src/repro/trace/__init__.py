@@ -32,7 +32,7 @@ from repro.trace.synthetic import SyntheticWorkload, TraceConfig, generate_trace
 from repro.trace.flushing import FLUSH_POLICIES, apply_flush_policy, implied_apl
 from repro.trace.io import load_trace, save_trace
 from repro.trace.stats import TraceStats, collect_stats, shared_run_lengths
-from repro.trace.workloads import WORKLOAD_PRESETS, preset
+from repro.trace.workloads import WORKLOAD_PRESETS, preset, preset_trace
 
 __all__ = [
     "AccessType",
@@ -56,6 +56,7 @@ __all__ = [
     "generate_trace",
     "load_trace",
     "preset",
+    "preset_trace",
     "save_trace",
     "shared_run_lengths",
 ]

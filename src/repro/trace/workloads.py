@@ -15,12 +15,14 @@ The presets are recipes, not traces: call ``preset("pops").generate()``
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
+from repro.trace.records import Trace
 from repro.trace.synthetic import SyntheticWorkload, TraceConfig
 
-__all__ = ["WORKLOAD_PRESETS", "preset"]
+__all__ = ["WORKLOAD_PRESETS", "preset", "preset_trace"]
 
 
 def _presets() -> Mapping[str, SyntheticWorkload]:
@@ -133,3 +135,17 @@ def preset(name: str) -> SyntheticWorkload:
     except KeyError:
         known = ", ".join(sorted(WORKLOAD_PRESETS))
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
+
+
+@lru_cache(maxsize=16)
+def preset_trace(name: str, records_per_cpu: int | None = None) -> Trace:
+    """Preset ``name``'s trace at ``records_per_cpu`` records per CPU
+    (``None``: the recipe's own length), generated once per process.
+
+    The experiments share these traces instead of regenerating the
+    same preset per experiment; callers must not modify them.
+    """
+    recipe = preset(name)
+    if records_per_cpu is None:
+        return recipe.generate()
+    return recipe.generate(records_per_cpu=records_per_cpu)

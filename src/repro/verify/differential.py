@@ -73,6 +73,7 @@ from repro.sim.engines import (
 from repro.sim.machine import Machine, SimulationConfig, SimulationResult
 from repro.sim.measure import measure_workload_params
 from repro.sim.onepass import run_geometry_family
+from repro.sim.protocols import Protocol
 from repro.trace.records import Trace
 from repro.verify.fuzzer import FuzzCase, generate_case
 from repro.verify.invariants import (
@@ -572,14 +573,22 @@ def _check_model(
 
 
 def _failure_predicate(
-    failure: FuzzFailure, config: SimulationConfig
+    failure: FuzzFailure,
+    config: SimulationConfig,
+    protocol: str | type[Protocol] | None = None,
 ) -> Callable[[Trace], bool] | None:
     """A pure 'does this trace still fail the same check' predicate.
+
+    ``protocol`` defaults to the failure's protocol name; the explorer
+    passes the class it explored, so a counterexample found on a
+    deliberately broken subclass shrinks against that same subclass,
+    under the criterion ``swcc fuzz --replay`` applies.
 
     Model-band failures are statistical properties of whole workloads,
     not of any single record, so they are not minimizable.
     """
-    protocol = failure.protocol
+    if protocol is None:
+        protocol = failure.protocol
     stage, _, arg = failure.check.partition(":")
 
     def predicate(trace: Trace) -> bool:

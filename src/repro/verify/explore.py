@@ -88,8 +88,8 @@ from repro.trace.records import (
 )
 from repro.verify.differential import (
     FuzzFailure,
+    _failure_predicate,
     engine_divergence,
-    oracle_run,
 )
 from repro.verify.invariants import (
     InvariantViolation,
@@ -109,7 +109,6 @@ __all__ = [
     "validate_lines",
     "validate_max_states",
     "validate_sets",
-    "violation_predicate",
     "write_counterexample",
 ]
 
@@ -591,37 +590,6 @@ def explore_protocol(
 # -- counterexample minimization and artifacts ---------------------------
 
 
-def violation_predicate(
-    violation: ExploreViolation, protocol, config: SimulationConfig
-):
-    """A pure "does this trace still fail the same check" predicate.
-
-    Unlike :func:`repro.verify.differential._failure_predicate` this
-    accepts ``protocol`` as a name *or a class*, so counterexamples
-    found while exploring a deliberately broken subclass shrink
-    against that same subclass.
-    """
-    check = violation.failure.check
-
-    if check.startswith("oracle"):
-
-        def predicate(trace: Trace) -> bool:
-            try:
-                oracle_run(trace, config, protocol, order="trace")
-            except OracleViolation:
-                return True
-            return False
-
-        return predicate
-
-    def predicate(trace: Trace) -> bool:
-        return (
-            _conformance_divergence(trace, config, protocol) is not None
-        )
-
-    return predicate
-
-
 def write_counterexample(
     violation: ExploreViolation,
     protocol,
@@ -633,14 +601,16 @@ def write_counterexample(
 
     Returns the artifact path and the minimized trace.  The artifact
     is a standard ``swcc-fuzz-failure``, so ``swcc fuzz --replay``
-    re-runs the failed check on it without the explorer.
+    re-runs the failed check on it without the explorer; minimization
+    keeps the trace failing under that same predicate, evaluated on
+    ``protocol`` (a name or the explored class).
     """
     from repro.verify.artifact import (
         failure_artifact,
         write_failure_artifact,
     )
 
-    predicate = violation_predicate(violation, protocol, config)
+    predicate = _failure_predicate(violation.failure, config, protocol)
     minimized = minimize_failing_trace(
         violation.trace, predicate, max_checks=max_checks
     )

@@ -130,6 +130,40 @@ class TestEpochProvenance:
         assert engine == "epoch"
 
 
+class TestOneEventMerge:
+    """Both sweep engines merge their events in ``Machine.run``'s
+    replay loop: one ``_run_columnar`` call per geometry, each filling
+    the result it returns."""
+
+    @pytest.mark.parametrize(
+        "protocol, engine",
+        [("base", "onepass"), ("nocache", "onepass"),
+         ("swflush", "onepass"), ("dragon", "epoch")],
+    )
+    @pytest.mark.parametrize("order", ["time", "trace"])
+    def test_one_replay_loop_call_per_geometry(
+        self, seeded_trace, monkeypatch, protocol, engine, order
+    ):
+        import repro.sim.family as family
+
+        filled = []
+        real = family._run_columnar
+
+        def spy(derived, streams, op_info, bus, result, *args, **kwargs):
+            filled.append(result)
+            return real(derived, streams, op_info, bus, result, *args, **kwargs)
+
+        monkeypatch.setattr(family, "_run_columnar", spy)
+        results = run_geometry_family(
+            protocol, seeded_trace, SIZES, order=order
+        )
+        assert {result.engine for result in results.values()} == {engine}
+        assert len(filled) == len(SIZES)
+        assert {id(result) for result in filled} == {
+            id(result) for result in results.values()
+        }
+
+
 # -- Hypothesis: exactness on arbitrary tiny traces --------------------
 
 references = st.lists(

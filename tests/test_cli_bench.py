@@ -9,6 +9,7 @@ in, so the benchmark subprocess is stubbed: the stub writes a canned
 import json
 import subprocess
 import types
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +132,35 @@ class TestBenchRegressionGate:
         )
         assert code == 2
         assert "cannot read baseline" in capsys.readouterr().err
+
+
+class TestCommittedBaseline:
+    """The committed baseline keeps summary statistics only: ``swcc
+    bench`` reads ``stats.min`` and ``extra_info.speedup``, never the
+    raw samples."""
+
+    path = (
+        Path(__file__).resolve().parents[1]
+        / "benchmarks"
+        / "baseline_micro.json"
+    )
+
+    def test_holds_no_raw_samples(self):
+        entries = json.loads(self.path.read_text())["benchmarks"]
+        assert entries
+        assert not [e["name"] for e in entries if "data" in e["stats"]]
+
+    def test_loads_in_the_regression_diff(self, monkeypatch, capsys):
+        entries = json.loads(self.path.read_text())["benchmarks"]
+        monkeypatch.setattr(subprocess, "run", fake_benchmark_run(entries))
+        code = main(
+            [
+                "bench",
+                "benchmarks/bench_micro.py",
+                "--baseline", str(self.path),
+                "--max-regression", "1.5",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert all(entry["name"] in out for entry in entries)

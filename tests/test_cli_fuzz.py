@@ -55,6 +55,14 @@ class TestJobsValidation:
         err = capsys.readouterr().err
         assert "--jobs" in err
 
+    def test_negative_jobs_exits_with_the_library_message(self, capsys):
+        # `swcc run --jobs -1`: the shared validator shim turns
+        # validate_jobs's rejection into argparse's exit 2.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--jobs", "-1"])
+        assert excinfo.value.code == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

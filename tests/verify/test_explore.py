@@ -21,7 +21,8 @@ from repro.verify import (
     write_counterexample,
 )
 from repro.verify.artifact import _rebuild
-from repro.verify.explore import path_trace, violation_predicate
+from repro.verify.differential import _failure_predicate
+from repro.verify.explore import path_trace
 
 SMALL = ExploreBounds(cpus=2, lines=1, sets=1, depth=8, conformance=32)
 
@@ -180,8 +181,8 @@ class TestMutantYieldsCounterexample:
         artifact = load_failure_artifact(path)
         rebuilt_trace, rebuilt_config = _rebuild(artifact)
         assert rebuilt_config == bounds.config
-        predicate = violation_predicate(
-            report.violation, BrokenWti, bounds.config
+        predicate = _failure_predicate(
+            report.violation.failure, bounds.config, BrokenWti
         )
         assert predicate(rebuilt_trace)
         # swcc fuzz --replay checks the *real* wti, which is clean.
@@ -235,8 +236,8 @@ class TestHybridMutantYieldsCounterexample:
         assert path.exists()
         assert len(minimized) <= len(report.violation.trace)
         artifact = load_failure_artifact(path)
-        predicate = violation_predicate(
-            report.violation, BrokenHybrid, bounds.config
+        predicate = _failure_predicate(
+            report.violation.failure, bounds.config, BrokenHybrid
         )
         rebuilt_trace, _ = _rebuild(artifact)
         assert predicate(rebuilt_trace)
@@ -265,19 +266,25 @@ class TestEpochFamilyConformance:
         assert report.exhaustive
         assert engines and set(engines) == {"epoch"}
 
-    def test_family_mutant_yields_counterexample(self, monkeypatch):
+    @pytest.fixture
+    def forgetful_family(self, monkeypatch):
+        """Bug: the family resolver drops every broadcast's cycle-steal
+        charges (the sharers' clocks never move)."""
         import repro.sim.family as family
 
-        real = family.merge_events
+        real = family.replay_events
 
-        def forgets_steals(*args, resolve=None):
-            # Bug: the family resolver drops every broadcast's
-            # cycle-steal charges (the sharers' clocks never move).
-            return real(
-                *args, resolve=lambda cpu, i: (resolve(cpu, i)[0], ())
-            )
+        def forgets_steals(*args):
+            *head, resolve = args
 
-        monkeypatch.setattr(family, "merge_events", forgets_steals)
+            def resolve_without_steals(cpu, i):
+                return resolve(cpu, i)._replace(steal_from=())
+
+            return real(*head, resolve_without_steals)
+
+        monkeypatch.setattr(family, "replay_events", forgets_steals)
+
+    def test_family_mutant_yields_counterexample(self, forgetful_family):
         report = explore_protocol("dragon", SMALL)
         violation = report.violation
         assert violation is not None
@@ -286,6 +293,24 @@ class TestEpochFamilyConformance:
         assert "steals" in violation.failure.message
         # Shortest trigger: a remote fill, then the broadcasting store.
         assert len(violation.trace) == 2
+
+    def test_counterexample_minimizes_and_replays_alike(
+        self, forgetful_family, tmp_path
+    ):
+        # The explorer shrinks under the predicate `swcc fuzz --replay`
+        # applies, so the minimized artifact reproduces on replay
+        # while the bug is present.
+        report = explore_protocol("dragon", SMALL)
+        violation = report.violation
+        path, minimized = write_counterexample(
+            violation, "dragon", report.bounds.config, tmp_path
+        )
+        assert _failure_predicate(
+            violation.failure, report.bounds.config
+        )(minimized)
+        replayed = replay_artifact(load_failure_artifact(path))
+        assert replayed is not None
+        assert replayed.check == "onepass-diff:trace"
 
 
 class TestPathTrace:
