@@ -9,8 +9,8 @@ discipline replay times and the pure bus request/grant throughput, and
 arbitrated replay must stay within ``_OVERHEAD_CEILING``x of the
 columnar engine, so the deferred-grant loop never quietly decays into
 something pathological.  ``test_round_robin_speedup`` records the
-columnar deferred-grant loop against the generator-driven reference it
-replaced (``engine="legacy"`` under round-robin), both sides timed in
+columnar deferred-grant loop against the generator-driven reference
+(``engine="legacy"`` under round-robin), both sides timed in
 alternating rounds with the garbage collector off, and enforces
 ``_ROUND_ROBIN_FLOOR``.
 
@@ -70,7 +70,7 @@ _SMOKE_OVERHEAD_CEILING = 2.0
 
 #: Round-robin Dragon: the columnar deferred-grant loop must beat the
 #: generator-driven reference by at least this factor (measured
-#: ~6x, both sides gc-disabled).
+#: ~5-6x, both sides gc-disabled).
 _ROUND_ROBIN_FLOOR = 4.0
 
 #: The folded fcfs path: integral overhead added inside the synchronous

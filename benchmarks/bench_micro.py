@@ -191,7 +191,7 @@ def test_simulator_trace_order(benchmark, small_trace, protocol):
 
 @pytest.mark.parametrize("protocol", ["base", "dragon"])
 def test_simulator_legacy_reference(benchmark, small_trace, protocol):
-    """The retained record-loop engine, so the history shows both."""
+    """The reference record loop, so the history shows both."""
     machine = Machine(protocol, SimulationConfig())
     result = benchmark.pedantic(
         machine.run, args=(small_trace,), kwargs={"engine": "legacy"},

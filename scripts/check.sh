@@ -84,12 +84,12 @@ python benchmarks/bench_coupled.py --smoke
 
 echo "== bus arbitration disciplines: exactness + overhead smoke =="
 # fcfs bit-exactness (arbitrated engine vs columnar, plus the folded
-# columnar+arb path vs the deferred reference), round-robin
-# bit-exactness (arbitrated engine vs the generator-driven
-# deferred-grant reference), the oracle invariants for every
-# registered discipline, then the deferred-grant overhead ceiling (2x
-# in smoke; the recorded baseline enforces 1.6x) and the
-# folded-overhead parity ceiling (1.5x).
+# columnar+arb path vs the reference), round-robin bit-exactness
+# (arbitrated engine vs the reference loop over the deferred-grant
+# bus), the oracle invariants for every registered discipline, then
+# the deferred-grant overhead ceiling (2x in smoke; the recorded
+# baseline enforces 1.6x) and the folded-overhead parity ceiling
+# (1.5x).
 python benchmarks/bench_bus.py --smoke
 
 echo "== all checks passed =="

@@ -322,11 +322,9 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_params(args: argparse.Namespace) -> int:
     from repro.sim import SimulationConfig, measure_workload_params
-    from repro.trace import preset
+    from repro.trace import preset_trace
 
-    trace = preset(args.workload).generate(
-        records_per_cpu=args.records if args.records else None
-    )
+    trace = preset_trace(args.workload, args.records or None)
     config = SimulationConfig(cache_bytes=args.cache_kb * 1024)
     params = measure_workload_params(trace, config)
     print(f"workload {args.workload!r}, {len(trace)} records, "
@@ -355,11 +353,9 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.trace.flushing import apply_flush_policy, implied_apl
 
     if args.trace_action == "generate":
-        recipe = preset(args.workload)
-        trace = recipe.generate(
-            records_per_cpu=args.records if args.records else None,
-            seed=args.seed if args.seed is not None else None,
-        )
+        # Only the options given override the preset's recipe.
+        overrides = {"records_per_cpu": args.records} if args.records else {}
+        trace = preset(args.workload).generate(seed=args.seed, **overrides)
         if args.policy != "section":
             trace = apply_flush_policy(trace, args.policy)
         save_trace(trace, args.output)

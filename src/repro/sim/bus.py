@@ -230,10 +230,6 @@ class ArbitratedBus:
         self._rotation = 0  # round-robin: first CPU considered next
         self._batch: list[int] = []  # frozen grant window, head first
 
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)
-
     def request(self, cpu: int, ready_at: float, hold_cycles: float) -> None:
         """Post ``cpu``'s transaction; it is granted later.
 

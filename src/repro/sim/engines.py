@@ -8,13 +8,13 @@ engine diffs and ``tests/sim/test_conformance.py`` read this table.
 It imports no engine, so every engine module imports it at module
 level.
 
-There are two replay references, since grant timing differs by design
-once steals or invalidations couple the CPUs (they agree under fcfs
-for the geometry-local protocols only): ``legacy``, the record loop
-``Machine._run_legacy`` over the synchronous fcfs ``TimedBus``, and
-``deferred``, ``run_deferred_reference`` over the ``ArbitratedBus``.
-The sweeps' reference, ``machine``, is one ``Machine.run`` per
-configuration.
+There is one replay reference loop, ``machine._run_reference``, and
+two replay reference contracts, one per bus, since grant timing
+differs by design once steals or invalidations couple the CPUs (the
+buses agree under fcfs for the geometry-local protocols only):
+``legacy``, the reference over the synchronous fcfs ``TimedBus``, and
+``deferred``, the reference over the ``ArbitratedBus``.  The sweeps'
+reference, ``machine``, is one ``Machine.run`` per configuration.
 """
 
 from __future__ import annotations

@@ -60,7 +60,11 @@ from repro.sim.machine import (
     _op_info,
     _run_columnar,
 )
-from repro.sim.protocols.dragon import DragonProtocol, DragonStats
+from repro.sim.protocols.dragon import (
+    _MISS_OPERATION,
+    DragonProtocol,
+    DragonStats,
+)
 from repro.sim.protocols.interface import NO_ACTION, AccessOutcome
 from repro.sim.segment import DIRTY_MISS, classify_lru
 from repro.trace.derived import DerivedColumns, derived_columns
@@ -76,14 +80,9 @@ _DIRTY = 1
 _SHARED_CLEAN = 2
 _SHARED_DIRTY = 3
 
-_MISS_OP = {
-    # (supplied_from_cache, dirty_victim) — mirror of dragon._MISS_OPERATION.
-    (False, False): Operation.CLEAN_MISS_MEMORY,
-    (False, True): Operation.DIRTY_MISS_MEMORY,
-    (True, False): Operation.CLEAN_MISS_CACHE,
-    (True, True): Operation.DIRTY_MISS_CACHE,
+_MISS_OUTCOMES = {
+    key: AccessOutcome((op,)) for key, op in _MISS_OPERATION.items()
 }
-_MISS_OUTCOMES = {key: AccessOutcome((op,)) for key, op in _MISS_OP.items()}
 
 
 def replay_events(
@@ -264,7 +263,7 @@ def _run_dragon(
         stats=stats,
         cpu_range=cpu_range,
         miss_outcomes=_MISS_OUTCOMES,
-        miss_op=_MISS_OP,
+        miss_op=_MISS_OPERATION,
         bcast=bcast,
     ) -> AccessOutcome:
         """Apply one epoch boundary's protocol actions (exact

@@ -15,11 +15,11 @@ slightly distorted"), which it verified to be benign.
 Replay engines
 --------------
 
-``Machine.run`` has one fast replay loop and two reference loops.  The
-fast loop is held ``==`` (every counter and float clock) to whichever
-reference specifies the bus it runs over.  The labels, their gates and
-their reference contracts are declared once, in
-:mod:`repro.sim.engines`.  The fast loop, :func:`_run_columnar`, is
+``Machine.run`` has one fast replay loop and one reference loop, and
+each runs over either bus.  The fast loop is held ``==`` (every
+counter and float clock) to the reference over the same bus.  The
+labels, their gates and their reference contracts are declared once,
+in :mod:`repro.sim.engines`.  The fast loop, :func:`_run_columnar`, is
 also the one event merge of the cache-size sweeps
 (:mod:`repro.sim.onepass`, :mod:`repro.sim.family`), which hand it
 each event's outcome instead of a protocol to step.
@@ -54,13 +54,11 @@ each event's outcome instead of a protocol to step.
 * Under ``order="trace"`` (``TimedBus`` only) a pending event's merge
   key is its trace position, so records run in trace order and a
   cycle steal lands only on the victim's clock.
-* References: the original straightforward record loop
-  (``Machine._run_legacy``) over the ``TimedBus`` — the executable
-  specification of the replay semantics — and the generator-driven
-  deferred-grant loop
-  (:func:`repro.sim.arbitrated.run_deferred_reference`);
-  ``tests/sim/test_conformance.py`` and ``swcc fuzz`` hold the fast
-  loop to them.
+* The reference, :func:`_run_reference`, is the executable
+  specification of the replay semantics: one generator per processor
+  steps the protocol a record at a time, and the two buses differ
+  only in how it is granted.  ``tests/sim/test_conformance.py`` and
+  ``swcc fuzz`` hold the fast loop to it over both buses.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ from repro.core.operations import (
     CostTable,
 )
 from repro.obs.metrics import note_replay
-from repro.sim.arbitrated import run_deferred_reference
 from repro.sim.bus import (
     ArbitratedBus,
     TimedBus,
@@ -298,7 +295,7 @@ def _proven_hits(
         run_group = keys_grouped[run_starts]
         run_last = np.empty(len(run_starts), dtype=np.int64)
         run_last[:-1] = run_starts[1:] - 1
-        run_last[-1] = total - 1
+        run_last[-1:] = total - 1  # a no-op on an empty trace
         run_last_leaves = leaves_grouped[run_last]
         prev_run_ok = np.zeros(len(run_starts), dtype=bool)
         prev_run_ok[1:] = (
@@ -452,6 +449,142 @@ def _replay_streams(
     )
 
 
+def _run_reference(
+    trace: Trace,
+    order: str,
+    costs: CostTable,
+    protocol: Protocol,
+    bus: TimedBus | ArbitratedBus,
+    result: SimulationResult,
+    block_shift: int,
+    is_shared_block,
+) -> None:
+    """The replay reference: the executable specification of the replay
+    semantics over either bus, which :func:`_run_columnar` is held
+    ``==`` to.  Accumulates into ``result`` and ``bus``.
+
+    Each processor is a generator that steps the protocol once per
+    record and yields ``None`` at every record boundary.  Buses differ
+    only in how a bus operation is served: a :class:`TimedBus` grants
+    it inside the record, in call order; under an
+    :class:`ArbitratedBus` the processor posts the request and parks
+    (``yield "bus"``) until the discipline grants it.  A cycle steal
+    lands on the victim's clock at once, or, while the victim is
+    parked, when its grant arrives.
+
+    ``order="trace"`` (``TimedBus`` only) runs the records as the trace
+    lists them.  In time order the runnable processor with the least
+    ``(key, cpu)`` runs one record, where its key is its clock at its
+    last record boundary (steals land on the clock, not the key).
+    Every processor keyed at or before the arbitration instant runs
+    before the discipline grants, so the pending pool holds everyone
+    present at the decision.
+    """
+    cpu_cost = {op: cost.cpu_cycles for op, cost in costs.items()}
+    bus_cost = {op: cost.channel_cycles for op, cost in costs.items()}
+    stats = result.cpus
+    op_counts = result.operation_counts
+    handles_flush = protocol.handles_flush
+    timed = isinstance(bus, TimedBus)
+    fetch = AccessType.INST_FETCH
+    store = AccessType.STORE
+    flush = AccessType.FLUSH
+    n = trace.cpus
+
+    streams: list[list] = [[] for _ in range(n)]
+    for record in trace.records:
+        streams[record.cpu].append(record)
+    parked = [False] * n
+    deferred_steals = [0] * n
+
+    def stream(cpu: int):
+        cpu_stats = stats[cpu]
+        for _, kind, address in streams[cpu]:
+            block = address >> block_shift
+            if kind is flush:
+                cpu_stats.flushes += 1
+                if not handles_flush:
+                    yield None
+                    continue
+                outcome = protocol.flush(cpu, block)
+            else:
+                if kind is fetch:
+                    cpu_stats.instructions += 1
+                    cpu_stats.clock += 1.0
+                else:
+                    shared = is_shared_block(block)
+                    if kind is store:
+                        cpu_stats.stores += 1
+                        if shared:
+                            result.shared_stores += 1
+                    else:
+                        cpu_stats.loads += 1
+                        if shared:
+                            result.shared_loads += 1
+                outcome = protocol.access(cpu, kind, block)
+            for operation in outcome.operations:
+                hold = bus_cost[operation]
+                if hold > 0.0:
+                    ready = cpu_stats.clock
+                    if timed:
+                        start, wait = bus.transact(ready, hold)
+                    else:
+                        bus.request(cpu, ready, hold)
+                        parked[cpu] = True
+                        start = yield "bus"
+                        parked[cpu] = False
+                        wait = start - ready
+                    cpu_stats.wait_cycles += wait
+                    cpu_stats.clock = start + cpu_cost[operation]
+                    if deferred_steals[cpu]:
+                        cpu_stats.clock += float(deferred_steals[cpu])
+                        deferred_steals[cpu] = 0
+                else:
+                    cpu_stats.clock += cpu_cost[operation]
+                op_counts[operation] += 1
+                if operation in MISS_OPERATIONS:
+                    if kind is fetch:
+                        result.fetch_misses += 1
+                    else:
+                        result.data_misses += 1
+                        if is_shared_block(block):
+                            result.shared_data_misses += 1
+                    if operation in DIRTY_VICTIM_OPERATIONS:
+                        result.dirty_victim_misses += 1
+            for victim in outcome.steal_from:
+                if parked[victim]:
+                    deferred_steals[victim] += 1
+                else:
+                    stats[victim].clock += 1.0
+                stats[victim].stolen_cycles += 1
+            yield None
+
+    generators = [stream(cpu) for cpu in range(n)]
+    if order == "trace":
+        for cpu in trace.cpu.tolist():
+            next(generators[cpu])
+        return
+    # Ascending CPU ids at equal keys: already a heap.
+    runnable = [(0.0, cpu) for cpu in range(n) if streams[cpu]]
+    waiting = 0  # CPUs parked on a posted request
+    while True:
+        if waiting and (
+            not runnable or runnable[0][0] > bus.next_grant_at()
+        ):
+            cpu, start, _ = bus.grant_next()
+            waiting -= 1
+            token = generators[cpu].send(start)
+        elif runnable:
+            _, cpu = heapq.heappop(runnable)
+            token = next(generators[cpu], "done")
+        else:
+            break
+        if token is None:
+            heapq.heappush(runnable, (stats[cpu].clock, cpu))
+        elif token == "bus":
+            waiting += 1
+
+
 def _run_columnar(
     derived: DerivedColumns,
     streams: _EventStreams,
@@ -466,11 +599,9 @@ def _run_columnar(
     """The one event merge: the columnar replay loop, over either bus
     and in either order, and the merge of every sweep engine.
 
-    Makes the decisions of the reference for ``bus`` in the same
-    order with the same float arithmetic (``==`` statistics,
-    test-pinned): :meth:`Machine._run_legacy` for a
-    :class:`TimedBus`, :func:`repro.sim.arbitrated.run_deferred_reference`
-    for an :class:`ArbitratedBus`.  Writes the per-CPU statistics into
+    Makes the decisions of :func:`_run_reference` over the same bus in
+    the same order with the same float arithmetic (``==`` statistics,
+    test-pinned).  Writes the per-CPU statistics into
     ``result`` (whose ``cpus`` it fills) and the bus statistics into
     ``bus``.
 
@@ -1128,10 +1259,9 @@ class Machine:
                 discipline the synchronous bus cannot express, over
                 the deferred-grant bus (label ``arbitrated``);
                 ``"arbitrated"`` always runs it over the deferred-grant
-                bus.  ``"legacy"`` runs the reference loop the
-                discipline needs: the original record loop under
-                ``fcfs``, the generator-driven deferred-grant reference
-                otherwise.
+                bus.  ``"legacy"`` runs the reference loop over the
+                bus the discipline needs: the synchronous bus under
+                ``fcfs``, the deferred-grant bus otherwise.
         """
         if order not in ("time", "trace"):
             raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
@@ -1189,27 +1319,20 @@ class Machine:
         )
         started = time.perf_counter()
         if engine.reference is not None:
-            # An empty trace leaves every statistic at zero.
-            if len(trace):
-                derived = derived_columns(trace, block_shift)
-                op_info = _op_info(self.costs)
-                hits = _proven_hits(
-                    protocol, derived, op_info, bus.arbitration_cycles,
-                    caches[0].set_mask, geometry.associativity,
-                )
-                _run_columnar(
-                    derived,
-                    _replay_streams(derived, hits, protocol, order == "trace"),
-                    op_info, bus, result, protocol, caches,
-                )
-        elif deferred:
-            run_deferred_reference(
-                trace, self.costs, protocol, bus, result, block_shift,
-                is_shared_block,
+            derived = derived_columns(trace, block_shift)
+            op_info = _op_info(self.costs)
+            hits = _proven_hits(
+                protocol, derived, op_info, bus.arbitration_cycles,
+                caches[0].set_mask, geometry.associativity,
+            )
+            _run_columnar(
+                derived,
+                _replay_streams(derived, hits, protocol, order == "trace"),
+                op_info, bus, result, protocol, caches,
             )
         else:
-            self._run_legacy(
-                trace, order, protocol, bus, result,
+            _run_reference(
+                trace, order, self.costs, protocol, bus, result,
                 block_shift, is_shared_block,
             )
         result.bus_busy_cycles = bus.busy_cycles
@@ -1221,108 +1344,3 @@ class Machine:
         result.run_wall_s = time.perf_counter() - started
         note_replay(len(trace), engine.label)
         return result
-
-    # -- legacy engine (reference implementation) ------------------------
-
-    def _run_legacy(
-        self,
-        trace: Trace,
-        order: str,
-        protocol: Protocol,
-        bus: TimedBus,
-        result: SimulationResult,
-        block_shift: int,
-        is_shared_block,
-    ) -> None:
-        """The original per-record replay loop.
-
-        Kept as the executable specification of the replay semantics;
-        ``tests/sim/test_conformance.py`` asserts the columnar engine
-        matches it exactly for every protocol and both orders.
-        """
-        cpu_cost = {op: cost.cpu_cycles for op, cost in self.costs.items()}
-        bus_cost = {op: cost.channel_cycles for op, cost in self.costs.items()}
-        stats = result.cpus
-        op_counts = result.operation_counts
-        handles_flush = protocol.handles_flush
-        fetch = AccessType.INST_FETCH
-        store = AccessType.STORE
-        flush = AccessType.FLUSH
-
-        def process(cpu: int, kind: AccessType, address: int) -> None:
-            cpu_stats = stats[cpu]
-            block = address >> block_shift
-            if kind is flush:
-                cpu_stats.flushes += 1
-                if not handles_flush:
-                    return
-                outcome = protocol.flush(cpu, block)
-            else:
-                if kind is fetch:
-                    cpu_stats.instructions += 1
-                    cpu_stats.clock += 1.0
-                else:
-                    shared = is_shared_block(block)
-                    if kind is store:
-                        cpu_stats.stores += 1
-                        if shared:
-                            result.shared_stores += 1
-                    else:
-                        cpu_stats.loads += 1
-                        if shared:
-                            result.shared_loads += 1
-                outcome = protocol.access(cpu, kind, block)
-
-            for operation in outcome.operations:
-                hold = bus_cost[operation]
-                if hold > 0.0:
-                    grant, wait = bus.transact(cpu_stats.clock, hold)
-                    cpu_stats.clock = grant + cpu_cost[operation]
-                    cpu_stats.wait_cycles += wait
-                else:
-                    cpu_stats.clock += cpu_cost[operation]
-                op_counts[operation] += 1
-                if operation in MISS_OPERATIONS:
-                    if kind is fetch:
-                        result.fetch_misses += 1
-                    else:
-                        result.data_misses += 1
-                        if is_shared_block(block):
-                            result.shared_data_misses += 1
-                    if operation in DIRTY_VICTIM_OPERATIONS:
-                        result.dirty_victim_misses += 1
-
-            for victim_cpu in outcome.steal_from:
-                stats[victim_cpu].clock += 1.0
-                stats[victim_cpu].stolen_cycles += 1
-
-        if order == "trace" or trace.cpus == 1:
-            for cpu, kind, address in trace.records:
-                process(cpu, kind, address)
-        else:
-            self._replay_time_ordered(trace, stats, process)
-
-    @staticmethod
-    def _replay_time_ordered(trace: Trace, stats, process) -> None:
-        """Feed records to ``process`` in simulated-time order.
-
-        The per-CPU record streams are merged by each processor's
-        current clock (a heap of ``(clock, cpu)``), so the next record
-        handled always belongs to the processor that is earliest in
-        simulated time.  Per-CPU program order is untouched.
-        """
-        streams: list[list] = [[] for _ in range(trace.cpus)]
-        for record in trace.records:
-            streams[record.cpu].append(record)
-        positions = [0] * trace.cpus
-        heap = [
-            (0.0, cpu) for cpu in range(trace.cpus) if streams[cpu]
-        ]
-        heapq.heapify(heap)
-        while heap:
-            _, cpu = heapq.heappop(heap)
-            _, kind, address = streams[cpu][positions[cpu]]
-            positions[cpu] += 1
-            process(cpu, kind, address)
-            if positions[cpu] < len(streams[cpu]):
-                heapq.heappush(heap, (stats[cpu].clock, cpu))

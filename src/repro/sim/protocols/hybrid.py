@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 from repro.core.operations import Operation
 from repro.sim.cache import LineState
+from repro.sim.protocols.dragon import _MISS_OPERATION
 from repro.sim.protocols.interface import NO_ACTION, AccessOutcome, Protocol
 from repro.trace.records import AccessType
 
@@ -306,12 +307,3 @@ class HybridLimitProtocol(HybridProtocol):
     k = 3
     resets_on_use = False
     read_hit_is_free = True
-
-
-_MISS_OPERATION = {
-    # (supplied_from_cache, dirty_victim) -> operation
-    (False, False): Operation.CLEAN_MISS_MEMORY,
-    (False, True): Operation.DIRTY_MISS_MEMORY,
-    (True, False): Operation.CLEAN_MISS_CACHE,
-    (True, True): Operation.DIRTY_MISS_CACHE,
-}

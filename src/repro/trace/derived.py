@@ -23,10 +23,10 @@ The cache is bounded two ways, and eviction (LRU order) runs until
 both bounds hold — though the most recent entry always survives, so
 one oversized trace still memoizes:
 
-* **entries** (:func:`set_derived_cache_size`, env
-  ``SWCC_DERIVED_CACHE_ENTRIES``, default 8), and
-* **payload bytes** (:func:`set_derived_cache_bytes`, env
-  ``SWCC_DERIVED_CACHE_BYTES``, default 1 GiB) — the sum of the
+* **entries** (:func:`set_derived_cache_size`, default
+  :data:`CACHE_ENTRIES`), and
+* **payload bytes** (:func:`set_derived_cache_bytes`, default
+  :data:`CACHE_BYTES`) — the sum of the
   entries' numpy array footprints, so multi-geometry sweeps over
   large traces are bounded by what the columns actually weigh, not
   by how many block sizes they touch.
@@ -42,7 +42,6 @@ the payload bound.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -218,22 +217,14 @@ def _entry_nbytes(derived: DerivedColumns) -> int:
     )
 
 
-def _env_bound(name: str, default: int) -> int:
-    """Positive integer bound from the environment, else ``default``."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
-
+#: Default bounds of the memo: entries, and payload bytes (1 GiB).
+CACHE_ENTRIES = 8
+CACHE_BYTES = 1 << 30
 
 #: Bounded LRU memo: ``(digest, block_shift) -> DerivedColumns``.
 _cache: OrderedDict[tuple[str, int], DerivedColumns] = OrderedDict()
-_maxsize = _env_bound("SWCC_DERIVED_CACHE_ENTRIES", 8)
-_max_bytes = _env_bound("SWCC_DERIVED_CACHE_BYTES", 1 << 30)
+_maxsize = CACHE_ENTRIES
+_max_bytes = CACHE_BYTES
 _bytes = 0
 _hits = 0
 _misses = 0

@@ -18,6 +18,10 @@ from repro.trace.records import ADDRESS_DTYPE, AccessType, Trace
 
 __all__ = ["TraceStats", "collect_stats", "shared_run_lengths"]
 
+#: Block size of the run accounting: the paper uses 16-byte blocks
+#: throughout, and the record format does not encode one.
+_BLOCK_SHIFT = ADDRESS_DTYPE(4)
+
 
 @dataclass
 class TraceStats:
@@ -170,12 +174,11 @@ class _Runs(NamedTuple):
 
 
 def _shared_runs(trace: Trace) -> _Runs:
-    block_shift = ADDRESS_DTYPE(_infer_block_shift(trace))
     is_data = (trace.kind == AccessType.LOAD) | (
         trace.kind == AccessType.STORE
     )
     positions = np.flatnonzero(is_data & trace.shared_mask())
-    blocks = trace.address[positions] >> block_shift
+    blocks = trace.address[positions] >> _BLOCK_SHIFT
     by_block = np.argsort(blocks, kind="stable")
     ordered = positions[by_block]
     blocks = blocks[by_block]
@@ -202,14 +205,3 @@ def _shared_runs(trace: Trace) -> _Runs:
         block_first=block_first,
         close_keys=close_keys,
     )
-
-
-def _infer_block_shift(trace: Trace) -> int:
-    """Block size used for run accounting.
-
-    The paper uses 16-byte blocks throughout; traces could in
-    principle carry other sizes, but nothing in the record format
-    encodes it, so we standardise on 16 bytes (shift 4).
-    """
-    del trace  # reserved for a future per-trace block-size field
-    return 4

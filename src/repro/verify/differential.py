@@ -3,8 +3,9 @@
 Every engine-vs-reference comparison goes through one function,
 :func:`engine_divergence`: it runs an engine of the registry
 (:mod:`repro.sim.engines`) and diffs it against the reference contract
-that entry declares — the synchronous record loop, the deferred-grant
-reference, or one ``Machine.run`` per configuration.
+that entry declares — the one reference loop over the synchronous bus
+or over the deferred-grant bus, or one ``Machine.run`` per
+configuration.
 
 For each fuzzed case and protocol, six checks run in order (first
 failure wins for that protocol):

@@ -4,8 +4,8 @@ The columnar replay loop (``machine._run_columnar``) is an
 optimisation, not a re-specification: over the fcfs ``TimedBus``, for
 every protocol, both replay orders, integral and fractional costs and
 any arbitration overhead, it must produce statistics identical —
-including exact float clocks — to the original record loop kept as
-``Machine._run_legacy``.
+including exact float clocks — to the reference record loop,
+``machine._run_reference``, over the same bus.
 """
 
 import pytest

@@ -169,6 +169,55 @@ class TestReplayOrders:
         assert by_time.data_references == by_trace.data_references
 
 
+class TestOneReference:
+    """Every reference run, over either bus, is one call of the one
+    reference loop."""
+
+    @pytest.fixture
+    def buses(self, monkeypatch):
+        from repro.sim import machine
+
+        buses = []
+        reference = machine._run_reference
+
+        def spy(trace, order, costs, protocol, bus, *rest):
+            buses.append(type(bus).__name__)
+            return reference(trace, order, costs, protocol, bus, *rest)
+
+        monkeypatch.setattr(machine, "_run_reference", spy)
+        return buses
+
+    def trace(self):
+        return make_trace(
+            [
+                TraceRecord(0, S, SHARED.start),
+                TraceRecord(1, S, SHARED.start),
+                TraceRecord(0, L, SHARED.start),
+                TraceRecord(1, I, 0x40),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "discipline, bus",
+        [("fcfs", "TimedBus"), ("round-robin", "ArbitratedBus")],
+    )
+    def test_legacy_engine(self, buses, discipline, bus):
+        config = SimulationConfig(cache_bytes=1024, bus_discipline=discipline)
+        result = Machine("dragon", config).run(self.trace(), engine="legacy")
+        assert result.engine == "legacy"
+        assert buses == [bus]
+
+    def test_deferred_contract(self, buses):
+        from repro.sim.engines import ARBITRATED
+        from repro.verify.differential import engine_divergence
+
+        _, message = engine_divergence(
+            ARBITRATED, "dragon", self.trace(), CONFIG
+        )
+        assert message is None
+        assert buses == ["ArbitratedBus"]
+
+
 class TestRestriction:
     def test_cpu_restriction(self):
         trace = make_trace(

@@ -117,3 +117,13 @@ class TestParamsCommand:
         out = capsys.readouterr().out
         assert "ls" in out
         assert "Table 7 range" in out
+
+    def test_default_records_use_the_preset_length(
+        self, capsys, preset_configs
+    ):
+        """Without ``--records`` the preset's own trace is measured."""
+        from repro.trace import WORKLOAD_PRESETS
+
+        assert main(["params", "pops", "--cache-kb", "16"]) == 0
+        assert preset_configs == [WORKLOAD_PRESETS["pops"].config]
+        assert "Table 7 range" in capsys.readouterr().out

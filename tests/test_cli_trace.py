@@ -51,6 +51,17 @@ class TestTraceGenerate:
             != list(load_trace(second).records)
         )
 
+    def test_default_records_use_the_preset_recipe(
+        self, tmp_path, preset_configs
+    ):
+        """Without ``--records`` or ``--seed`` the recipe is unchanged."""
+        from repro.trace import WORKLOAD_PRESETS
+
+        output = tmp_path / "pops.npz"
+        assert main(["trace", "generate", "pops", str(output)]) == 0
+        assert preset_configs == [WORKLOAD_PRESETS["pops"].config]
+        assert load_trace(output).cpus == 4
+
     def test_unknown_workload(self, tmp_path):
         with pytest.raises(KeyError):
             main(["trace", "generate", "spice", str(tmp_path / "x.swcc")])
