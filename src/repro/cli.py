@@ -177,7 +177,11 @@ def _command_run(args: argparse.Namespace) -> int:
     if "all" in args.experiment:
         experiments = list_experiments()
     else:
-        experiments = [get_experiment(name) for name in args.experiment]
+        try:
+            experiments = [get_experiment(name) for name in args.experiment]
+        except KeyError as error:
+            print(f"swcc run: {error.args[0]}", file=sys.stderr)
+            return 2
 
     monitor = _open_monitor(
         "run",
@@ -322,8 +326,13 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_params(args: argparse.Namespace) -> int:
     from repro.sim import SimulationConfig, measure_workload_params
-    from repro.trace import preset_trace
+    from repro.trace import preset, preset_trace
 
+    try:
+        preset(args.workload)
+    except KeyError as error:
+        print(f"swcc params: {error.args[0]}", file=sys.stderr)
+        return 2
     trace = preset_trace(args.workload, args.records or None)
     config = SimulationConfig(cache_bytes=args.cache_kb * 1024)
     params = measure_workload_params(trace, config)
@@ -351,11 +360,17 @@ def _command_trace(args: argparse.Namespace) -> int:
         save_trace,
     )
     from repro.trace.flushing import apply_flush_policy, implied_apl
+    from repro.trace.io import TraceFormatError
 
     if args.trace_action == "generate":
         # Only the options given override the preset's recipe.
         overrides = {"records_per_cpu": args.records} if args.records else {}
-        trace = preset(args.workload).generate(seed=args.seed, **overrides)
+        try:
+            recipe = preset(args.workload)
+        except KeyError as error:
+            print(f"swcc trace: {error.args[0]}", file=sys.stderr)
+            return 2
+        trace = recipe.generate(seed=args.seed, **overrides)
         if args.policy != "section":
             trace = apply_flush_policy(trace, args.policy)
         save_trace(trace, args.output)
@@ -365,7 +380,11 @@ def _command_trace(args: argparse.Namespace) -> int:
         )
         return 0
 
-    trace = load_trace(args.file)
+    try:
+        trace = load_trace(args.file)
+    except (OSError, TraceFormatError) as error:
+        print(f"swcc trace: {error}", file=sys.stderr)
+        return 2
     stats = collect_stats(trace)
     print(f"trace {trace.name!r}: {len(trace)} records, {trace.cpus} CPUs")
     print(f"  instructions      {stats.instructions}")
@@ -382,7 +401,11 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_predict(args: argparse.Namespace) -> int:
-    scheme = scheme_by_name(args.scheme)
+    try:
+        scheme = scheme_by_name(args.scheme)
+    except KeyError as error:
+        print(f"swcc predict: {error.args[0]}", file=sys.stderr)
+        return 2
     params = WorkloadParams.at_level(args.level)
     if args.network:
         if args.discipline != "fcfs" or args.arbitration_cycles != 0.0:

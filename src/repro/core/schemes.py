@@ -83,7 +83,8 @@ class CoherenceScheme(ABC):
 
 
 def _split_by_dirty(miss_rate: float, dirty_probability: float) -> tuple[float, float]:
-    """Split a miss rate into (clean, dirty) by victim dirtiness."""
+    """Split a miss rate into (clean, dirty) by victim dirtiness;
+    array-safe, so the grid kernels share it."""
     return miss_rate * (1.0 - dirty_probability), miss_rate * dirty_probability
 
 

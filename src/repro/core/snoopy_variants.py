@@ -33,7 +33,11 @@ import numpy as np
 
 from repro.core.operations import Operation
 from repro.core.params import WorkloadParams
-from repro.core.schemes import CoherenceScheme, register_scheme
+from repro.core.schemes import (
+    CoherenceScheme,
+    _split_by_dirty,
+    register_scheme,
+)
 
 __all__ = [
     "HYBRID_2",
@@ -143,8 +147,8 @@ class HybridKScheme(CoherenceScheme):
         supplied_by_cache = params.shd * (1.0 - params.oclean)
         memory_miss = data_miss * (1.0 - supplied_by_cache) + params.mains
         cache_miss = data_miss * supplied_by_cache
-        memory_clean, memory_dirty = _split(memory_miss, params.md)
-        cache_clean, cache_dirty = _split(cache_miss, params.md)
+        memory_clean, memory_dirty = _split_by_dirty(memory_miss, params.md)
+        cache_clean, cache_dirty = _split_by_dirty(cache_miss, params.md)
         broadcast_rate = run_rate * params.opres * broadcasts_per_run
         steal_rate = run_rate * params.opres * updates_per_run * params.nshd
         return {
@@ -156,14 +160,6 @@ class HybridKScheme(CoherenceScheme):
             Operation.DIRTY_MISS_CACHE: cache_dirty,
             Operation.CYCLE_STEAL: steal_rate,
         }
-
-
-def _split(miss_rate, dirty_probability):
-    """Array-safe (clean, dirty) split by victim dirtiness."""
-    return (
-        miss_rate * (1.0 - dirty_probability),
-        miss_rate * dirty_probability,
-    )
 
 
 class Hybrid2Scheme(HybridKScheme):

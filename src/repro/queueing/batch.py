@@ -29,7 +29,8 @@ is deterministic, so the results are not merely close — they are
 cells (``Z == 0``), degenerate servers (``S == 0``), zero and
 infinite request rates, and degenerate (0-stage) networks.  The
 contract is enforced by ``tests/test_vectorized_equivalence.py`` and
-``tests/queueing/test_batch.py``.
+``tests/queueing/test_batch.py``, and on arbitrary workloads by
+``tests/properties/test_batch_properties.py`` — all with ``==``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.trace import preset_trace, synthetic
+from repro.trace import TraceConfig, generate_trace, preset_trace, synthetic
+
+
+@pytest.fixture(scope="session")
+def seeded_trace():
+    """The seeded 4-CPU workload the engine suites share: in small
+    caches it has plenty of misses, dirty victims, flushes and shared
+    traffic to exercise every branch.  Tests must not modify it."""
+    return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
 
 
 @pytest.fixture

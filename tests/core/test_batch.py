@@ -1,7 +1,9 @@
 """Unit and equivalence tests for batch (grid) evaluation of the model.
 
 The grid kernels live in :mod:`repro.core.vectorized`; these tests
-drive them the way the examples do, one power array per scheme.
+drive them the way the examples do, one power array per scheme, and
+hold them to the bitwise contract of
+``tests/test_vectorized_equivalence.py``.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.core.vectorized import (
     instruction_cost_arrays,
     network_surface_arrays,
 )
+from tests.test_vectorized_equivalence import _same
 
 MIDDLE = WorkloadParams.middle()
 
@@ -57,7 +60,7 @@ class TestParameterGrid:
 
 
 class TestScalarEquivalence:
-    """The vectorised path must agree with the scalar model exactly."""
+    """The vectorised path is the scalar model's float, bit for bit."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     def test_instruction_cost_matches(self, scheme):
@@ -66,10 +69,8 @@ class TestScalarEquivalence:
         grid = ParameterGrid.from_params(MIDDLE)
         cost = instruction_cost_arrays(scheme, grid)
         scalar = instruction_cost(scheme, MIDDLE, CostTable.bus())
-        assert float(cost.cpu_cycles) == pytest.approx(scalar.cpu_cycles)
-        assert float(cost.channel_cycles) == pytest.approx(
-            scalar.channel_cycles
-        )
+        assert _same(cost.cpu_cycles, scalar.cpu_cycles)
+        assert _same(cost.channel_cycles, scalar.channel_cycles)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     @pytest.mark.parametrize("processors", [1, 4, 16])
@@ -82,9 +83,7 @@ class TestScalarEquivalence:
             scalar = bus.evaluate(
                 scheme, MIDDLE.replace(shd=float(shd)), processors
             )
-            assert vectorised[index] == pytest.approx(
-                scalar.processing_power, rel=1e-10
-            )
+            assert _same(vectorised[index], scalar.processing_power)
 
     @pytest.mark.parametrize(
         "scheme", [BASE, NO_CACHE, SOFTWARE_FLUSH, DIRECTORY],
@@ -97,9 +96,7 @@ class TestScalarEquivalence:
         vectorised = network_power_grid(scheme, grid, stages=6)
         for index, apl in enumerate(apl_values):
             scalar = network.evaluate(scheme, MIDDLE.replace(apl=float(apl)))
-            assert vectorised[index] == pytest.approx(
-                scalar.processing_power, rel=1e-6
-            )
+            assert _same(vectorised[index], scalar.processing_power)
 
 
 class TestGridBehaviour:

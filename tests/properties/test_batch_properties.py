@@ -1,7 +1,7 @@
-"""Property-based equivalence: vectorised evaluator vs scalar model."""
+"""Property-based equivalence: vectorised evaluator vs scalar model,
+bitwise, as ``tests/test_vectorized_equivalence.py`` holds the grids."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from repro.core.vectorized import (
     bus_surface_arrays,
     network_surface_arrays,
 )
+from tests.test_vectorized_equivalence import _same
 
 probability = st.floats(min_value=0.0, max_value=1.0)
 
@@ -45,9 +46,7 @@ class TestBatchScalarEquivalence:
             surface = bus_surface_arrays(scheme, grid, (processors,))
             vectorised = float(surface.processing_power[0])
             scalar = bus.evaluate(scheme, params, processors)
-            assert vectorised == pytest.approx(
-                scalar.processing_power, rel=1e-9
-            ), scheme.name
+            assert _same(vectorised, scalar.processing_power), scheme.name
 
     @settings(max_examples=30)
     @given(random_params, st.integers(min_value=1, max_value=8))
@@ -60,9 +59,7 @@ class TestBatchScalarEquivalence:
             surface = network_surface_arrays(scheme, grid, stages)
             vectorised = float(surface.processing_power)
             scalar = network.evaluate(scheme, params)
-            assert vectorised == pytest.approx(
-                scalar.processing_power, rel=1e-4
-            ), scheme.name
+            assert _same(vectorised, scalar.processing_power), scheme.name
 
     @settings(max_examples=20)
     @given(random_params)
@@ -79,4 +76,4 @@ class TestBatchScalarEquivalence:
                 scheme, ParameterGrid.from_params(params), (4,)
             ).processing_power[0]
         )
-        assert power[1, 1] == pytest.approx(alone, rel=1e-12)
+        assert _same(power[1, 1], alone)

@@ -13,17 +13,23 @@ from repro.sim import (
     run_geometry_family,
     validate_discipline,
 )
-from repro.sim.engines import ARBITRATED
+from repro.sim.engines import ENGINES, REF_MACHINE
 from repro.sim.onepass import ONEPASS_PROTOCOLS, family_support
 from repro.verify.differential import engine_divergence, stats_signature
-from repro.verify.fuzzer import generate_case
 from repro.verify.invariants import check_result_invariants
-from tests.sim.test_conformance import edge_trace, random_refs
+from tests.sim.test_conformance import (
+    EDGE_TRACES,
+    assert_conforms,
+    edge_trace,
+    fuzz_case,
+    random_refs,
+    reference,
+)
 
 
 @pytest.fixture(scope="module")
 def case():
-    return generate_case(7, scale=0.5)
+    return fuzz_case(7, scale=0.5)
 
 
 class TestArbitratedBusUnit:
@@ -145,7 +151,7 @@ class TestConfigValidation:
 class TestArbitratedEngine:
     @pytest.mark.parametrize("protocol", ONEPASS_PROTOCOLS)
     def test_fcfs_is_bit_identical_for_geometry_local(self, case, protocol):
-        columnar = Machine(protocol, case.config).run(case.trace)
+        columnar = reference(REF_MACHINE, protocol, case.trace, case.config)
         arbitrated = Machine(protocol, case.config).run(
             case.trace, engine="arbitrated"
         )
@@ -213,16 +219,13 @@ class TestArbitratedEngine:
         assert spread("fixed-priority") >= spread("fcfs")
 
 
-def assert_matches_reference(protocol, config, trace):
-    """The columnar deferred-grant loop ``==`` the generator-driven
-    reference it replaced, through the verifier's engine diff."""
-    _, message = engine_divergence(ARBITRATED, protocol, trace, config)
-    assert message is None, message
-
-
 @pytest.fixture(scope="module")
 def conformance_case():
-    return generate_case(24, scale=0.4)
+    return fuzz_case(24, scale=0.4)
+
+
+#: Three CPUs flushing often, in 256-byte caches.
+FLUSHES = edge_trace("flushes", 3, random_refs(3, 3, 400, (0, 0, 1, 2, 3)))
 
 
 class TestDeferredGrantConformance:
@@ -237,7 +240,9 @@ class TestDeferredGrantConformance:
             bus_discipline=discipline,
             bus_arbitration_cycles=overhead,
         )
-        assert_matches_reference(protocol, config, conformance_case.trace)
+        assert_conforms(
+            "arbitrated", protocol, conformance_case.trace, config
+        )
 
     @pytest.mark.parametrize(
         "protocol, seed, associativity, discipline, overhead",
@@ -255,25 +260,19 @@ class TestDeferredGrantConformance:
         touches must still replay before that event.  Replayed after
         it instead, the first cell raises ``KeyError`` and the other
         two diverge from the reference."""
-        case = generate_case(seed, scale=0.5)
+        case = fuzz_case(seed, scale=0.5)
         config = dataclasses.replace(
             case.config,
             associativity=associativity,
             bus_discipline=discipline,
             bus_arbitration_cycles=overhead,
         )
-        assert_matches_reference(protocol, config, case.trace)
+        assert_conforms("arbitrated", protocol, case.trace, config)
 
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     @pytest.mark.parametrize(
         "trace",
-        (
-            edge_trace("empty", 2, []),
-            edge_trace("one-cpu", 1, random_refs(1, 1, 60, (0, 1, 2))),
-            edge_trace(
-                "one-idle-cpu", 2, random_refs(2, 1, 60, (0, 1, 2))
-            ),
-        ),
+        list(EDGE_TRACES.values()),
         ids=("empty", "one-cpu", "one-idle-cpu"),
     )
     @pytest.mark.parametrize("protocol", ("base", "dragon", "wti"))
@@ -283,20 +282,17 @@ class TestDeferredGrantConformance:
             bus_discipline=discipline,
             bus_arbitration_cycles=2.0,
         )
-        assert_matches_reference(protocol, config, trace)
+        assert_conforms("arbitrated", protocol, trace, config)
 
     @pytest.mark.parametrize("overhead", (0.0, 2.5))
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     def test_swflush_flushes(self, discipline, overhead):
-        trace = edge_trace(
-            "flushes", 3, random_refs(3, 3, 400, (0, 0, 1, 2, 3))
-        )
         config = SimulationConfig(
             cache_bytes=256,
             bus_discipline=discipline,
             bus_arbitration_cycles=overhead,
         )
-        assert_matches_reference("swflush", config, trace)
+        assert_conforms("arbitrated", "swflush", FLUSHES, config)
 
 
 #: Protocols whose replays run proven-hit spans through cycle steals or
@@ -318,7 +314,7 @@ class TestDeferredGrantGeometrySweep:
         misses steals that land a frontier on a pending event."""
         mismatched = []
         for seed in range(120):
-            case = generate_case(seed, scale=0.5)
+            case = fuzz_case(seed, scale=0.5)
             for associativity in (1, 2, 4):
                 for overhead in (0.0, 2.0, 3.0):
                     config = dataclasses.replace(
@@ -328,7 +324,7 @@ class TestDeferredGrantGeometrySweep:
                         bus_arbitration_cycles=overhead,
                     )
                     _, message = engine_divergence(
-                        ARBITRATED, protocol, case.trace, config
+                        ENGINES["arbitrated"], protocol, case.trace, config
                     )
                     if message is not None:
                         mismatched.append((seed, associativity, overhead))

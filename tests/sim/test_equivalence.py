@@ -1,73 +1,36 @@
-"""Columnar-vs-legacy replay engine equivalence.
+"""Columnar-vs-legacy cells of the conformance grid on larger traces.
 
 The columnar replay loop (``machine._run_columnar``) is an
 optimisation, not a re-specification: over the fcfs ``TimedBus``, for
 every protocol, both replay orders, integral and fractional costs and
 any arbitration overhead, it must produce statistics identical —
 including exact float clocks — to the reference record loop,
-``machine._run_reference``, over the same bus.
+``machine._run_reference``, over the same bus.  Each test names cells
+of ``tests/sim/test_conformance.py``'s one check.
 """
 
 import pytest
 
-from repro.sim import Machine, SimulationConfig
-from repro.sim.engines import COLUMNAR, COLUMNAR_ARB
-from repro.trace import TraceConfig, generate_trace
-from repro.verify.differential import engine_divergence
+from repro.sim import PROTOCOLS, Machine, SimulationConfig
+from repro.sim.engines import REF_MACHINE
 from tests.sim.test_conformance import (
-    edge_trace,
-    fractional_costs,
-    random_refs,
+    EDGE_TRACES,
+    FRACTIONAL,
+    assert_conforms,
+    reference,
     signature,
+    workload,
 )
 
-PROTOCOLS = [
-    "base",
-    "dragon",
-    "nocache",
-    "swflush",
-    "wti",
-    "directory",
-    "hybrid-2",
-    "hybrid-4",
-    "hybrid-limit",
-]
+PROTOCOLS = sorted(PROTOCOLS)
 CONFIG = SimulationConfig(cache_bytes=16384, block_bytes=16, associativity=2)
-
-
-@pytest.fixture(scope="module")
-def seeded_trace():
-    # Small caches + a real seeded workload: plenty of misses, dirty
-    # victims, flushes, and shared traffic to exercise every branch.
-    return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
-
-
-def assert_matches_legacy(protocol, config, trace, order="time", costs=None):
-    """The columnar loop ``==`` the legacy record loop, through the
-    verifier's engine diff: ``columnar+arb`` when an overhead keeps
-    the spans."""
-    engine = COLUMNAR_ARB if config.bus_arbitration_cycles else COLUMNAR
-    _, message = engine_divergence(
-        engine, protocol, trace, config, order, costs
-    )
-    assert message is None, message
-
-
-@pytest.fixture(scope="module")
-def small_trace():
-    return generate_trace(TraceConfig(cpus=4, records_per_cpu=1_000, seed=7))
-
-
-@pytest.fixture(scope="module")
-def single_cpu_trace():
-    return generate_trace(TraceConfig(cpus=1, records_per_cpu=2_000, seed=3))
 
 
 class TestColumnarMatchesLegacy:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("order", ["time", "trace"])
     def test_identical_statistics(self, seeded_trace, protocol, order):
-        assert_matches_legacy(protocol, CONFIG, seeded_trace, order)
+        assert_conforms("columnar", protocol, seeded_trace, CONFIG, order)
 
     # The static hit analysis has geometry-dependent rules (the
     # previous-run rule only holds for associativity >= 2), so the
@@ -91,12 +54,14 @@ class TestColumnarMatchesLegacy:
         self, seeded_trace, protocol, geometry
     ):
         for order in ("time", "trace"):
-            assert_matches_legacy(protocol, geometry, seeded_trace, order)
+            assert_conforms(
+                "columnar", protocol, seeded_trace, geometry, order
+            )
 
     @pytest.mark.parametrize("protocol", ["dragon", "wti", "directory"])
     def test_identical_protocol_stats(self, seeded_trace, protocol):
         # The signature holds the protocol's own counters.
-        assert_matches_legacy(protocol, CONFIG, seeded_trace)
+        assert_conforms("columnar", protocol, seeded_trace, CONFIG)
 
     # Table 1 with no overhead is ``test_identical_statistics``; the
     # other cells of the cost/overhead axis run on a smaller trace and
@@ -105,30 +70,27 @@ class TestColumnarMatchesLegacy:
     # fractional costs make the run span-free.
     @pytest.mark.parametrize(
         "costs, overhead",
-        [(fractional_costs(), 0.0), (None, 2.0), (None, 2.5)],
+        [(FRACTIONAL, 0.0), (None, 2.0), (None, 2.5)],
         ids=["fractional", "overhead-2", "overhead-2.5"],
     )
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("order", ["time", "trace"])
     def test_identical_across_costs_and_overhead(
-        self, small_trace, protocol, order, costs, overhead
+        self, protocol, order, costs, overhead
     ):
         config = SimulationConfig(
             cache_bytes=4096, bus_arbitration_cycles=overhead
         )
-        assert_matches_legacy(protocol, config, small_trace, order, costs)
+        label = "columnar+arb" if overhead else "columnar"
+        assert_conforms(
+            label, protocol, workload(4, 1_000, 7), config, order, costs
+        )
 
     @pytest.mark.parametrize("overhead", [0.0, 2.0])
     @pytest.mark.parametrize("order", ["time", "trace"])
     @pytest.mark.parametrize(
         "trace",
-        [
-            edge_trace("empty", 2, []),
-            edge_trace("one-cpu", 1, random_refs(1, 1, 60, (0, 1, 2))),
-            edge_trace(
-                "one-idle-cpu", 2, random_refs(2, 1, 60, (0, 1, 2))
-            ),
-        ],
+        list(EDGE_TRACES.values()),
         ids=["empty", "one-cpu", "one-idle-cpu"],
     )
     @pytest.mark.parametrize("protocol", ["base", "dragon", "wti"])
@@ -136,7 +98,8 @@ class TestColumnarMatchesLegacy:
         config = SimulationConfig(
             cache_bytes=256, bus_arbitration_cycles=overhead
         )
-        assert_matches_legacy(protocol, config, trace, order)
+        label = "columnar+arb" if overhead else "columnar"
+        assert_conforms(label, protocol, trace, config, order)
 
     def test_restriction_matches(self, seeded_trace):
         machine = Machine("dragon", CONFIG)
@@ -150,23 +113,20 @@ class TestColumnarMatchesLegacy:
 
 
 class TestOrderEquivalence:
+    # With one CPU there is no clock drift to reorder, so the two
+    # replay orders must agree on *every* statistic, not just the
+    # reference counts.
     def test_single_cpu_orders_identical(self):
-        # With one CPU there is no clock drift to reorder, so the two
-        # replay orders must agree on *every* statistic, not just the
-        # reference counts.
-        trace = generate_trace(
-            TraceConfig(cpus=1, records_per_cpu=5_000, seed=11)
-        )
-        machine = Machine("swflush", CONFIG)
-        by_time = machine.run(trace, order="time")
-        by_trace = machine.run(trace, order="trace")
-        assert signature(by_time) == signature(by_trace)
+        assert_orders_agree("swflush", workload(1, 5_000, 11))
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_single_cpu_orders_identical_all_protocols(
-        self, protocol, single_cpu_trace
-    ):
-        machine = Machine(protocol, CONFIG)
-        by_time = machine.run(single_cpu_trace, order="time")
-        by_trace = machine.run(single_cpu_trace, order="trace")
-        assert signature(by_time) == signature(by_trace)
+    def test_single_cpu_orders_identical_all_protocols(self, protocol):
+        assert_orders_agree(protocol, workload(1, 2_000, 3))
+
+
+def assert_orders_agree(protocol, trace):
+    by_time, by_trace = (
+        reference(REF_MACHINE, protocol, trace, CONFIG, order)
+        for order in ("time", "trace")
+    )
+    assert signature(by_time) == signature(by_trace)

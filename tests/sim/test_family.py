@@ -9,13 +9,13 @@ family.  WTI, the other geometry-coupled snoopy protocol, has no epoch
 engine: its sweeps are one ``Machine.run`` per configuration, and the
 parametrised equivalence tests keep it to pin that routing exact.
 The classifier :func:`repro.sim.classify_lru` that the family shares
-with the geometry-local sweeps is pinned in ``test_segment.py``.
+with the geometry-local sweeps is pinned in ``test_segment.py``, and
+the family on arbitrary tiny traces by ``TestEpochProperties``, on
+the strategy of ``test_conformance.py``'s property over every engine.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs.metrics import replay_counters
 from repro.sim import (
@@ -25,12 +25,14 @@ from repro.sim import (
     family_support,
     run_geometry_family,
 )
-from repro.trace import TraceConfig, generate_trace
-from repro.trace.records import Trace
-from repro.verify.fuzzer import generate_case
 from tests.sim.test_conformance import (
+    TINY_SIZES,
     assert_family_matches_machine,
+    build_trace,
+    fuzz_case,
     signature,
+    tiny_references,
+    workload,
 )
 
 SIZES = [4096, 16384, 65536, 262144]
@@ -38,13 +40,6 @@ SIZES = [4096, 16384, 65536, 262144]
 #: The geometry-coupled snoopy protocols: Dragon on the epoch engine,
 #: WTI through the per-config fallback.
 COUPLED = FAMILY_PROTOCOLS + ("wti",)
-
-
-@pytest.fixture(scope="module")
-def seeded_trace():
-    # Small caches + a real seeded workload: misses, dirty victims,
-    # contended blocks, write broadcasts, and steal-prone timing.
-    return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
 
 
 class TestEpochMatchesMachine:
@@ -72,9 +67,7 @@ class TestEpochMatchesMachine:
 
     @pytest.mark.parametrize("protocol", COUPLED)
     def test_single_cpu_trace(self, protocol):
-        trace = generate_trace(
-            TraceConfig(cpus=1, records_per_cpu=3_000, seed=11)
-        )
+        trace = workload(1, 3_000, 11)
         for order in ("time", "trace"):
             assert_family_matches_machine(
                 trace, protocol, [1024, 8192, 65536], order=order
@@ -88,12 +81,12 @@ class TestEpochMatchesMachine:
         restricted = seeded_trace.restricted_to(2)
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine(protocol, config).run(restricted)
-            assert signature(family[size]) == signature(reference)
+            expected = Machine(protocol, config).run(restricted)
+            assert signature(family[size]) == signature(expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_traces(self, seed):
-        case = generate_case(seed, scale=0.3)
+        case = fuzz_case(seed, scale=0.3)
         for protocol in FAMILY_PROTOCOLS:
             for order in ("time", "trace"):
                 assert_family_matches_machine(
@@ -105,6 +98,29 @@ class TestEpochMatchesMachine:
                 case.trace, protocol, [1024, case.config.cache_bytes],
                 block_bytes=case.config.block_bytes,
                 associativity=case.config.associativity,
+            )
+
+
+class TestEpochProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(tiny_references)
+    def test_exact_equality_on_tiny_traces(self, refs):
+        # Tiny caches so the 24-block working set overflows them and
+        # contended blocks bounce between the three processors.
+        trace = build_trace(refs)
+        for protocol in FAMILY_PROTOCOLS:
+            for order in ("time", "trace"):
+                assert_family_matches_machine(
+                    trace, protocol, TINY_SIZES, order=order
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(tiny_references)
+    def test_exact_equality_direct_mapped(self, refs):
+        trace = build_trace(refs)
+        for protocol in FAMILY_PROTOCOLS:
+            assert_family_matches_machine(
+                trace, protocol, [64, 256], associativity=1
             )
 
 
@@ -162,78 +178,3 @@ class TestOneEventMerge:
         assert {id(result) for result in filled} == {
             id(result) for result in results.values()
         }
-
-
-# -- Hypothesis: exactness on arbitrary tiny traces --------------------
-
-references = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),  # cpu (of 3)
-        st.integers(min_value=0, max_value=3),  # kind incl. FLUSH
-        st.integers(min_value=0, max_value=23),  # block
-    ),
-    min_size=1,
-    max_size=200,
-)
-
-
-def build_trace(refs):
-    cpu = np.array([r[0] for r in refs], dtype=np.uint16)
-    kind = np.array([r[1] for r in refs], dtype=np.uint8)
-    address = np.array([r[2] * 16 for r in refs], dtype=np.uint64)
-    # Blocks 12..23 are shared.
-    return Trace.from_arrays(
-        name="hyp",
-        cpus=3,
-        shared_region=range(12 * 16, 24 * 16),
-        cpu=cpu,
-        kind=kind,
-        address=address,
-    )
-
-
-class TestEpochProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(references)
-    def test_exact_equality_on_tiny_traces(self, refs):
-        trace = build_trace(refs)
-        # Tiny caches so the 24-block working set overflows them and
-        # contended blocks bounce between the three processors.
-        sizes = [64, 128, 256, 512]
-        for protocol in FAMILY_PROTOCOLS:
-            for order in ("time", "trace"):
-                family = run_geometry_family(
-                    protocol,
-                    trace,
-                    sizes,
-                    block_bytes=16,
-                    associativity=2,
-                    order=order,
-                )
-                for size in sizes:
-                    config = SimulationConfig(
-                        cache_bytes=size, block_bytes=16, associativity=2
-                    )
-                    reference = Machine(protocol, config).run(
-                        trace, order=order
-                    )
-                    assert signature(family[size]) == signature(reference)
-
-    @settings(max_examples=25, deadline=None)
-    @given(references)
-    def test_exact_equality_direct_mapped(self, refs):
-        trace = build_trace(refs)
-        for protocol in FAMILY_PROTOCOLS:
-            family = run_geometry_family(
-                trace=trace,
-                protocol=protocol,
-                cache_sizes=[64, 256],
-                block_bytes=16,
-                associativity=1,
-            )
-            for size in (64, 256):
-                config = SimulationConfig(
-                    cache_bytes=size, block_bytes=16, associativity=1
-                )
-                reference = Machine(protocol, config).run(trace)
-                assert signature(family[size]) == signature(reference)

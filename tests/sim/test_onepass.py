@@ -8,16 +8,16 @@ traversing the trace once per family instead of once per cell.
 A one-size family is the single-configuration entry to the one
 classifier (``repro.sim.segment.classify_lru``) and must be
 byte-identical to ``Machine.run``, including the reference record
-loop on flush-bearing traces.  Every registry engine on one grid of
-buses, geometries and edge traces is ``tests/sim/test_conformance.py``.
+loop on flush-bearing traces.  References come from the one
+conformance check, ``tests/sim/test_conformance.py``, which also runs
+every registry engine on a grid of buses, geometries and edge traces
+and on arbitrary tiny traces.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.operations import CostTable, Operation, OperationCost
 from repro.obs.metrics import fallback_counters, replay_counters
 from repro.sim import (
     ONEPASS_PROTOCOLS,
@@ -27,13 +27,19 @@ from repro.sim import (
     family_support,
     run_geometry_family,
 )
-from repro.trace import TraceConfig, generate_trace
+from repro.sim.engines import REF_LEGACY, REF_MACHINE
 from repro.trace.records import Trace
 from repro.verify.differential import stats_signature
-from repro.verify.fuzzer import generate_case
 from tests.sim.test_conformance import (
+    FRACTIONAL,
+    TINY_SIZES,
     assert_family_matches_machine,
+    build_trace,
+    fuzz_case,
+    reference,
     signature,
+    tiny_references,
+    workload,
 )
 
 SIZES = [4096, 16384, 65536, 262144]
@@ -41,13 +47,6 @@ SIZES = [4096, 16384, 65536, 262144]
 #: An engine label ``Machine.run`` must reject: the classifier is not
 #: a replay engine.
 REMOVED_ENGINE = "segment"
-
-
-@pytest.fixture(scope="module")
-def seeded_trace():
-    # Small caches + a real seeded workload: plenty of misses, dirty
-    # victims, flushes, and shared traffic to exercise every branch.
-    return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
 
 
 def without_flushes(trace):
@@ -74,13 +73,26 @@ def assert_one_size_family_matches(
         associativity=config.associativity,
         order=order,
     )[config.cache_bytes]
-    reference = Machine(protocol, config).run(
-        trace, order=order, engine=engine
-    )
+    contract = REF_LEGACY if engine == "legacy" else REF_MACHINE
+    expected = reference(contract, protocol, trace, config, order)
     assert run.engine == "onepass"
-    assert stats_signature(run) == stats_signature(reference), (
+    assert stats_signature(run) == stats_signature(expected), (
         f"{protocol} {order} {config}"
     )
+
+
+def assert_falls_back(trace, protocol, reason):
+    """``family_support`` refuses with ``reason``, the sweep records it
+    once, and runs one exact ``Machine.run`` per configuration."""
+    assert family_support(protocol) == ("fallback", reason)
+    before, _ = fallback_counters()
+    family = run_geometry_family(protocol, trace, [4096, 16384])
+    assert fallback_counters() == (before + 1, reason)
+    for size, result in family.items():
+        assert result.engine == "columnar"
+        config = SimulationConfig(cache_bytes=size)
+        expected = reference(REF_MACHINE, protocol, trace, config)
+        assert signature(result) == signature(expected)
 
 
 class TestOnepassMatchesMachine:
@@ -108,9 +120,7 @@ class TestOnepassMatchesMachine:
 
     @pytest.mark.parametrize("protocol", ONEPASS_PROTOCOLS)
     def test_single_cpu_trace(self, protocol):
-        trace = generate_trace(
-            TraceConfig(cpus=1, records_per_cpu=3_000, seed=11)
-        )
+        trace = workload(1, 3_000, 11)
         for order in ("time", "trace"):
             assert_family_matches_machine(
                 trace, protocol, [1024, 8192, 65536], order=order
@@ -123,12 +133,12 @@ class TestOnepassMatchesMachine:
         restricted = seeded_trace.restricted_to(2)
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine("swflush", config).run(restricted)
-            assert signature(family[size]) == signature(reference)
+            expected = Machine("swflush", config).run(restricted)
+            assert signature(family[size]) == signature(expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_traces(self, seed):
-        case = generate_case(seed, scale=0.3)
+        case = fuzz_case(seed, scale=0.3)
         for protocol in ONEPASS_PROTOCOLS:
             assert_family_matches_machine(
                 case.trace, protocol, [2048, 16384, 131072]
@@ -220,44 +230,22 @@ class TestFastPathGate:
         for size, result in family.items():
             assert result.engine == "epoch"
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine("dragon", config).run(seeded_trace)
-            assert signature(result) == signature(reference)
+            expected = reference(REF_MACHINE, "dragon", seeded_trace, config)
+            assert signature(result) == signature(expected)
 
     def test_wti_sweeps_per_config(self, seeded_trace):
         # WTI has no epoch engine: its sweeps are one exact Machine.run
         # per configuration, with the reason recorded.
-        engine, reason = family_support("wti")
-        assert (engine, reason) == (
-            "fallback",
+        assert_falls_back(
+            seeded_trace, "wti",
             "protocol:wti couples geometries and has no epoch engine",
         )
-        before, _ = fallback_counters()
-        family = run_geometry_family("wti", seeded_trace, [4096, 16384])
-        after, recorded = fallback_counters()
-        assert after == before + 1
-        assert recorded == reason
-        for size, result in family.items():
-            assert result.engine == "columnar"
-            config = SimulationConfig(cache_bytes=size)
-            reference = Machine("wti", config).run(seeded_trace)
-            assert signature(result) == signature(reference)
 
     def test_directory_protocol_falls_back(self, seeded_trace):
-        engine, reason = family_support("directory")
-        assert (engine, reason) == (
-            "fallback",
+        assert_falls_back(
+            seeded_trace, "directory",
             "protocol:directory couples geometries and has no epoch engine",
         )
-        before, _ = fallback_counters()
-        family = run_geometry_family("directory", seeded_trace, [4096, 16384])
-        after, recorded = fallback_counters()
-        assert after == before + 1
-        assert recorded == reason
-        for size, result in family.items():
-            assert result.engine == "columnar"
-            config = SimulationConfig(cache_bytes=size)
-            reference = Machine("directory", config).run(seeded_trace)
-            assert signature(result) == signature(reference)
 
     @pytest.mark.parametrize(
         "protocol", ["hybrid-2", "hybrid-4", "hybrid-limit"]
@@ -267,22 +255,11 @@ class TestFastPathGate:
         # broadcasts absorbed arbitrarily far back), so the hybrids
         # have no epoch engine; the gate must say so loudly and the
         # fallback must stay bit-identical to per-config replay.
-        engine, reason = family_support(protocol)
-        assert (engine, reason) == (
-            "fallback",
+        assert_falls_back(
+            seeded_trace, protocol,
             f"protocol:{protocol} adapts per-copy update/invalidate "
             "pressure across epochs and has no epoch engine",
         )
-        before, _ = fallback_counters()
-        family = run_geometry_family(protocol, seeded_trace, [4096, 16384])
-        after, recorded = fallback_counters()
-        assert after == before + 1
-        assert recorded == reason
-        for size, result in family.items():
-            assert result.engine == "columnar"
-            config = SimulationConfig(cache_bytes=size)
-            reference = Machine(protocol, config).run(seeded_trace)
-            assert signature(result) == signature(reference)
 
     def test_coupled_high_associativity_is_exact(self, seeded_trace):
         # The classifier walk serves every associativity, so a four-way
@@ -302,40 +279,34 @@ class TestFastPathGate:
                         cache_bytes=size, associativity=4,
                         bus_arbitration_cycles=overhead,
                     )
-                    reference = Machine("dragon", config).run(
-                        seeded_trace, order=order
+                    expected = reference(
+                        REF_MACHINE, "dragon", seeded_trace, config, order
                     )
                     assert stats_signature(result) == stats_signature(
-                        reference
+                        expected
                     ), (order, overhead, size)
 
     def test_non_integral_costs_fall_back(self, seeded_trace):
-        table = CostTable.bus()
-        costs = dict(table.items())
-        costs[Operation.CLEAN_MISS_MEMORY] = OperationCost(
-            cpu_cycles=19.5, channel_cycles=19.5
-        )
-        fractional = CostTable(costs, name="fractional")
-        assert family_support("dragon", fractional) == (
+        assert family_support("dragon", FRACTIONAL) == (
             "fallback", "costs:non-integral operation costs"
         )
         for protocol in ("base", "dragon"):
-            engine, reason = family_support(protocol, fractional)
+            engine, reason = family_support(protocol, FRACTIONAL)
             assert (engine, reason) == (
                 "fallback", "costs:non-integral operation costs"
             )
             before, _ = fallback_counters()
             family = run_geometry_family(
-                protocol, seeded_trace, [4096], costs=fractional
+                protocol, seeded_trace, [4096], costs=FRACTIONAL
             )
             after, recorded = fallback_counters()
             assert after == before + 1
             assert recorded == reason
             assert family[4096].engine == "columnar"
-            reference = Machine(
-                protocol, SimulationConfig(cache_bytes=4096), fractional
+            expected = Machine(
+                protocol, SimulationConfig(cache_bytes=4096), FRACTIONAL
             ).run(seeded_trace)
-            assert signature(family[4096]) == signature(reference)
+            assert signature(family[4096]) == signature(expected)
 
     def test_segment_engine_refused(self, seeded_trace):
         # ``segment`` is not an engine label; family_support routes.
@@ -411,56 +382,23 @@ class TestTraversalSavings:
         assert engine == "onepass"
 
 
-# -- Hypothesis: exactness + LRU inclusion on arbitrary tiny traces ----
-
-references = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),  # cpu (of 3)
-        st.integers(min_value=0, max_value=3),  # kind incl. FLUSH
-        st.integers(min_value=0, max_value=23),  # block
-    ),
-    min_size=1,
-    max_size=200,
-)
-
-
-def build_trace(refs):
-    cpu = np.array([r[0] for r in refs], dtype=np.uint16)
-    kind = np.array([r[1] for r in refs], dtype=np.uint8)
-    address = np.array([r[2] * 16 for r in refs], dtype=np.uint64)
-    # Blocks 12..23 are shared.
-    return Trace.from_arrays(
-        name="hyp",
-        cpus=3,
-        shared_region=range(12 * 16, 24 * 16),
-        cpu=cpu,
-        kind=kind,
-        address=address,
-    )
-
-
 class TestOnepassProperties:
     @settings(max_examples=40, deadline=None)
-    @given(references)
+    @given(tiny_references)
     def test_exact_equality_and_monotone_hits(self, refs):
-        trace = build_trace(refs)
         # Tiny caches so the 24-block working set overflows them.
-        sizes = [64, 128, 256, 512]
+        trace = build_trace(refs)
         for protocol in ONEPASS_PROTOCOLS:
-            family = run_geometry_family(
-                protocol, trace, sizes, block_bytes=16, associativity=2
-            )
-            misses = []
-            for size in sizes:
-                config = SimulationConfig(
-                    cache_bytes=size, block_bytes=16, associativity=2
-                )
-                reference = Machine(protocol, config).run(trace)
-                assert signature(family[size]) == signature(reference)
-                misses.append(family[size].total_misses)
-            # LRU inclusion: a larger cache's contents are a superset,
-            # so hit counts are monotone non-decreasing in cache size —
-            # equivalently misses are non-increasing.  Flush
-            # invalidations remove a block from every geometry
-            # symmetrically, so inclusion survives them.
+            assert_family_matches_machine(trace, protocol, TINY_SIZES)
+            misses = [
+                reference(
+                    REF_MACHINE, protocol, trace,
+                    SimulationConfig(
+                        cache_bytes=size, block_bytes=16, associativity=2
+                    ),
+                ).total_misses
+                for size in TINY_SIZES
+            ]
+            # LRU inclusion: hit counts are monotone non-decreasing in
+            # cache size, so misses are non-increasing.
             assert misses == sorted(misses, reverse=True)

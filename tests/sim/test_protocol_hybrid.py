@@ -263,8 +263,7 @@ class TestHybridSchemes:
 class TestHybridMachineDegeneracy:
     """Whole-machine limits: k -> inf is Dragon, bit for bit."""
 
-    def test_infinite_k_machine_identical_to_dragon(self):
-        from repro.trace import TraceConfig, generate_trace
+    def test_infinite_k_machine_identical_to_dragon(self, seeded_trace):
         from repro.verify.differential import stats_signature
 
         class HybridInfProtocol(HybridProtocol):
@@ -273,9 +272,7 @@ class TestHybridMachineDegeneracy:
             resets_on_use = True
             read_hit_is_free = False
 
-        trace = generate_trace(
-            TraceConfig(cpus=4, records_per_cpu=4_000, seed=7)
-        )
+        trace = seeded_trace
         config = SimulationConfig(
             cache_bytes=16384, block_bytes=16, associativity=2
         )

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.operations import CostTable, Operation, OperationCost
 from repro.sim import Machine, SimulationConfig, family_support
 from repro.sim.cache import CacheGeometry
 from repro.sim.segment import (
@@ -28,18 +27,12 @@ from repro.sim.segment import (
     WRITE_THROUGH,
     classify_lru,
 )
-from repro.trace import TraceConfig, derived_columns, generate_trace
-from repro.verify.fuzzer import generate_case
-from tests.sim.test_family import build_trace
+from repro.trace import derived_columns
+from tests.sim.test_conformance import FRACTIONAL, build_trace, fuzz_case
 from tests.sim.test_onepass import (
     REMOVED_ENGINE,
     assert_one_size_family_matches,
 )
-
-
-@pytest.fixture(scope="module")
-def seeded_trace():
-    return generate_trace(TraceConfig(cpus=4, records_per_cpu=4_000, seed=7))
 
 
 class TestSegmentMatchesColumnar:
@@ -54,7 +47,7 @@ class TestSegmentMatchesColumnar:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fuzz_traces(self, seed):
-        case = generate_case(seed, scale=0.3)
+        case = fuzz_case(seed, scale=0.3)
         for protocol in ("base", "nocache"):
             config = SimulationConfig(cache_bytes=16384)
             assert_one_size_family_matches(case.trace, protocol, config)
@@ -62,17 +55,11 @@ class TestSegmentMatchesColumnar:
 
 class TestSegmentGate:
     def test_refuses_non_integral_costs(self, seeded_trace):
-        table = CostTable.bus()
-        costs = dict(table.items())
-        costs[Operation.CLEAN_MISS_MEMORY] = OperationCost(
-            cpu_cycles=19.5, channel_cycles=19.5
-        )
-        fractional = CostTable(costs, name="fractional")
-        assert family_support("base", fractional) == (
+        assert family_support("base", FRACTIONAL) == (
             "fallback",
             "costs:non-integral operation costs",
         )
-        machine = Machine("base", SimulationConfig(), fractional)
+        machine = Machine("base", SimulationConfig(), FRACTIONAL)
         with pytest.raises(ValueError) as raised:
             machine.run(seeded_trace, engine=REMOVED_ENGINE)
         assert str(raised.value) == (

@@ -31,9 +31,11 @@ class TestRunCommand:
         assert "table1" in out
         assert "[PASS]" in out
 
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            main(["run", "figure99"])
+    def test_unknown_experiment(self, capsys):
+        assert main(["run", "figure99"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "swcc run: unknown experiment 'figure99'; known: "
+        )
 
     def test_no_experiments_and_no_resume_exits_two(self, capsys):
         assert main(["run"]) == 2
@@ -127,3 +129,32 @@ class TestParamsCommand:
         assert main(["params", "pops", "--cache-kb", "16"]) == 0
         assert preset_configs == [WORKLOAD_PRESETS["pops"].config]
         assert "Table 7 range" in capsys.readouterr().out
+
+
+class TestBadInputExitsTwo:
+    """An unknown name or an unreadable file is one ``swcc <command>:``
+    line on stderr and exit status 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["params", "nosuch"], "swcc params: unknown workload 'nosuch'"),
+            (["predict", "nosuch", "4"], "swcc predict: unknown scheme 'nosuch'"),
+            (
+                ["trace", "stat", "/nonexistent"],
+                "swcc trace: [Errno 2] No such file or directory",
+            ),
+            (["trace", "stat", "notes.txt"], "swcc trace: notes.txt: not a"),
+        ],
+        ids=["params", "predict", "stat-missing", "stat-corrupt"],
+    )
+    def test_one_line_and_exit_two(
+        self, argv, message, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "notes.txt").write_bytes("\u2014 no trace\n".encode())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""

@@ -1,7 +1,5 @@
 """Unit tests for the ``swcc trace`` subcommands."""
 
-import pytest
-
 from repro.cli import main
 from repro.trace import load_trace
 
@@ -62,9 +60,13 @@ class TestTraceGenerate:
         assert preset_configs == [WORKLOAD_PRESETS["pops"].config]
         assert load_trace(output).cpus == 4
 
-    def test_unknown_workload(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(["trace", "generate", "spice", str(tmp_path / "x.swcc")])
+    def test_unknown_workload(self, tmp_path, capsys):
+        output = tmp_path / "x.swcc"
+        assert main(["trace", "generate", "spice", str(output)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "swcc trace: unknown workload 'spice'; known: "
+        )
+        assert not output.exists()
 
 
 class TestTraceStat:
