@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One-stop pre-merge check: byte-compile, tier-1 tests, benchmark smoke.
+# One-stop pre-merge check: byte-compile, tier-1 tests, benchmark smoke,
+# committed reports.
 #
 # Usage: scripts/check.sh
 # Runs from any directory; everything is resolved relative to the repo
@@ -91,5 +92,14 @@ echo "== bus arbitration disciplines: exactness + overhead smoke =="
 # baseline enforces 1.6x) and the folded-overhead parity ceiling
 # (1.5x).
 python benchmarks/bench_bus.py --smoke
+
+echo "== paper artefacts: committed reports reproduce =="
+# Every figure, table, ablation and extension bench rewrites its
+# reports/<experiment>.txt and asserts its shape checks; any byte that
+# differs from the committed report fails the check, so a change meant
+# to keep results unchanged is held to the paper's own artefacts.
+python -m pytest benchmarks/bench_{fig,table,ablation,extension}*.py \
+    --benchmark-only -q
+git diff --exit-code -- reports/
 
 echo "== all checks passed =="

@@ -34,16 +34,16 @@ each event's outcome instead of a protocol to step.
   instruction fetch or unshared load) is handled inline as a two-probe
   LRU touch with no per-record tuple allocation and no protocol call.
   A vectorised static analysis additionally *proves* most references
-  hit before replay begins (same-block runs, re-references within the
-  window the associativity guarantees): every reference under the
-  protocols whose remote traffic never evicts (base, nocache,
+  hit before replay begins (same-block re-references, by the one
+  same-block rule of :mod:`repro.sim.segment`): every reference under
+  the protocols whose remote traffic never evicts (base, nocache,
   swflush, dragon), and references to *single-owner* blocks, which
   only one CPU ever touches, under the invalidating ones (wti,
   directory, the hybrids).  Only the records that can interact across
   processors (potential misses, stores, handled flushes) are
   scheduled one by one, in the reference's exact ``(key, cpu)``
   order; the proven hits between them are applied as whole spans via
-  prefix-summed clock advances and deferred LRU touches.  A processor
+  prefix-summed clock advances and deferred dirty marks.  A processor
   runs in *bursts*, until its key passes the runner-up's.
 * Buses differ only in how a bus operation is served.  A
   :class:`~repro.sim.bus.TimedBus` (``fcfs``) grants inside the
@@ -89,6 +89,7 @@ from repro.sim.cache import Cache, CacheGeometry, LineState
 from repro.sim.engines import Engine, deferred_grants, machine_engine
 from repro.sim.protocols import Protocol, protocol_class
 from repro.sim.protocols.interface import NO_ACTION, AccessOutcome
+from repro.sim.segment import cache_touches, same_block_hits
 from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import KIND_MEMBERS, AccessType, Trace, validate_cpus
 
@@ -118,15 +119,11 @@ class _ProvenHits(NamedTuple):
     Attributes:
         guaranteed: pure hits: a fetch costs one cycle, a load is
             free, no cache touch (batchable).
-        local_store: store hits: dirty the line, MRU touch.
-        near_fetch: fetch hits: one cycle plus an MRU touch.
-        near_load: load hits: MRU touch only.
+        local_store: store hits: dirty the line, already MRU.
     """
 
     guaranteed: np.ndarray
     local_store: np.ndarray
-    near_fetch: np.ndarray
-    near_load: np.ndarray
 
 
 def _proven_hits(
@@ -135,7 +132,6 @@ def _proven_hits(
     op_info: dict,
     arbitration_cycles: float,
     set_mask: int,
-    associativity: int,
 ) -> _ProvenHits | None:
     """Classify the records that must hit, before replay begins.
 
@@ -145,17 +141,16 @@ def _proven_hits(
     CPU's own stream, so they hold under every replay order and every
     bus discipline.
 
-    Statically-proven fetch hits ("guaranteed hits"): a fetch to the
-    same block as the immediately preceding reference of the same CPU
-    must hit, provided that reference left the block resident (it was
-    not a flush, nor an uncached shared data reference under
-    No-Cache) and no other CPU's traffic can evict the line.  Such a
-    fetch is exactly ``clock += 1.0``: the predecessor touched the
-    block last and snoop state updates never reorder a set, so it is
-    already most-recently-used and even the LRU touch is a no-op.
-    Sequential instruction fetches make these the majority of all
-    records.  Batching is gated on integral operation costs so clocks
-    stay exact-integer floats and a batched ``clock += k`` is
+    The proof is :func:`~repro.sim.segment.same_block_hits` at the
+    machine's set mask: a reference to the same block as the same
+    CPU's most recent touch of its set must hit, provided that touch
+    left the block resident and no other CPU's traffic can evict the
+    line, and the block is already most-recently-used.  A proven fetch
+    is exactly ``clock += 1.0``, a proven load is free, and a proven
+    store hit of a protocol whose store hits are local only dirties
+    the line.  Sequential instruction fetches make these the majority
+    of all records.  Batching is gated on integral operation costs so
+    clocks stay exact-integer floats and a batched ``clock += k`` is
     bit-identical to ``k`` single-cycle advances.
 
     Which records may be proven is a per-record mask.  A protocol
@@ -166,11 +161,9 @@ def _proven_hits(
     (:attr:`~repro.trace.derived.DerivedColumns.single_owner_sorted`):
     remote traffic touches only lines of the block it names, never
     one of those, and a read hit on one is free.  Invalidations of
-    *other* blocks in the same set only free ways, so the window
-    proofs below still hold.
+    *other* blocks in the same set only free ways and never reorder
+    the set, so the same-block proof still holds.
     """
-    total = len(derived.order)
-    n = len(derived.counts)
     if (
         protocol.read_hit_is_free
         and protocol.remote_traffic_preserves_residency
@@ -191,141 +184,44 @@ def _proven_hits(
         )
     ):
         return None
-    handles_flush = protocol.handles_flush
-    kinds_sorted_np = derived.kinds_sorted
-    blocks_sorted_np = derived.blocks_sorted
-    cpus_sorted_np = derived.cpus_sorted
-    sets_sorted_np = (blocks_sorted_np & np.uint64(set_mask)).astype(
-        np.int64
+    kinds = derived.kinds_sorted
+    touches, _ = cache_touches(
+        derived, protocol.handles_flush, protocol.caches_shared_data
     )
-    is_fetch = derived.is_fetch_sorted
-    # Records eligible to be proven pure hits ("class A"):
-    # fetches (a hit costs exactly the one instruction cycle)
-    # and loads (a hit is free) — under No-Cache not shared
-    # loads (uncached).
-    eligible_a = is_fetch | (kinds_sorted_np == 1)
-    # Which records touch their cache set at all, and which
-    # leave their block resident (and MRU of its set):
-    # everything except flushes — and, under No-Cache, except
-    # uncached shared data references, which are transparent.
-    touches = np.ones(total, dtype=bool)
-    shared_sorted_np = None
-    if not protocol.caches_shared_data:
-        shared_sorted_np = derived.shared_sorted
-        uncached = (kinds_sorted_np != 0) & shared_sorted_np
-        touches &= ~uncached
-        eligible_a &= ~(uncached & (kinds_sorted_np == 1))
-    if handles_flush:
-        leaves_resident = touches & (kinds_sorted_np != 3)
-    else:
-        # Unhandled flushes are complete no-ops: transparent.
-        touches &= kinds_sorted_np != 3
-        leaves_resident = touches
-    # Stores eligible to be proven *local* hits ("class B"):
-    # when the protocol declares a store hit purely local, a
-    # statically-proven store hit reduces to dirtying the line
-    # with an MRU touch — no protocol call, no bus, no clock.
+    touch_idx = np.flatnonzero(touches)
+    provable = np.zeros(len(kinds), dtype=bool)
+    provable[touch_idx] = same_block_hits(
+        derived.cpus_sorted[touch_idx],
+        derived.blocks_sorted[touch_idx],
+        kinds[touch_idx] != 3,
+        set_mask + 1,
+    )
+    if allowed is not None:
+        provable &= allowed
+    # Pure hits: fetches (a hit costs exactly the one instruction
+    # cycle) and loads (a hit is free).  Uncached shared references
+    # never touch the cache, so they are never proven.
+    eligible_pure = derived.is_fetch_sorted | (kinds == 1)
+    # Stores eligible to be proven *local* hits: when the protocol
+    # declares a store hit purely local, a statically-proven store hit
+    # reduces to dirtying the line — no protocol call, no bus, no
+    # clock.
     if protocol.store_hit_is_local:
-        eligible_b = (kinds_sorted_np == 2) & touches
+        eligible_store = kinds == 2
     elif protocol.private_store_hit_is_local:
         # Restricted form (Dragon, the hybrids, directory): only
         # stores to single-owner blocks outside the shared region —
         # the line is then provably in an exclusive state, so the
         # hit cannot broadcast or invalidate and touches no sharing
         # counters.
-        if shared_sorted_np is None:
-            shared_sorted_np = derived.shared_sorted
-        eligible_b = (
-            (kinds_sorted_np == 2)
-            & ~shared_sorted_np
+        eligible_store = (
+            (kinds == 2)
+            & ~derived.shared_sorted
             & derived.single_owner_sorted
         )
     else:
-        eligible_b = np.zeros(total, dtype=bool)
-    if allowed is not None:
-        eligible_a &= allowed
-        eligible_b &= allowed
-    eligible = eligible_a | eligible_b
-    # Group records by (cpu, set): eviction is strictly
-    # per-set and remote traffic cannot evict, so each set's
-    # contents evolve deterministically from its own group's
-    # records alone.  Non-touching records get unique keys so
-    # they are transparent; the stable sort keeps per-stream
-    # program order within each group.
-    sets_count = set_mask + 1
-    group_key = cpus_sorted_np.astype(np.int64) * sets_count
-    group_key += sets_sorted_np
-    untouched = ~touches
-    group_key[untouched] = n * sets_count + np.flatnonzero(untouched)
-    key_order = np.argsort(group_key, kind="stable")
-    keys_grouped = group_key[key_order]
-    blocks_grouped = blocks_sorted_np[key_order]
-    leaves_grouped = leaves_resident[key_order]
-    same_group = np.zeros(total, dtype=bool)
-    same_group[1:] = keys_grouped[1:] == keys_grouped[:-1]
-    # Same-block rule: a reference whose group predecessor (the
-    # most recent same-set touch of the same stream) was to the
-    # same block and left it resident must hit, and the block
-    # is already most-recently-used in its set (the
-    # predecessor touched it last; state updates assign in
-    # place and never reorder a set), so even the LRU touch is
-    # a no-op.  Valid for any associativity.
-    prev_same_block = np.zeros(total, dtype=bool)
-    prev_same_block[1:] = same_group[1:] & (
-        blocks_grouped[1:] == blocks_grouped[:-1]
-    )
-    prev_leaves = np.zeros(total, dtype=bool)
-    prev_leaves[1:] = leaves_grouped[:-1]
-    provable_grouped = prev_same_block & prev_leaves
-    # Previous-run rule (associativity >= 2 only): compress
-    # each group into runs of equal blocks.  A reference whose
-    # block matches the *previous* run in its group also hits:
-    # at the end of that run its block X was resident and MRU,
-    # and the single intervening run's block Y can evict only
-    # the LRU way — never X (a mid-run flush of Y frees a way,
-    # so re-inserting Y still cannot evict X).  X is no longer
-    # MRU, so these hits keep the LRU touch (pop + reinsert)
-    # instead of skipping it.  Direct-mapped caches lose X the
-    # moment Y is inserted, hence the associativity gate.
-    if associativity >= 2:
-        new_run = ~prev_same_block
-        run_id = np.cumsum(new_run) - 1
-        run_starts = np.flatnonzero(new_run)
-        run_block = blocks_grouped[run_starts]
-        run_group = keys_grouped[run_starts]
-        run_last = np.empty(len(run_starts), dtype=np.int64)
-        run_last[:-1] = run_starts[1:] - 1
-        run_last[-1:] = total - 1  # a no-op on an empty trace
-        run_last_leaves = leaves_grouped[run_last]
-        prev_run_ok = np.zeros(len(run_starts), dtype=bool)
-        prev_run_ok[1:] = (
-            (run_group[1:] == run_group[:-1]) & run_last_leaves[:-1]
-        )
-        prev_run_block = np.zeros_like(run_block)
-        prev_run_block[1:] = run_block[:-1]
-        near_grouped = prev_run_ok[run_id] & (
-            blocks_grouped == prev_run_block[run_id]
-        )
-        near = np.zeros(total, dtype=bool)
-        near[key_order] = near_grouped
-        near &= eligible
-    else:
-        near = np.zeros(total, dtype=bool)
-    provable = np.zeros(total, dtype=bool)
-    provable[key_order] = provable_grouped
-    provable &= eligible
-    near &= ~provable
-    # Final classes (all masks disjoint, in stream order):
-    #   guaranteed   — pure hits: fetch costs one cycle, load
-    #                  is free, no cache touch (batchable).
-    #   local_store  — store hits: dirty the line, MRU touch.
-    #   near_fetch   — fetch hits: one cycle plus MRU touch.
-    #   near_load    — load hits: MRU touch only.
-    guaranteed = provable & eligible_a
-    local_store = (provable | near) & eligible_b
-    near_fetch = near & is_fetch
-    near_load = near & eligible_a & ~is_fetch
-    return _ProvenHits(guaranteed, local_store, near_fetch, near_load)
+        eligible_store = np.zeros(len(kinds), dtype=bool)
+    return _ProvenHits(provable & eligible_pure, provable & eligible_store)
 
 
 class _EventStreams(NamedTuple):
@@ -333,7 +229,7 @@ class _EventStreams(NamedTuple):
 
     Only *event* records are scheduled one by one; the records between
     two events form a span applied lazily (a fetch-count clock advance
-    plus deferred MRU touches).  ``Machine.run`` makes its events the
+    plus deferred dirty marks).  ``Machine.run`` makes its events the
     records not proven to hit (every record without proven hits); a
     sweep makes them one geometry's classifier events.  One list per
     CPU, positions relative to that CPU's stream.
@@ -344,10 +240,10 @@ class _EventStreams(NamedTuple):
         blocks: block of each event record.
         prefix: fetch prefix sums over the stream (``count + 1``
             entries), or ``None`` when every record is an event.
-        touches: deferred MRU touches of the proven hits,
-            ``(position, code, block)``; code 4 dirties the line (a
-            local store hit), 5 and 6 only touch it.  ``None`` when
-            no span record touches a cache.
+        touches: deferred dirty marks of the proven local store
+            hits, ``(position, block)``; each line is already MRU, so
+            a mark only sets its state.  ``None`` when no span record
+            touches a cache.
         trace_keys: trace position of each event record, plus the
             trace length as the key of the stream's end; ``None``
             unless the replay runs in trace order.
@@ -357,7 +253,7 @@ class _EventStreams(NamedTuple):
     kinds: list[list[int]]
     blocks: list[list[int]]
     prefix: list[list[int]] | None
-    touches: list[list[tuple[int, int, int]]] | None
+    touches: list[list[tuple[int, int]]] | None
     trace_keys: list[list[int]] | None
 
 
@@ -375,7 +271,7 @@ def _event_streams(
     derived: DerivedColumns,
     events: list[np.ndarray] | None,
     prefix: list[list[int]] | None,
-    touches: list[list[tuple[int, int, int]]] | None,
+    touches: list[list[tuple[int, int]]] | None,
     by_trace: bool,
 ) -> _EventStreams:
     """Gather the event records of each CPU's stream.
@@ -413,33 +309,25 @@ def _replay_streams(
     by_trace: bool,
 ) -> _EventStreams:
     """``Machine.run``'s event streams: every record not proven to hit
-    is an event, and the proven hits become spans and touches."""
+    is an event, and the proven hits become spans and dirty marks."""
     if hits is None:
         return _event_streams(derived, None, None, None, by_trace)
     kinds_sorted_np = derived.kinds_sorted
-    event_mask = ~(
-        hits.guaranteed | hits.local_store | hits.near_fetch | hits.near_load
-    )
+    event_mask = ~(hits.guaranteed | hits.local_store)
     if not protocol.handles_flush:
         # Unhandled flushes are complete no-ops; leaving them out of
         # the event set lets the spans run through them.
         event_mask &= kinds_sorted_np != 3
-    sent_codes = np.zeros(len(kinds_sorted_np), dtype=np.int64)
-    sent_codes[hits.local_store] = 4
-    sent_codes[hits.near_fetch] = 5
-    sent_codes[hits.near_load] = 6
     events = []
     touches = []
     for start, count in zip(derived.offsets, derived.counts):
         stop = start + count
         events.append(np.flatnonzero(event_mask[start:stop]))
-        codes = sent_codes[start:stop]
-        sidx = np.flatnonzero(codes)
+        sidx = np.flatnonzero(hits.local_store[start:stop])
         touches.append(
             list(
                 zip(
                     sidx.tolist(),
-                    codes[sidx].tolist(),
                     derived.blocks_sorted[start:stop][sidx].tolist(),
                 )
             )
@@ -633,7 +521,8 @@ def _run_columnar(
       scheduled; each span before an event is applied lazily.  In
       time order a cycle steal moves the victim's frontier past the
       span records that ran before the broadcast's merge position;
-      their deferred touches replay before the victim's next event.
+      their deferred dirty marks replay before the victim's next
+      event.
       A broadcast at the end of a granted record sits after every
       record keyed at or before that grant's arbitration instant: the
       reference ran all of those before granting, and no later
@@ -756,9 +645,9 @@ def _run_columnar(
                 # before the rest.  Span record ``m``'s key is the
                 # pre-steal clock plus the fetch prefix from the old
                 # frontier, so the new frontier follows the fetch that
-                # reaches the merge position.  Their deferred MRU
-                # touches stay pending: the victim's burst replays
-                # every touch before its next event, even when the
+                # reaches the merge position.  Their deferred dirty
+                # marks stay pending: the victim's burst replays
+                # every mark before its next event, even when the
                 # frontier lands on that event and leaves it an empty
                 # span.
                 prefix = cpu_prefix[victim]
@@ -833,11 +722,11 @@ def _run_columnar(
                 if spans:
                     # The span before the event: fetch hits cost one
                     # cycle each (loads and local store hits are
-                    # free); the deferred MRU touches replay in
-                    # program order.  A steal may have advanced the
-                    # frontier onto the event itself, so the touches
-                    # still pending from before it replay even when
-                    # the span left is empty.
+                    # free); the deferred dirty marks replay, each
+                    # on a line already MRU.  A steal may have
+                    # advanced the frontier onto the event itself, so
+                    # the marks still pending from before it replay
+                    # even when the span left is empty.
                     if e > position:
                         delta = prefix[e] - prefix[position]
                         if delta:
@@ -845,15 +734,9 @@ def _run_columnar(
                     if touches:
                         tp = touch_index[cpu]
                         while tp < len(touches) and touches[tp][0] < e:
-                            _, code, t_block = touches[tp]
+                            t_block = touches[tp][1]
                             tp += 1
-                            cache_set = steps[t_block & set_mask]
-                            if code == 4:
-                                cache_set.pop(t_block)
-                                cache_set[t_block] = dirty_state
-                            else:
-                                state = cache_set.pop(t_block)
-                                cache_set[t_block] = state
+                            steps[t_block & set_mask][t_block] = dirty_state
                         touch_index[cpu] = tp
                 if e == count:
                     clocks[cpu] = clock
@@ -1323,7 +1206,7 @@ class Machine:
             op_info = _op_info(self.costs)
             hits = _proven_hits(
                 protocol, derived, op_info, bus.arbitration_cycles,
-                caches[0].set_mask, geometry.associativity,
+                caches[0].set_mask,
             )
             _run_columnar(
                 derived,

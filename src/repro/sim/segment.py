@@ -1,4 +1,7 @@
-"""The one LRU classifier of the cache-size sweep engines.
+"""The one LRU classifier of the cache-size sweep engines, and the one
+same-block rule of every static hit analysis: ``machine._proven_hits``
+applies :func:`cache_touches` and :func:`same_block_hits` at the
+machine's set mask, :func:`classify_lru`'s prefilter at each geometry's.
 
 Both sweep engines ask the same per-CPU question of every geometry in
 a family: *which references miss, and which block do they evict?*
@@ -15,8 +18,7 @@ answers for the whole family in one walk:
   flushes.  The protocol's declared flags (``handles_flush``,
   ``caches_shared_data``) select which records touch the cache.
 * A vectorised per-geometry prefilter first drops every reference
-  whose most recent same-set touch was the same block: a guaranteed,
-  already-MRU hit.
+  :func:`same_block_hits` proves: a guaranteed, already-MRU hit.
 * A victim inserted at stream position ``i`` and evicted (or flushed)
   at ``q`` is dirty iff the CPU stored to its block in ``[i, q)``: a
   batch of interval queries answered after the loop with two
@@ -39,7 +41,9 @@ __all__ = [
     "DIRTY_MISS",
     "READ_THROUGH",
     "WRITE_THROUGH",
+    "cache_touches",
     "classify_lru",
+    "same_block_hits",
 ]
 
 # Event opcodes.  Each dirty opcode is its clean one + 1.
@@ -49,6 +53,60 @@ READ_THROUGH = 2
 WRITE_THROUGH = 3
 CLEAN_FLUSH = 4
 DIRTY_FLUSH = 5
+
+
+def cache_touches(
+    derived: DerivedColumns, handles_flush: bool, caches_shared: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Which records (in ``derived.order``) touch their CPU's cache.
+
+    Returns ``(touches, uncached)``: without ``caches_shared``,
+    ``uncached`` marks the shared loads and stores, which are
+    transparent to cache contents; else it is ``None``.  Flushes touch
+    iff ``handles_flush``, shared or not (no registered protocol
+    handles flushes without caching shared data).
+    """
+    kinds = derived.kinds_sorted
+    touches = np.ones(len(kinds), dtype=bool)
+    uncached = None
+    if not caches_shared:
+        uncached = ((kinds == 1) | (kinds == 2)) & derived.shared_sorted
+        touches &= ~uncached
+    if not handles_flush:
+        touches &= kinds != 3
+    return touches, uncached
+
+
+def same_block_hits(
+    cpus: np.ndarray, blocks: np.ndarray, leaves: np.ndarray, sets: int
+) -> np.ndarray:
+    """The same-block rule, over cache-touching records in per-CPU
+    program order, for caches of ``sets`` sets.
+
+    A record that leaves its block resident (``leaves``: not a flush)
+    must hit when its CPU's most recent touch of the same set was to
+    the same block and left it resident.  The block is then already
+    most-recently-used: that predecessor touched it last, and state
+    updates assign in place, never reordering a set, so even the LRU
+    touch is a no-op.  Holds at every associativity, for any cache
+    whose contents only its own CPU's records evict.
+    """
+    group_key = cpus.astype(np.int64) * sets
+    group_key += (blocks & np.uint64(sets - 1)).astype(np.int64)
+    # The stable sort keeps program order within each (cpu, set) group.
+    key_order = np.argsort(group_key, kind="stable")
+    keys_grouped = group_key[key_order]
+    blocks_grouped = blocks[key_order]
+    leaves_grouped = leaves[key_order]
+    hits_grouped = np.zeros(len(key_order), dtype=bool)
+    hits_grouped[1:] = (
+        (keys_grouped[1:] == keys_grouped[:-1])
+        & (blocks_grouped[1:] == blocks_grouped[:-1])
+        & leaves_grouped[:-1]
+    )
+    hits = np.empty(len(key_order), dtype=bool)
+    hits[key_order] = hits_grouped
+    return hits & leaves
 
 
 def classify_lru(
@@ -78,37 +136,25 @@ def classify_lru(
     offsets = derived.offsets
     total = len(kinds)
 
-    # Which records touch the cache at all, and which are uncached
-    # shared data references (events in every geometry, transparent
-    # to cache contents).
-    touches = np.ones(total, dtype=bool)
-    uncached = None
-    if not caches_shared:
-        # Shared loads and stores only: flush records are governed by
-        # ``handles_flush`` alone.
-        uncached = ((kinds == 1) | (kinds == 2)) & derived.shared_sorted
-        touches &= ~uncached
-    if not handles_flush:
-        touches &= kinds != 3
+    touches, uncached = cache_touches(derived, handles_flush, caches_shared)
 
-    # Per-geometry prefilter: the same-block rule of ``Machine``'s
-    # static hit analysis, evaluated at each geometry's own set mask.
-    # A reference whose most recent same-set touch was the same block
-    # (and left it resident) finds the block resident and already
-    # most-recently-used, so its LRU touch — pop and reinsert — is the
-    # identity: the loop for that geometry can skip it outright.
-    # Finer masks collide less, so bigger caches prove far more of the
-    # stream; each geometry's loop only walks its own residue.  Stores
-    # among the skipped records still dirty their lines, which the
-    # vectorised interval query below observes without visiting them.
-    # The rule is monotone in the mask: provable at a coarser mask
-    # implies provable at every finer one (any provable record between
-    # a reference and its residue predecessor must, by induction along
-    # its own predecessor chain, carry that predecessor's block).  So
-    # test geometries coarsest-first and re-test only the shrinking
-    # residue — the expensive grouped sort runs once at full length.
+    # Per-geometry prefilter: the same-block rule, evaluated at each
+    # geometry's own set mask.  A reference it proves finds its block
+    # resident and already most-recently-used, so its LRU touch — pop
+    # and reinsert — is the identity: the loop for that geometry can
+    # skip it outright.  Finer masks collide less, so bigger caches
+    # prove far more of the stream; each geometry's loop only walks its
+    # own residue.  Stores among the skipped records still dirty their
+    # lines, which the vectorised interval query below observes without
+    # visiting them.  The rule is monotone in the mask: provable at a
+    # coarser mask implies provable at every finer one (any provable
+    # record between a reference and its residue predecessor must, by
+    # induction along its own predecessor chain, carry that
+    # predecessor's block).  So test geometries coarsest-first and
+    # re-test only the shrinking residue — the expensive grouped sort
+    # runs once at full length.
     touch_idx = np.flatnonzero(touches)
-    t_cpu = derived.cpus_sorted[touch_idx].astype(np.int64)
+    t_cpu = derived.cpus_sorted[touch_idx]
     t_block = blocks[touch_idx]
     t_leaves = kinds[touch_idx] != 3
     loop_masks: list[np.ndarray | None] = [None] * len(geometries)
@@ -121,26 +167,11 @@ def classify_lru(
         sets = geometries[k].sets
         if sets != prev_sets:
             prev_sets = sets
-            mask = np.uint64(sets - 1)
-            r_cpu = t_cpu[residue]
-            r_block = t_block[residue]
-            r_leaves = t_leaves[residue]
-            group_key = r_cpu * sets
-            group_key += (r_block & mask).astype(np.int64)
-            key_order = np.argsort(group_key, kind="stable")
-            keys_grouped = group_key[key_order]
-            blocks_grouped = r_block[key_order]
-            leaves_grouped = r_leaves[key_order]
-            provable_grouped = np.zeros(len(residue), dtype=bool)
-            provable_grouped[1:] = (
-                (keys_grouped[1:] == keys_grouped[:-1])
-                & (blocks_grouped[1:] == blocks_grouped[:-1])
-                & leaves_grouped[:-1]
-            )
-            provable = np.zeros(len(residue), dtype=bool)
-            provable[key_order] = provable_grouped
-            provable &= r_leaves  # flushes always produce an event
-            residue = residue[~provable]
+            residue = residue[
+                ~same_block_hits(
+                    t_cpu[residue], t_block[residue], t_leaves[residue], sets
+                )
+            ]
         loop_mask = np.zeros(total, dtype=bool)
         loop_mask[touch_idx[residue]] = True
         loop_masks[k] = loop_mask

@@ -56,7 +56,12 @@ class TestArbitratedBusUnit:
         # {0, 1} now starts the search at CPU 0 again.
         bus.request(1, 0.0, 1.0)
         bus.request(0, 0.0, 1.0)
-        assert bus.grant_next()[0] == 0
+        cpu, start, _ = bus.grant_next()
+        assert cpu == 0
+        # The pointer moved past the winner, not onto it: CPU 0 posting
+        # again at once still yields to the waiting CPU 1.
+        bus.request(0, start + 1.0, 1.0)
+        assert bus.grant_next()[0] == 1
 
     def test_fixed_priority_starves_the_high_cpu(self):
         bus = ArbitratedBus(2, "fixed-priority")
@@ -99,6 +104,8 @@ class TestArbitratedBusUnit:
             bus.request(0, 5.0, 1.0)
         with pytest.raises(ValueError, match="unknown bus discipline"):
             ArbitratedBus(2, "lifo")
+        with pytest.raises(ValueError, match="cpus must be >= 1, got 0"):
+            ArbitratedBus(0)
 
     def test_next_grant_without_pending_raises(self):
         with pytest.raises(ValueError, match="no pending"):
@@ -256,10 +263,9 @@ class TestDeferredGrantConformance:
         self, protocol, seed, associativity, discipline, overhead
     ):
         """A steal can move the victim's frontier exactly onto its
-        pending event, leaving an empty span whose deferred MRU
-        touches must still replay before that event.  Replayed after
-        it instead, the first cell raises ``KeyError`` and the other
-        two diverge from the reference."""
+        pending event, leaving an empty span whose deferred dirty
+        marks must still replay before that event.  Replayed after it
+        instead, the first cell diverges from the reference."""
         case = fuzz_case(seed, scale=0.5)
         config = dataclasses.replace(
             case.config,

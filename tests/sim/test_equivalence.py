@@ -32,8 +32,7 @@ class TestColumnarMatchesLegacy:
     def test_identical_statistics(self, seeded_trace, protocol, order):
         assert_conforms("columnar", protocol, seeded_trace, CONFIG, order)
 
-    # The static hit analysis has geometry-dependent rules (the
-    # previous-run rule only holds for associativity >= 2), so the
+    # The static hit analysis groups references by cache set, so the
     # engines must also agree on direct-mapped and highly-associative
     # caches, and on the default configuration the benchmarks use.
     @pytest.mark.parametrize(
